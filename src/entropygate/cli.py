@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import clustering, corpus, evaluation, gateway
-from .entropy import cluster_distribution, discrete_semantic_entropy, max_entropy
+from .entropy import cluster_distribution, discrete_semantic_entropy
 from .errors import (
     BackendError,
     CorpusFormatError,
@@ -273,41 +273,30 @@ def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend 
 
 
 def _run_pool(config: RunConfig, items, work):
-    """Run ``work(item)`` across questions with bounded concurrency.
+    """Run ``work(item)`` across questions, ``config.concurrency`` at a time.
 
     Returns (done, skipped, failures) where failures is a sorted list of
-    (question_id, message).
+    (question_id, message).  Any other exception, Ctrl-C included, cancels
+    the questions not yet started and propagates once the running ones end.
     """
     done = 0
     skipped = 0
     failures: list[tuple[str, str]] = []
-
-    def call(item):
-        return item.id, work(item)
-
-    if config.concurrency == 1 or len(items) <= 1:
-        outcomes = []
-        for item in items:
+    pool = ThreadPoolExecutor(max_workers=config.concurrency)
+    try:
+        futures = [(item.id, pool.submit(work, item)) for item in items]
+        for qid, future in futures:
             try:
-                outcomes.append((item.id, work(item), None))
+                result = future.result()
             except (BackendError, SamplingIncompleteError, JudgingError, GradingError) as exc:
-                outcomes.append((item.id, None, str(exc)))
-    else:
-        outcomes = []
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            futures = [(item.id, pool.submit(call, item)) for item in items]
-            for qid, future in futures:
-                try:
-                    outcomes.append((qid, future.result()[1], None))
-                except (BackendError, SamplingIncompleteError, JudgingError, GradingError) as exc:
-                    outcomes.append((qid, None, str(exc)))
-    for qid, result, error in outcomes:
-        if error is not None:
-            failures.append((qid, error))
-        elif result == "skipped":
-            skipped += 1
-        else:
-            done += 1
+                failures.append((qid, str(exc)))
+            else:
+                if result == "skipped":
+                    skipped += 1
+                else:
+                    done += 1
+    finally:
+        pool.shutdown(cancel_futures=True)
     failures.sort()
     return done, skipped, failures
 
@@ -324,12 +313,13 @@ def _report_failures(stage: str, failures: list[tuple[str, str]]) -> int:
 # sample
 # ---------------------------------------------------------------------------
 
-def _samples_file_complete(path: Path, config: RunConfig) -> bool:
+def _load_samples(path: Path, config: RunConfig) -> dict | None:
+    """The sample record at ``path`` if it is complete for ``config``, else None."""
     if not path.exists():
-        return False
+        return None
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
-        return (
+        complete = (
             record["k"] == config.k
             and record["sample_temperature"] == config.sample_temperature
             and record["baseline_temperature"] == config.baseline_temperature
@@ -337,7 +327,8 @@ def _samples_file_complete(path: Path, config: RunConfig) -> bool:
             and isinstance(record["baseline"], dict)
         )
     except (ValueError, KeyError, TypeError):
-        return False
+        return None
+    return record if complete else None
 
 
 def _sample_to_dict(sample: gateway.AnswerSample) -> dict:
@@ -361,15 +352,13 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     def work(item: corpus.ImageQuestion):
         path = config.samples_dir / f"{question_file_name(item.id)}.json"
-        if not force and _samples_file_complete(path, config):
+        if not force and _load_samples(path, config) is not None:
             return "skipped"
         samples = gateway.sample_answers(
-            backend, item, config.k, config.sample_temperature,
-            role=gateway.ROLE_SAMPLE, max_in_flight=1,
+            backend, item, config.k, config.sample_temperature, role=gateway.ROLE_SAMPLE
         )
         baseline = gateway.sample_answers(
-            backend, item, 1, config.baseline_temperature,
-            role=gateway.ROLE_BASELINE, max_in_flight=1,
+            backend, item, 1, config.baseline_temperature, role=gateway.ROLE_BASELINE
         )[0]
         _write_json(
             path,
@@ -394,21 +383,15 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_samples(config: RunConfig, item: corpus.ImageQuestion) -> dict:
-    path = config.samples_dir / f"{question_file_name(item.id)}.json"
-    if not _samples_file_complete(path, config):
-        raise _IncompleteError(item.id)
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 def _require_samples(config: RunConfig, items) -> dict[str, dict]:
     records = {}
     missing = []
     for item in items:
-        try:
-            records[item.id] = _read_samples(config, item)
-        except _IncompleteError:
+        record = _load_samples(config.samples_dir / f"{question_file_name(item.id)}.json", config)
+        if record is None:
             missing.append(item.id)
+        else:
+            records[item.id] = record
     if missing:
         raise _IncompleteError(
             f"missing or incomplete samples for {len(missing)} question(s): "
@@ -421,14 +404,16 @@ def _require_samples(config: RunConfig, items) -> dict[str, dict]:
 # cluster
 # ---------------------------------------------------------------------------
 
-def _cluster_file_complete(path: Path, config: RunConfig) -> bool:
+def _load_cluster(path: Path, config: RunConfig) -> dict | None:
+    """The audit record at ``path`` if it is complete for ``config``, else None."""
     if not path.exists():
-        return False
+        return None
     try:
         record = clustering.read_audit_record(path)
-        return record["k"] == config.k and record["policy"] == config.policy
+        complete = record["k"] == config.k and record["policy"] == config.policy
     except (ValueError, KeyError, TypeError):
-        return False
+        return None
+    return record if complete else None
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -444,12 +429,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     def work(item: corpus.ImageQuestion):
         path = config.clusters_dir / f"{question_file_name(item.id)}.json"
-        if not force and _cluster_file_complete(path, config):
+        if not force and _load_cluster(path, config) is not None:
             return "skipped"
         texts = [s["text"] for s in sample_records[item.id]["samples"]]
         judge = gateway.entailment_judge(backend, question_id=item.id)
         partition, matrix = clustering.cluster_answers(
-            texts, judge, context=item.question, policy=config.policy, max_in_flight=1
+            texts, judge, context=item.question, policy=config.policy
         )
         dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
         record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
@@ -471,11 +456,11 @@ def _require_clusters(config: RunConfig, items) -> dict[str, dict]:
     records = {}
     missing = []
     for item in items:
-        path = config.clusters_dir / f"{question_file_name(item.id)}.json"
-        if _cluster_file_complete(path, config):
-            records[item.id] = clustering.read_audit_record(path)
-        else:
+        record = _load_cluster(config.clusters_dir / f"{question_file_name(item.id)}.json", config)
+        if record is None:
             missing.append(item.id)
+        else:
+            records[item.id] = record
     if missing:
         raise _IncompleteError(
             f"missing or incomplete clusters for {len(missing)} question(s): "
@@ -488,24 +473,20 @@ def _require_clusters(config: RunConfig, items) -> dict[str, dict]:
 # grade
 # ---------------------------------------------------------------------------
 
-def _read_grades(config: RunConfig) -> dict[str, dict]:
-    grades = {}
-    with open(config.grades_path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                record = json.loads(line)
-                grades[record["question_id"]] = record
-    return grades
-
-
-def _grades_complete(config: RunConfig, items) -> bool:
+def _load_grades(config: RunConfig, items) -> dict[str, dict] | None:
+    """Grades by question id if every item has one, else None."""
     if not config.grades_path.exists():
-        return False
+        return None
+    grades = {}
     try:
-        grades = _read_grades(config)
+        with open(config.grades_path, encoding="utf-8") as handle:
+            for line in handle:
+                if line.strip():
+                    record = json.loads(line)
+                    grades[record["question_id"]] = record
     except (ValueError, KeyError):
-        return False
-    return all(item.id in grades for item in items)
+        return None
+    return grades if all(item.id in grades for item in items) else None
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
@@ -518,7 +499,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
         return EXIT_INCOMPLETE
     force = bool(getattr(args, "force", False))
     import_file = getattr(args, "import_file", None)
-    if not force and import_file is None and _grades_complete(config, items):
+    if not force and import_file is None and _load_grades(config, items) is not None:
         print(f"grades already complete at {config.grades_path}")
         return EXIT_OK
 
@@ -568,14 +549,13 @@ def cmd_grade(args: argparse.Namespace) -> int:
 # report / curve / cost
 # ---------------------------------------------------------------------------
 
-def _collect_results(config: RunConfig, items) -> list[evaluation.QuestionResult]:
-    cluster_records = _require_clusters(config, items)
-    if not _grades_complete(config, items):
+def _collect_results(config: RunConfig, items, cluster_records) -> list[evaluation.QuestionResult]:
+    grades = _load_grades(config, items)
+    if grades is None:
         raise _IncompleteError(
             "grades are missing or incomplete; run the grade stage "
             "(or import human grades with: grade --import FILE)"
         )
-    grades = _read_grades(config)
     results = []
     for item in sorted(items, key=lambda i: i.id):
         results.append(
@@ -659,9 +639,9 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    results = _collect_results(config, items)
-    sample_records = _require_samples(config, items)
     cluster_records = _require_clusters(config, items)
+    results = _collect_results(config, items, cluster_records)
+    sample_records = _require_samples(config, items)
 
     summary_lines = [
         "selective prediction report",
@@ -755,7 +735,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    results = _collect_results(config, items)
+    results = _collect_results(config, items, _require_clusters(config, items))
     points = evaluation.coverage_curve(results, _curve_grid(config))
     config.reports_dir.mkdir(parents=True, exist_ok=True)
     path = config.reports_dir / "curve.csv"

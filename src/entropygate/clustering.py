@@ -24,7 +24,6 @@ The chosen policy is recorded on the result so runs are auditable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -214,55 +213,33 @@ def cluster_answers(
     judge: Judge,
     context: str,
     policy: str = POLICY_COMPONENTS,
-    prior: EntailmentMatrix | None = None,
-    max_in_flight: int = 1,
 ) -> tuple[SemanticClustering, EntailmentMatrix]:
     """Judge all ordered pairs of answers and assemble semantic clusters.
 
-    Issues exactly k*(k-1) judge calls (fewer when ``prior`` already holds
-    verdicts from an interrupted run).  Judge calls may run concurrently
-    with at most ``max_in_flight`` in flight; graph construction and
-    cluster assembly are deterministic reductions over the completed
-    verdict set, so the result does not depend on scheduling.
+    Issues exactly k*(k-1) judge calls, one after another in
+    ``required_checks`` order; graph construction and cluster assembly are
+    deterministic reductions over the verdict set.
 
     Backend failures are collected per pair; if any pair failed after the
-    backend's own retries, raises ``JudgingError`` carrying the failed
-    pair list and the partial matrix for resumption.
+    backend's own retries, raises ``JudgingError`` listing the failed
+    pairs.  Behind the record/replay cache, a rerun repeats only the
+    judge calls that failed.
     """
     if not samples:
         raise ValueError("need at least one sample")
     k = len(samples)
-    verdicts: dict[tuple[int, int], EntailmentVerdict] = dict(prior.verdicts) if prior else {}
-    todo = [p for p in required_checks(k) if p not in verdicts]
-
-    def judge_pair(pair: tuple[int, int]):
-        i, j = pair
-        verdict = judge(context, samples[i], samples[j])
-        return pair, replace(verdict, premise_index=i, hypothesis_index=j)
-
+    verdicts: dict[tuple[int, int], EntailmentVerdict] = {}
     failed: list[tuple[int, int]] = []
-    if max_in_flight <= 1 or len(todo) <= 1:
-        for pair in todo:
-            try:
-                pair, verdict = judge_pair(pair)
-            except BackendError:
-                failed.append(pair)
-            else:
-                verdicts[pair] = verdict
-    else:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            futures = {pool.submit(judge_pair, pair): pair for pair in todo}
-            for future, pair in futures.items():
-                try:
-                    pair, verdict = future.result()
-                except BackendError:
-                    failed.append(pair)
-                else:
-                    verdicts[pair] = verdict
-
-    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
+    for i, j in required_checks(k):
+        try:
+            verdict = judge(context, samples[i], samples[j])
+        except BackendError:
+            failed.append((i, j))
+        else:
+            verdicts[(i, j)] = replace(verdict, premise_index=i, hypothesis_index=j)
     if failed:
-        raise JudgingError(failed, partial=matrix)
+        raise JudgingError(failed)
+    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
     graph = mutual_entailment_graph(matrix)
     return assemble_clusters(graph, policy), matrix
 

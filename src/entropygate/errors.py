@@ -12,15 +12,11 @@ class BackendError(EntropyGateError):
 
 
 class SamplingIncompleteError(EntropyGateError):
-    """Some of the requested answer samples could not be obtained.
+    """Some of the requested answer samples could not be obtained."""
 
-    Completed samples are attached so callers can persist them and resume.
-    """
-
-    def __init__(self, question_id, missing_ordinals, completed):
+    def __init__(self, question_id, missing_ordinals):
         self.question_id = question_id
         self.missing_ordinals = sorted(missing_ordinals)
-        self.completed = list(completed)
         super().__init__(
             f"sampling incomplete for question {question_id!r}: "
             f"missing ordinals {self.missing_ordinals}"
@@ -28,15 +24,10 @@ class SamplingIncompleteError(EntropyGateError):
 
 
 class JudgingError(EntropyGateError):
-    """Entailment judging failed for one or more pairs.
+    """Entailment judging failed for one or more pairs."""
 
-    ``partial`` holds the verdicts that did succeed, so a caller can persist
-    them and resume the remaining pairs later.
-    """
-
-    def __init__(self, failed_pairs, partial=None):
+    def __init__(self, failed_pairs):
         self.failed_pairs = sorted(failed_pairs)
-        self.partial = partial
         super().__init__(
             f"entailment judging failed for {len(self.failed_pairs)} pair(s): "
             f"{self.failed_pairs[:10]}"

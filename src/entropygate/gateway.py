@@ -31,7 +31,6 @@ import os
 import random
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -63,15 +62,12 @@ class BackendConfig:
     endpoint_url: str
     model_name: str
     api_key_env: str = "ENTROPYGATE_API_KEY"
-    max_in_flight: int = 4
     retry_limit: int = 4  # retries after the first try: 4 -> 5 attempts total
     backoff_base_s: float = 0.5
     backoff_cap_s: float = 30.0
     request_timeout_s: float = 120.0
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
         if self.request_timeout_s <= 0:
@@ -170,7 +166,6 @@ class Backend:
     """
 
     model_name: str = "backend"
-    max_in_flight: int = 1
 
     def invoke(self, request: ModelRequest) -> ModelReply:  # pragma: no cover
         raise NotImplementedError
@@ -273,7 +268,6 @@ class HttpBackend(Backend):
         self.config = config
         self.templates = templates or PromptTemplates()
         self.model_name = config.model_name
-        self.max_in_flight = config.max_in_flight
         self._transport = transport or _requests_transport
         self._sleep = sleep
         self._jitter = random.Random()
@@ -484,7 +478,6 @@ class MockBackend(Backend):
         tokens_out: int = 0,
         fail: set[tuple[str, str, int]] | None = None,
         model_name: str = "mock",
-        max_in_flight: int = 4,
     ):
         self.answers = answers or {}
         self.judge_rule = judge_rule or equality_judge()
@@ -494,7 +487,6 @@ class MockBackend(Backend):
         self.tokens_out = tokens_out
         self.fail = fail or set()
         self.model_name = model_name
-        self.max_in_flight = max_in_flight
         self.call_count = 0
 
     @classmethod
@@ -590,7 +582,6 @@ class CachingBackend(Backend):
         self.store.mkdir(parents=True, exist_ok=True)
         self.log_path = Path(log_path) if log_path else None
         self.model_name = inner.model_name
-        self.max_in_flight = inner.max_in_flight
 
     def _entry_path(self, key: CacheKey) -> Path:
         return self.store / key.digest[:2] / f"{key.digest}.json"
@@ -662,20 +653,20 @@ def sample_answers(
     k: int,
     temperature: float,
     role: str = ROLE_SAMPLE,
-    max_in_flight: int | None = None,
 ) -> list[AnswerSample]:
     """Draw k independent answers for one question at the given temperature.
 
     Requests carry ordinals 0..k-1 so repeated sampling never collapses in
-    the cache; calls run with bounded concurrency.  If any call fails
-    after the backend's retries, raises ``SamplingIncompleteError``
-    listing the missing ordinals and carrying the completed samples.
+    the cache; the calls run one after another.  Every ordinal is tried;
+    if any call fails after the backend's retries, raises
+    ``SamplingIncompleteError`` listing the missing ordinals.  Behind the
+    record/replay cache, a rerun repeats only the calls that failed.
     """
     if k < 1:
         raise ValueError("invalid sample count")
-    workers = max_in_flight if max_in_flight is not None else getattr(backend, "max_in_flight", 1)
-
-    def one(ordinal: int) -> AnswerSample:
+    samples: list[AnswerSample] = []
+    missing: list[int] = []
+    for ordinal in range(k):
         request = ModelRequest(
             question_id=item.id,
             role=role,
@@ -684,37 +675,26 @@ def sample_answers(
             question=item.question,
             image_ref=item.image_ref,
         )
-        reply = backend.invoke(request)
-        return AnswerSample(
-            question_id=item.id,
-            ordinal=ordinal,
-            text=reply.text,
-            temperature=temperature,
-            tokens_in=reply.tokens_in,
-            tokens_out=reply.tokens_out,
-            latency_ms=reply.latency_ms,
-            backend_fingerprint=reply.fingerprint,
+        try:
+            reply = backend.invoke(request)
+        except BackendError:
+            missing.append(ordinal)
+            continue
+        samples.append(
+            AnswerSample(
+                question_id=item.id,
+                ordinal=ordinal,
+                text=reply.text,
+                temperature=temperature,
+                tokens_in=reply.tokens_in,
+                tokens_out=reply.tokens_out,
+                latency_ms=reply.latency_ms,
+                backend_fingerprint=reply.fingerprint,
+            )
         )
-
-    completed: dict[int, AnswerSample] = {}
-    missing: list[int] = []
-    if workers <= 1 or k == 1:
-        for ordinal in range(k):
-            try:
-                completed[ordinal] = one(ordinal)
-            except BackendError:
-                missing.append(ordinal)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(one, ordinal): ordinal for ordinal in range(k)}
-            for future, ordinal in futures.items():
-                try:
-                    completed[ordinal] = future.result()
-                except BackendError:
-                    missing.append(ordinal)
     if missing:
-        raise SamplingIncompleteError(item.id, missing, [completed[o] for o in sorted(completed)])
-    return [completed[o] for o in range(k)]
+        raise SamplingIncompleteError(item.id, missing)
+    return samples
 
 
 def judge_entailment(

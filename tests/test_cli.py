@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,6 +16,7 @@ from entropygate.cli import (
     EXIT_USAGE,
     RunConfig,
     _curve_grid,
+    _run_pool,
     main,
     question_file_name,
 )
@@ -204,6 +207,23 @@ class TestResumability:
         assert main(["sample", "--k", "3", "--force", *args]) == EXIT_OK
         stored = json.loads((workdir["out"] / "config.json").read_text())
         assert stored["k"] == 3
+
+
+class TestRunPool:
+    def test_interrupt_stops_queued_questions_from_starting(self):
+        started = []
+
+        def work(item):
+            started.append(item.id)
+            if item.id == "q00":
+                raise KeyboardInterrupt
+            time.sleep(0.02)
+            return "done"
+
+        items = [SimpleNamespace(id=f"q{i:02d}") for i in range(50)]
+        with pytest.raises(KeyboardInterrupt):
+            _run_pool(RunConfig(concurrency=2), items, work)
+        assert len(started) < 10
 
 
 class TestExitCodes:

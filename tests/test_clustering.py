@@ -25,6 +25,7 @@ from entropygate.clustering import (
     write_audit_record,
 )
 from entropygate.errors import BackendError, IncompleteMatrixError, JudgingError
+from entropygate.gateway import MockBackend, entailment_judge, equivalence_class_judge, with_cache
 from helpers import components_by_bfs, random_equivalence_classes, refines
 
 
@@ -194,24 +195,6 @@ class TestClusterAnswers:
         for (i, j), v in matrix.verdicts.items():
             assert (v.premise_index, v.hypothesis_index) == (i, j)
 
-    def test_prior_matrix_skips_done_pairs(self):
-        samples = ["s0", "s1", "s2"]
-        calls = []
-
-        def rule(i, j):
-            calls.append((i, j))
-            return True
-
-        prior = EntailmentMatrix(
-            k=3, verdicts={(0, 1): verdict(0, 1, True), (1, 0): verdict(1, 0, True)}
-        )
-        clustering, matrix = cluster_answers(
-            samples, simple_judge(rule), context="q", prior=prior
-        )
-        assert len(calls) == 4
-        assert matrix.complete
-        assert clustering.clusters == ((0, 1, 2),)
-
     def test_failures_surface_partial_matrix_then_resume(self):
         samples = ["s0", "s1", "s2"]
         fail_on = {(1, 2), (2, 0)}
@@ -224,28 +207,30 @@ class TestClusterAnswers:
 
         with pytest.raises(JudgingError, match="entailment judging failed") as excinfo:
             cluster_answers(samples, flaky, context="q")
-        error = excinfo.value
-        assert error.failed_pairs == sorted(fail_on)
-        assert len(error.partial.verdicts) == 4
+        assert excinfo.value.failed_pairs == sorted(fail_on)
 
-        fail_on.clear()
+    def test_rerun_over_cache_repeats_only_the_failed_pair(self, tmp_path):
+        samples = ["ct", "computed tomography", "mri"]
+        same = equivalence_class_judge([["ct", "computed tomography"]])
+
+        def flaky_rule(premise, hypothesis):
+            if (premise, hypothesis) == (samples[1], samples[2]):
+                raise BackendError("down")
+            return same(premise, hypothesis)
+
+        flaky = with_cache(MockBackend(judge_rule=flaky_rule), tmp_path / "cache")
+        with pytest.raises(JudgingError) as excinfo:
+            cluster_answers(samples, entailment_judge(flaky, question_id="q1"), context="q")
+        assert excinfo.value.failed_pairs == [(1, 2)]
+
+        healthy = MockBackend(judge_rule=same)
+        cached = with_cache(healthy, tmp_path / "cache")
         clustering, matrix = cluster_answers(
-            samples, flaky, context="q", prior=error.partial
+            samples, entailment_judge(cached, question_id="q1"), context="q"
         )
+        assert healthy.call_count == 1
         assert matrix.complete
-        assert clustering.clusters == ((0, 1, 2),)
-
-    def test_concurrent_judging_matches_serial(self):
-        samples = [f"s{i}" for i in range(8)]
-
-        def rule(i, j):
-            return (i // 3) == (j // 3)
-
-        serial, _ = cluster_answers(samples, simple_judge(rule), context="q")
-        threaded, _ = cluster_answers(
-            samples, simple_judge(rule), context="q", max_in_flight=4
-        )
-        assert serial.clusters == threaded.clusters
+        assert clustering.clusters == ((0, 1), (2,))
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

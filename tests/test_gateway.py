@@ -295,8 +295,6 @@ class TestHttpBackend:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BackendConfig(endpoint_url="u", model_name="m", max_in_flight=0)
-        with pytest.raises(ValueError):
             BackendConfig(endpoint_url="u", model_name="m", retry_limit=-1)
 
 
@@ -304,7 +302,6 @@ class CountingBackend(Backend):
     """Fixed-reply backend that counts invocations."""
 
     model_name = "counting"
-    max_in_flight = 2
 
     def __init__(self, text: str = "hello"):
         self.text = text
@@ -414,19 +411,21 @@ class TestSampleAnswers:
         )
         with pytest.raises(SamplingIncompleteError, match="sampling incomplete") as excinfo:
             sample_answers(backend, make_item(), k=3, temperature=1.0)
-        error = excinfo.value
-        assert error.missing_ordinals == [1]
-        assert [s.ordinal for s in error.completed] == [0, 2]
+        assert excinfo.value.missing_ordinals == [1]
 
-    def test_concurrent_draws_match_serial(self):
-        answers = {"q1": {"sample": [f"t{i}" for i in range(8)]}}
-        serial = sample_answers(
-            MockBackend(answers=answers), make_item(), k=8, temperature=1.0, max_in_flight=1
+    def test_rerun_over_cache_repeats_only_the_failed_draw(self, tmp_path):
+        answers = {"q1": {"sample": ["a", "b", "c"]}}
+        flaky = MockBackend(answers=answers, fail={("q1", "sample", 1)})
+        with pytest.raises(SamplingIncompleteError) as excinfo:
+            sample_answers(with_cache(flaky, tmp_path / "cache"), make_item(), k=3, temperature=1.0)
+        assert excinfo.value.missing_ordinals == [1]
+
+        healthy = MockBackend(answers=answers)
+        samples = sample_answers(
+            with_cache(healthy, tmp_path / "cache"), make_item(), k=3, temperature=1.0
         )
-        threaded = sample_answers(
-            MockBackend(answers=answers), make_item(), k=8, temperature=1.0, max_in_flight=4
-        )
-        assert [s.text for s in serial] == [s.text for s in threaded]
+        assert healthy.call_count == 1
+        assert [s.text for s in samples] == ["a", "b", "c"]
 
 
 class GarbageJudgeBackend(Backend):
