@@ -3,12 +3,15 @@
 A question is retained at threshold t when its entropy is at or below t
 (inclusive, so a threshold at the entropy ceiling retains everything).
 Accuracy deltas between the filtered and unfiltered sets are tested with
-a paired bootstrap over questions: each resample draws n question indices
-with replacement and scores both conditions on the same draw, so
-per-question difficulty cancels.  Resamples that happen to retain nothing
-are redrawn from a keyed substream (the delta is undefined there), which
-keeps results byte-reproducible for a given seed regardless of how the
-main draw is chunked.
+a paired bootstrap over questions: each resample draws n questions with
+replacement and scores both conditions on the same draw, so per-question
+difficulty cancels.  The paired delta depends only on how many resampled
+questions fall in each retained/rejected x correct/incorrect cell, and
+resampling n questions makes those four counts Multinomial(n, observed
+cell shares); the bootstrap draws the counts directly, so each resample
+costs O(1) instead of O(n).  Resamples that happen to retain nothing are
+redrawn from a keyed substream (the delta is undefined there), which keeps
+results byte-reproducible for a given seed.
 
 Reports cover accuracy/coverage at fixed thresholds, a threshold sweep
 (the coverage curve), per-subgroup breakdowns, and a flow table mapping
@@ -187,31 +190,6 @@ def selective_accuracy(results: Sequence[QuestionResult], threshold: float) -> F
 # Paired bootstrap
 # ---------------------------------------------------------------------------
 
-def _redraw_delta(
-    seed: int,
-    iteration: int,
-    correct: np.ndarray,
-    retained: np.ndarray,
-    max_redraws: int,
-) -> float:
-    # Substream keyed by (seed, tag, iteration index): independent of the
-    # main stream and of every other redraw, so chunking cannot shift it.
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _REDRAW_KEY, iteration]))
-    n = correct.shape[0]
-    for _ in range(max_redraws):
-        idx = rng.integers(0, n, size=n)
-        kept = retained[idx]
-        if not kept.any():
-            continue
-        baseline = correct[idx].mean()
-        filtered = correct[idx][kept].mean()
-        return float((filtered - baseline) * 100.0)
-    raise EmptyRetainedSetError(
-        f"empty retained set: resample {iteration} still retained nothing "
-        f"after {max_redraws} redraw(s)"
-    )
-
-
 def bootstrap_delta(
     results: Sequence[QuestionResult],
     threshold: float,
@@ -220,19 +198,31 @@ def bootstrap_delta(
     alpha: float = 0.05,
     comparisons: int = 12,
     max_redraws: int = 100,
-    chunk_size: int = 10_000,
 ) -> BootstrapResult:
     """Percentile-bootstrap CI and two-sided p-value for the accuracy delta.
 
-    Each of ``iterations`` resamples draws n question indices with
-    replacement from one PRNG stream (PCG64 seeded with ``seed``) and
-    computes filtered minus baseline accuracy on that draw.  The p-value
-    is twice the smaller tail fraction of the delta distribution around
-    zero, floored at 1/iterations and capped at 1.  Significance applies
-    a Bonferroni-corrected strict cutoff ``p < alpha / comparisons``.
+    Each of ``iterations`` resamples draws n questions with replacement
+    and computes filtered minus baseline accuracy on that draw.  The
+    delta depends only on the resampled retained count K, the retained
+    correct count A and the rejected correct count C, so they are drawn
+    directly from one PRNG stream (PCG64 seeded with ``seed``), factoring
+    the multinomial through K::
 
-    Identical inputs and seed reproduce the result bit-for-bit; the chunk
-    size only bounds memory and cannot change the draws.
+        K ~ Bin(n, retained / n)
+        A | K ~ Bin(K, retained_correct / retained)
+        C | K ~ Bin(n - K, rejected_correct / rejected)
+        delta = 100 * (A / K - (A + C) / n)
+
+    which has the same distribution as resampling question indices.
+    Resamples with K = 0 are redrawn, in at most ``max_redraws`` rounds,
+    from a substream keyed by ``seed``; ``EmptyRetainedSetError`` is
+    raised if any is still empty.  The p-value is twice the smaller tail
+    fraction of the delta distribution around zero, floored at
+    1/iterations and capped at 1.  Significance applies a
+    Bonferroni-corrected strict cutoff ``p < alpha / comparisons``.
+
+    Identical inputs and seed reproduce the result bit-for-bit within
+    one ``generator`` version.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -244,27 +234,32 @@ def bootstrap_delta(
         raise ValueError("max_redraws must be >= 1")
     outcome = selective_accuracy(results, threshold)
 
-    n = len(results)
-    correct = np.array([r.correct for r in results], dtype=np.float64)
-    retained = np.array([r.retained_at(threshold) for r in results], dtype=bool)
+    n = outcome.total
+    retained = outcome.retained
+    # Correct share among rejected questions; 0/1 when nothing is rejected.
+    rejected_share = (outcome.baseline_correct - outcome.retained_correct) / max(n - retained, 1)
     rng = np.random.default_rng(seed)
-    deltas = np.empty(iterations, dtype=np.float64)
-    done = 0
-    while done < iterations:
-        count = min(chunk_size, iterations - done)
-        idx = rng.integers(0, n, size=(count, n))
-        resampled_correct = correct[idx]
-        resampled_kept = retained[idx]
-        kept_counts = resampled_kept.sum(axis=1)
-        baseline_acc = resampled_correct.mean(axis=1)
-        filtered_acc = (resampled_correct * resampled_kept).sum(axis=1) / np.maximum(
-            kept_counts, 1
+    kept = rng.binomial(n, retained / n, size=iterations)
+    # Substream keyed by (seed, tag): disjoint from the main stream.
+    redraw = np.random.default_rng(np.random.SeedSequence([seed, _REDRAW_KEY]))
+    empty = np.flatnonzero(kept == 0)
+    for _ in range(max_redraws):
+        if not empty.size:
+            break
+        kept[empty] = redraw.binomial(n, retained / n, size=empty.size)
+        empty = empty[kept[empty] == 0]
+    if empty.size:
+        raise EmptyRetainedSetError(
+            f"empty retained set: {empty.size} resample(s) still retained nothing "
+            f"after {max_redraws} redraw(s)"
         )
-        chunk_deltas = (filtered_acc - baseline_acc) * 100.0
-        for row in np.nonzero(kept_counts == 0)[0]:
-            chunk_deltas[row] = _redraw_delta(seed, done + int(row), correct, retained, max_redraws)
-        deltas[done : done + count] = chunk_deltas
-        done += count
+    kept_correct = rng.binomial(kept, outcome.retained_correct / retained)
+    all_correct = rng.binomial(n - kept, rejected_share)
+    all_correct += kept_correct
+    deltas = kept_correct / kept
+    del kept, kept_correct  # caps the peak at four iteration-length arrays
+    deltas -= all_correct / n
+    deltas *= 100.0
 
     ci_low, ci_high = np.percentile(deltas, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
     frac_low = float(np.mean(deltas <= 0.0))
@@ -281,7 +276,7 @@ def bootstrap_delta(
         alpha=alpha,
         comparisons=comparisons,
         significant=bonferroni_significant(p_value, alpha, comparisons),
-        generator="numpy-pcg64",
+        generator="numpy-pcg64-binomial-cells",
     )
 
 

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
-from .errors import BackendError, SamplingIncompleteError
+from .errors import BackendError, CorpusFormatError, SamplingIncompleteError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import ImageQuestion
@@ -402,7 +402,11 @@ def _image_data_url(image_ref: str) -> str:
     mime = {"jpg": "jpeg", "jpeg": "jpeg", "png": "png", "gif": "gif", "webp": "webp"}.get(
         suffix, "png"
     )
-    data = base64.b64encode(path.read_bytes()).decode("ascii")
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        raise CorpusFormatError("cannot read image", path=image_ref) from None
+    data = base64.b64encode(raw).decode("ascii")
     return f"data:image/{mime};base64,{data}"
 
 

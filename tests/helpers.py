@@ -1,8 +1,9 @@
 """Independent oracles and generators shared across the test suite.
 
 The oracles deliberately avoid the package's own code paths: entropy is
-recomputed with 50-digit arbitrary-precision arithmetic, and components
-are recovered by breadth-first search over the edge set.
+recomputed with 50-digit arbitrary-precision arithmetic, components
+are recovered by breadth-first search over the edge set, and the paired
+bootstrap resamples question indices.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
+import numpy as np
 from mpmath import mp, mpf
 
 
@@ -100,3 +102,26 @@ def refines(finer, coarser) -> bool:
         if len(owners) != 1:
             return False
     return True
+
+
+def bootstrap_oracle(results, threshold, iterations, seed, chunk=1000):
+    """Paired bootstrap by index resampling: (ci_low, ci_high, p_value).
+
+    Draws n question indices per resample and drops resamples that retain
+    nothing.  Its draws differ from ``bootstrap_delta``'s cell counts, so
+    tests compare the resulting CI bounds and p-values, not the draws.
+    """
+    correct = np.array([r.correct for r in results], dtype=np.float64)
+    retained = np.array([r.entropy <= threshold for r in results])
+    rng = np.random.default_rng(seed)
+    deltas = np.empty(0)
+    while deltas.size < iterations:
+        idx = rng.integers(0, len(results), size=(chunk, len(results)))
+        hits, kept = correct[idx], retained[idx]
+        ok = kept.any(axis=1)
+        filtered = (hits * kept).sum(axis=1)[ok] / kept.sum(axis=1)[ok]
+        deltas = np.append(deltas, 100.0 * (filtered - hits.mean(axis=1)[ok]))
+    deltas = deltas[:iterations]
+    ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
+    tail = min(np.mean(deltas <= 0.0), np.mean(deltas >= 0.0))
+    return float(ci_low), float(ci_high), min(1.0, max(2.0 * tail, 1.0 / iterations))

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import entropygate
 from conftest import make_mock_corpus, make_mock_script
+from entropygate import gateway
 from entropygate.cli import (
     EXIT_BACKEND,
     EXIT_INCOMPLETE,
@@ -263,6 +269,29 @@ class TestExitCodes:
         assert main(args) == EXIT_BACKEND
         assert len(list((workdir["out"] / "samples").glob("*.json"))) == 9
 
+    def test_missing_image_file_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        record = {
+            "id": "q00",
+            "image": "/nonexistent/x.png",
+            "question": "What imaging modality is shown?",
+            "reference": "ct",
+            "dataset": "DemoSet",
+            "subgroup": "modality",
+        }
+        corpus_path.write_text(json.dumps(record) + "\n")
+        requests_made = []
+        monkeypatch.setattr(
+            gateway, "_requests_transport", lambda *args: requests_made.append(args)
+        )
+        args = [
+            "sample", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"),
+            "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--model", "m",
+        ]
+        assert main(args) == EXIT_USAGE
+        assert "/nonexistent/x.png" in capsys.readouterr().err
+        assert requests_made == []
+
     def test_all_questions_rejected_is_incomplete(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
         records = make_mock_corpus(corpus_path, count=2)
@@ -285,3 +314,16 @@ class TestExitCodes:
         assert main(["grade", *args]) == EXIT_OK
         assert main(["report", *args]) == EXIT_INCOMPLETE
         assert "empty retained set" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(entropygate.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        completed = subprocess.run(
+            [sys.executable, "-m", "entropygate", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert completed.returncode == 0
+        assert "{sample,cluster,grade,report,curve,cost}" in completed.stdout

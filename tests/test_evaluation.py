@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,7 @@ from entropygate.evaluation import (
     write_outcomes_jsonl,
     write_sankey_csv,
 )
+from helpers import bootstrap_oracle
 
 
 def result(qid="q", entropy=0.1, correct=True, dataset="d", subgroup="s"):
@@ -111,10 +113,46 @@ class TestBootstrap:
         second = bootstrap_delta(table1_results, 0.6, iterations=2000, seed=2)
         assert (first.ci_low, first.ci_high) != (second.ci_low, second.ci_high)
 
-    def test_chunk_size_does_not_change_results(self, table1_results):
-        whole = bootstrap_delta(table1_results, 0.6, iterations=3000, seed=3, chunk_size=3000)
-        chunked = bootstrap_delta(table1_results, 0.6, iterations=3000, seed=3, chunk_size=997)
-        assert whole == chunked
+    def test_same_seed_reproduces_with_redraws(self):
+        # One retained question among twenty: about 36% of resamples
+        # retain nothing and go through the redraw substream.
+        results = [result(qid="kept", entropy=0.1, correct=True)]
+        results += [result(qid=f"r{i}", entropy=0.9, correct=i % 2 == 0) for i in range(19)]
+        first = bootstrap_delta(results, 0.3, iterations=10_000, seed=5)
+        second = bootstrap_delta(results, 0.3, iterations=10_000, seed=5)
+        assert first == second
+        assert first != bootstrap_delta(results, 0.3, iterations=10_000, seed=6)
+
+    @pytest.mark.parametrize("threshold", [0.6, 0.3])
+    def test_matches_index_resampling_oracle(self, table1_results, threshold):
+        boot = bootstrap_delta(table1_results, threshold, iterations=20_000, seed=0)
+        ci_low, ci_high, p_value = bootstrap_oracle(
+            table1_results, threshold, iterations=20_000, seed=0
+        )
+        assert boot.ci_low == pytest.approx(ci_low, abs=0.5)
+        assert boot.ci_high == pytest.approx(ci_high, abs=0.5)
+        assert boot.p_value == pytest.approx(p_value, abs=1e-3)
+        assert boot.significant == bonferroni_significant(p_value)
+
+    def test_matches_oracle_off_the_p_value_floor(self):
+        # Two retained questions of ten: about a tenth of resamples retain
+        # nothing, and p sits near .013, far above 1/iterations, so the
+        # tail fractions themselves are compared (standard error ~.0016).
+        results = [result(qid=f"a{i}", entropy=0.1, correct=True) for i in range(2)]
+        results += [result(qid=f"b{i}", entropy=0.9, correct=i < 4) for i in range(8)]
+        boot = bootstrap_delta(results, 0.3, iterations=20_000, seed=0)
+        _, _, p_value = bootstrap_oracle(results, 0.3, iterations=20_000, seed=0)
+        assert 0.005 < p_value < 0.05
+        assert boot.p_value == pytest.approx(p_value, abs=0.005)
+
+    def test_memory_does_not_scale_with_questions(self, table1_results):
+        tracemalloc.start()
+        try:
+            bootstrap_delta(table1_results, 0.6, iterations=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_two_point_enumeration(self):
         # Resamples of {good, bad}: (g,g) -> delta 0, (g,b)/(b,g) -> +50,
@@ -267,7 +305,8 @@ class TestWriters:
         points = coverage_curve(results, [1.2, 0.3])
         path = tmp_path / "curve.csv"
         write_curve_csv(points, path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["threshold", "fraction_rejected", "delta", "n_retained"]
         assert rows[1][0] == "1.2" and rows[1][3] == "3"
         assert rows[2][2] == "undefined" and rows[2][3] == "0"
@@ -288,7 +327,8 @@ class TestWriters:
         edges = sankey_export([result(qid="a", correct=True)], 0.6)
         path = tmp_path / "sankey.csv"
         write_sankey_csv(edges, path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
         assert rows == [["source", "target", "count"], ["d:s", "accepted-true", "1"]]
 
 
