@@ -13,9 +13,13 @@ Stages persist everything under one output directory::
                       curve.csv, sankey-<t>.csv, cost.json
 
 Each stage is idempotent: work already on disk is skipped, so re-running
-a completed stage performs no model calls, and interrupting a stage loses
-at most the in-flight questions.  Exit codes: 0 success, 1 usage error,
-2 incomplete pipeline data, 3 backend failure.
+a completed stage performs no model calls.  The sample, cluster and grade
+stages run every model call of every question on one bounded pool
+(``--concurrency`` calls in flight) and write each question's record as
+soon as its calls are done, so interrupting a stage keeps every finished
+question; behind the record/replay cache, the calls of unfinished ones
+that completed are not paid for again.  Exit codes: 0 success, 1 usage
+error, 2 incomplete pipeline data, 3 backend failure.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ import logging
 import os
 import re
 import sys
+import threading
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, Hashable, Iterable
 
 from . import clustering, corpus, evaluation, gateway
 from .entropy import cluster_distribution, discrete_semantic_entropy
@@ -258,7 +264,8 @@ def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend 
                 endpoint_url=config.endpoint_url,
                 model_name=config.model,
                 api_key_env=config.api_key_env,
-            )
+            ),
+            max_connections=config.concurrency,
         )
     elif required:
         raise _UsageError(
@@ -272,33 +279,106 @@ def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend 
     return backend
 
 
-def _run_pool(config: RunConfig, items, work):
-    """Run ``work(item)`` across questions, ``config.concurrency`` at a time.
+@dataclass
+class _Job:
+    """One question's model calls and the reduction that consumes them.
 
-    Returns (done, skipped, failures) where failures is a sorted list of
-    (question_id, message).  Any other exception, Ctrl-C included, cancels
-    the questions not yet started and propagates once the running ones end.
+    ``slots`` maps each result slot to the key of the request that fills
+    it; ``call(key)`` makes that request.  Slots with equal keys share one
+    call.  ``finish(results, errors)`` gets, per slot, the call's result or
+    its per-call error (``BackendError`` or ``GradingError``).
     """
+
+    question_id: str
+    slots: dict[Hashable, Hashable]
+    call: Callable[[Hashable], object]
+    finish: Callable[[dict, dict], None]
+    results: dict = field(default_factory=dict)  # by key
+    errors: dict = field(default_factory=dict)  # by key
+    left: int = 0  # keys whose call has not returned
+
+
+_CALL_ERRORS = (BackendError, GradingError)
+_QUESTION_ERRORS = (BackendError, SamplingIncompleteError, JudgingError, GradingError)
+
+
+def _run_jobs(concurrency: int, jobs: Iterable[_Job]) -> tuple[int, list[tuple[str, str]]]:
+    """Run every job's calls on one pool of ``concurrency`` workers.
+
+    The workers take calls from one lazy queue in job order, then slot
+    order, so at most ``concurrency`` calls are in flight and at most
+    ``concurrency + 1`` jobs are open, however long the corpus.  Each
+    distinct key of a job is called once (single-flight: request keys
+    carry the question id, so no two jobs share one), and every slot with
+    that key gets the result.  The worker that ends a job's last call runs
+    its ``finish``.
+
+    Returns (done, failures) where failures is a sorted list of
+    (question_id, message) for the jobs whose ``finish`` raised a
+    per-question error.  Any other exception, Ctrl-C included, stops the
+    workers from taking further calls and propagates once the running
+    ones end.
+    """
+    lock = threading.RLock()  # reentrant: calls() finishes a job without calls
+    stop = threading.Event()
     done = 0
-    skipped = 0
     failures: list[tuple[str, str]] = []
-    pool = ThreadPoolExecutor(max_workers=config.concurrency)
+
+    def finish(job: _Job) -> None:
+        nonlocal done
+        results = {s: job.results[k] for s, k in job.slots.items() if k in job.results}
+        errors = {s: job.errors[k] for s, k in job.slots.items() if k in job.errors}
+        try:
+            job.finish(results, errors)
+        except _QUESTION_ERRORS as exc:
+            with lock:
+                failures.append((job.question_id, str(exc)))
+        else:
+            with lock:
+                done += 1
+
+    def calls():
+        for job in jobs:
+            keys = list(dict.fromkeys(job.slots.values()))
+            job.left = len(keys)
+            if not keys:
+                finish(job)
+            for key in keys:
+                yield job, key
+
+    queue = calls()
+
+    def work() -> None:
+        try:
+            while not stop.is_set():
+                with lock:
+                    entry = next(queue, None)
+                if entry is None:
+                    return
+                job, key = entry
+                try:
+                    outcome, store = job.call(key), job.results
+                except _CALL_ERRORS as exc:
+                    outcome, store = exc, job.errors
+                with lock:
+                    store[key] = outcome
+                    job.left -= 1
+                    last = not job.left
+                if last:
+                    finish(job)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=concurrency)
     try:
-        futures = [(item.id, pool.submit(work, item)) for item in items]
-        for qid, future in futures:
-            try:
-                result = future.result()
-            except (BackendError, SamplingIncompleteError, JudgingError, GradingError) as exc:
-                failures.append((qid, str(exc)))
-            else:
-                if result == "skipped":
-                    skipped += 1
-                else:
-                    done += 1
+        for worker in [pool.submit(work) for _ in range(concurrency)]:
+            worker.result()
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
     failures.sort()
-    return done, skipped, failures
+    return done, failures
 
 
 def _report_failures(stage: str, failures: list[tuple[str, str]]) -> int:
@@ -312,6 +392,10 @@ def _report_failures(stage: str, failures: list[tuple[str, str]]) -> int:
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
+
+def _samples_path(config: RunConfig, item) -> Path:
+    return config.samples_dir / f"{question_file_name(item.id)}.json"
+
 
 def _load_samples(path: Path, config: RunConfig) -> dict | None:
     """The sample record at ``path`` if it is complete for ``config``, else None."""
@@ -343,42 +427,78 @@ def _sample_to_dict(sample: gateway.AnswerSample) -> dict:
     }
 
 
+def _unreadable_images(items) -> list[str]:
+    """The local image files among ``items`` that cannot be opened."""
+    refs = {item.image_ref for item in items if item.image_ref}
+    unreadable = []
+    for ref in sorted(refs):
+        if ref.startswith("data:"):
+            continue
+        try:
+            open(ref, "rb").close()
+        except OSError:
+            unreadable.append(ref)
+    return unreadable
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     corpus.write_corpus(items, config.corpus_path)
-    backend = _build_backend(config)
     force = bool(getattr(args, "force", False))
+    todo = [
+        item
+        for item in sorted(items, key=lambda i: i.id)
+        if force or _load_samples(_samples_path(config, item), config) is None
+    ]
+    backend = _build_backend(config)
+    temperatures = {
+        gateway.ROLE_SAMPLE: config.sample_temperature,
+        gateway.ROLE_BASELINE: config.baseline_temperature,
+    }
 
-    def work(item: corpus.ImageQuestion):
-        path = config.samples_dir / f"{question_file_name(item.id)}.json"
-        if not force and _load_samples(path, config) is not None:
-            return "skipped"
-        samples = gateway.sample_answers(
-            backend, item, config.k, config.sample_temperature, role=gateway.ROLE_SAMPLE
-        )
-        baseline = gateway.sample_answers(
-            backend, item, 1, config.baseline_temperature, role=gateway.ROLE_BASELINE
-        )[0]
-        _write_json(
-            path,
-            {
-                "id": item.id,
-                "k": config.k,
-                "sample_temperature": config.sample_temperature,
-                "baseline_temperature": config.baseline_temperature,
-                "samples": [_sample_to_dict(s) for s in samples],
-                "baseline": _sample_to_dict(baseline),
-            },
-        )
-        return "done"
+    def job(item: corpus.ImageQuestion) -> _Job:
+        def call(slot):
+            role, ordinal = slot
+            return gateway.draw_answer(backend, item, ordinal, temperatures[role], role)
 
-    done, skipped, failures = _run_pool(config, sorted(items, key=lambda i: i.id), work)
+        def finish(results, errors):
+            def drawn(role):
+                return {ordinal: s for (r, ordinal), s in results.items() if r == role}
+
+            samples = gateway.collect_samples(item.id, config.k, drawn(gateway.ROLE_SAMPLE))
+            [baseline] = gateway.collect_samples(item.id, 1, drawn(gateway.ROLE_BASELINE))
+            _write_json(
+                _samples_path(config, item),
+                {
+                    "id": item.id,
+                    "k": config.k,
+                    "sample_temperature": config.sample_temperature,
+                    "baseline_temperature": config.baseline_temperature,
+                    "samples": [_sample_to_dict(s) for s in samples],
+                    "baseline": _sample_to_dict(baseline),
+                },
+            )
+
+        slots = [(gateway.ROLE_SAMPLE, ordinal) for ordinal in range(config.k)]
+        slots.append((gateway.ROLE_BASELINE, 0))
+        return _Job(item.id, {slot: slot for slot in slots}, call, finish)
+
+    try:
+        if not config.mock_script:  # the mock backend never reads images
+            unreadable = _unreadable_images(todo)
+            if unreadable:
+                raise _UsageError(
+                    f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}"
+                )
+        done, failures = _run_jobs(config.concurrency, map(job, todo))
+    finally:
+        backend.close()
     if failures:
         return _report_failures("sampling", failures)
     print(
         f"sampled {len(items)} question(s) "
-        f"({done} new, {skipped} already complete) into {config.samples_dir}"
+        f"({done} new, {len(items) - len(todo)} already complete) into {config.samples_dir}"
     )
     return EXIT_OK
 
@@ -387,7 +507,7 @@ def _require_samples(config: RunConfig, items) -> dict[str, dict]:
     records = {}
     missing = []
     for item in items:
-        record = _load_samples(config.samples_dir / f"{question_file_name(item.id)}.json", config)
+        record = _load_samples(_samples_path(config, item), config)
         if record is None:
             missing.append(item.id)
         else:
@@ -403,6 +523,10 @@ def _require_samples(config: RunConfig, items) -> dict[str, dict]:
 # ---------------------------------------------------------------------------
 # cluster
 # ---------------------------------------------------------------------------
+
+def _clusters_path(config: RunConfig, item) -> Path:
+    return config.clusters_dir / f"{question_file_name(item.id)}.json"
+
 
 def _load_cluster(path: Path, config: RunConfig) -> dict | None:
     """The audit record at ``path`` if it is complete for ``config``, else None."""
@@ -424,30 +548,42 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     except _IncompleteError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INCOMPLETE
-    backend = _build_backend(config)
     force = bool(getattr(args, "force", False))
+    todo = [
+        item
+        for item in sorted(items, key=lambda i: i.id)
+        if force or _load_cluster(_clusters_path(config, item), config) is None
+    ]
+    backend = _build_backend(config)
 
-    def work(item: corpus.ImageQuestion):
-        path = config.clusters_dir / f"{question_file_name(item.id)}.json"
-        if not force and _load_cluster(path, config) is not None:
-            return "skipped"
+    def job(item: corpus.ImageQuestion) -> _Job:
         texts = [s["text"] for s in sample_records[item.id]["samples"]]
-        judge = gateway.entailment_judge(backend, question_id=item.id)
-        partition, matrix = clustering.cluster_answers(
-            texts, judge, context=item.question, policy=config.policy
-        )
-        dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
-        record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
-        config.clusters_dir.mkdir(parents=True, exist_ok=True)
-        clustering.write_audit_record(path, record)
-        return "done"
 
-    done, skipped, failures = _run_pool(config, sorted(items, key=lambda i: i.id), work)
+        def call(texts_pair):
+            premise, hypothesis = texts_pair
+            return gateway.judge_entailment(
+                backend, item.question, premise, hypothesis, question_id=item.id
+            )
+
+        def finish(results, errors):
+            partition, matrix = clustering.reduce_verdicts(len(texts), results, config.policy)
+            dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
+            record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
+            config.clusters_dir.mkdir(parents=True, exist_ok=True)
+            clustering.write_audit_record(_clusters_path(config, item), record)
+
+        slots = {(i, j): (texts[i], texts[j]) for i, j in clustering.required_checks(len(texts))}
+        return _Job(item.id, slots, call, finish)
+
+    try:
+        done, failures = _run_jobs(config.concurrency, map(job, todo))
+    finally:
+        backend.close()
     if failures:
         return _report_failures("clustering", failures)
     print(
         f"clustered {len(items)} question(s) "
-        f"({done} new, {skipped} already complete) into {config.clusters_dir}"
+        f"({done} new, {len(items) - len(todo)} already complete) into {config.clusters_dir}"
     )
     return EXIT_OK
 
@@ -456,7 +592,7 @@ def _require_clusters(config: RunConfig, items) -> dict[str, dict]:
     records = {}
     missing = []
     for item in items:
-        record = _load_cluster(config.clusters_dir / f"{question_file_name(item.id)}.json", config)
+        record = _load_cluster(_clusters_path(config, item), config)
         if record is None:
             missing.append(item.id)
         else:
@@ -503,20 +639,29 @@ def cmd_grade(args: argparse.Namespace) -> int:
         print(f"grades already complete at {config.grades_path}")
         return EXIT_OK
 
-    backend = None
-    if config.grader == corpus.GRADER_MODEL:
-        backend = _build_backend(config)
+    backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
+    by_id: dict[str, corpus.GradedAnswer] = {}
 
-    graded: list[corpus.GradedAnswer] = []
-    failures: list[tuple[str, str]] = []
-    for item in sorted(items, key=lambda i: i.id):
+    def job(item: corpus.ImageQuestion) -> _Job:
+        def call(answer):
+            return corpus.grade(item, answer, config.grader, backend)
+
+        def finish(results, errors):
+            if errors:
+                raise errors[0]
+            by_id[item.id] = results[0]
+
         answer = sample_records[item.id]["baseline"]["text"]
-        try:
-            graded.append(corpus.grade(item, answer, config.grader, backend))
-        except GradingError as exc:
-            failures.append((item.id, str(exc)))
+        return _Job(item.id, {0: answer}, call, finish)
+
+    try:
+        _, failures = _run_jobs(config.concurrency, map(job, sorted(items, key=lambda i: i.id)))
+    finally:
+        if backend is not None:
+            backend.close()
     if failures:
         return _report_failures("grading", failures)
+    graded = list(by_id.values())
 
     if import_file:
         overrides = corpus.import_grades(import_file, [item.id for item in items])
@@ -818,7 +963,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--comparisons", type=int, default=None,
                         help="Bonferroni comparison count (default 12)")
     parser.add_argument("--concurrency", type=int, default=None,
-                        help="questions processed in parallel (default 4)")
+                        help="model calls in flight across questions (default 4)")
     parser.add_argument("--price", type=float, default=None,
                         help="dollars per million tokens (default 10.0)")
     parser.add_argument("--curve-start", dest="curve_start", type=float, default=None,

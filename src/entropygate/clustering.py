@@ -208,6 +208,33 @@ def _greedy_representative(graph: EntailmentGraph) -> tuple[tuple[int, ...], ...
     return tuple(tuple(c) for c in clusters)
 
 
+def reduce_verdicts(
+    k: int,
+    verdicts: dict[tuple[int, int], EntailmentVerdict],
+    policy: str = POLICY_COMPONENTS,
+) -> tuple[SemanticClustering, EntailmentMatrix]:
+    """Assemble one question's judged pairs into its matrix and partition.
+
+    ``verdicts`` maps each ordered pair (i, j) whose judge call succeeded
+    to its verdict; the verdict's indices are rewritten to (i, j), so pairs
+    with identical texts may share one verdict.  Raises ``JudgingError``
+    listing the pairs of ``required_checks(k)`` it lacks.
+    """
+    checks = required_checks(k)
+    failed = [pair for pair in checks if pair not in verdicts]
+    if failed:
+        raise JudgingError(failed)
+    matrix = EntailmentMatrix(
+        k=k,
+        verdicts={
+            (i, j): replace(verdicts[(i, j)], premise_index=i, hypothesis_index=j)
+            for i, j in checks
+        },
+    )
+    graph = mutual_entailment_graph(matrix)
+    return assemble_clusters(graph, policy), matrix
+
+
 def cluster_answers(
     samples: list[str],
     judge: Judge,
@@ -217,8 +244,8 @@ def cluster_answers(
     """Judge all ordered pairs of answers and assemble semantic clusters.
 
     Issues exactly k*(k-1) judge calls, one after another in
-    ``required_checks`` order; graph construction and cluster assembly are
-    deterministic reductions over the verdict set.
+    ``required_checks`` order; ``reduce_verdicts`` turns them into the
+    matrix and the partition.
 
     Backend failures are collected per pair; if any pair failed after the
     backend's own retries, raises ``JudgingError`` listing the failed
@@ -227,21 +254,13 @@ def cluster_answers(
     """
     if not samples:
         raise ValueError("need at least one sample")
-    k = len(samples)
     verdicts: dict[tuple[int, int], EntailmentVerdict] = {}
-    failed: list[tuple[int, int]] = []
-    for i, j in required_checks(k):
+    for i, j in required_checks(len(samples)):
         try:
-            verdict = judge(context, samples[i], samples[j])
+            verdicts[(i, j)] = judge(context, samples[i], samples[j])
         except BackendError:
-            failed.append((i, j))
-        else:
-            verdicts[(i, j)] = replace(verdict, premise_index=i, hypothesis_index=j)
-    if failed:
-        raise JudgingError(failed)
-    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
-    graph = mutual_entailment_graph(matrix)
-    return assemble_clusters(graph, policy), matrix
+            pass
+    return reduce_verdicts(len(samples), verdicts, policy)
 
 
 # ---------------------------------------------------------------------------

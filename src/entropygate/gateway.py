@@ -24,11 +24,13 @@ them via ``PromptTemplates`` to match any given deployment.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import hashlib
 import logging
 import os
 import random
+import threading
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -162,13 +164,17 @@ class CacheKey:
 class Backend:
     """Minimal backend interface: one synchronous ``invoke`` per request.
 
-    Implementations must be safe to share across threads.
+    Implementations must be safe to share across threads.  ``close``
+    releases held connections; the backend is not used afterwards.
     """
 
     model_name: str = "backend"
 
     def invoke(self, request: ModelRequest) -> ModelReply:  # pragma: no cover
         raise NotImplementedError
+
+    def close(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +247,22 @@ Transport = Callable[[str, dict, dict, float], tuple[int, object]]
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
-def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
+def _requests_session(max_connections: int):
+    """A keep-alive session whose pool holds ``max_connections`` per host."""
+    import requests
+
+    session = requests.Session()
+    adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_connections)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+def _requests_transport(session, url: str, headers: dict, payload: dict, timeout: float):
     import requests
 
     try:
-        response = requests.post(url, headers=headers, json=payload, timeout=timeout)
+        response = session.post(url, headers=headers, json=payload, timeout=timeout)
     except requests.RequestException as exc:
         raise ConnectionError(str(exc)) from exc
     try:
@@ -256,7 +273,12 @@ def _requests_transport(url: str, headers: dict, payload: dict, timeout: float):
 
 
 class HttpBackend(Backend):
-    """Chat-completions HTTP client with retries and image inlining."""
+    """Chat-completions HTTP client with retries and image inlining.
+
+    Without an injected ``transport`` it sends through one keep-alive
+    ``requests.Session`` whose pool holds ``max_connections`` connections:
+    at least as many as the calls the caller runs at once.
+    """
 
     def __init__(
         self,
@@ -264,13 +286,22 @@ class HttpBackend(Backend):
         templates: PromptTemplates | None = None,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        max_connections: int = 10,
     ):
         self.config = config
         self.templates = templates or PromptTemplates()
         self.model_name = config.model_name
-        self._transport = transport or _requests_transport
+        self._session = None
+        if transport is None:
+            self._session = _requests_session(max_connections)
+            transport = functools.partial(_requests_transport, self._session)
+        self._transport = transport
         self._sleep = sleep
         self._jitter = random.Random()
+
+    def close(self) -> None:
+        if self._session is not None:
+            self._session.close()
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         payload = self.build_payload(request)
@@ -492,6 +523,7 @@ class MockBackend(Backend):
         self.fail = fail or set()
         self.model_name = model_name
         self.call_count = 0
+        self._count_lock = threading.Lock()
 
     @classmethod
     def from_script(cls, script: dict | str | Path, **overrides) -> "MockBackend":
@@ -528,7 +560,8 @@ class MockBackend(Backend):
         return cls(**kwargs)
 
     def invoke(self, request: ModelRequest) -> ModelReply:
-        self.call_count += 1
+        with self._count_lock:
+            self.call_count += 1
         if (request.question_id, request.role, request.ordinal) in self.fail:
             raise BackendError(
                 f"scripted failure for {(request.question_id, request.role, request.ordinal)}"
@@ -586,6 +619,9 @@ class CachingBackend(Backend):
         self.store.mkdir(parents=True, exist_ok=True)
         self.log_path = Path(log_path) if log_path else None
         self.model_name = inner.model_name
+
+    def close(self) -> None:
+        self.inner.close()
 
     def _entry_path(self, key: CacheKey) -> Path:
         return self.store / key.digest[:2] / f"{key.digest}.json"
@@ -651,6 +687,51 @@ def with_cache(backend: Backend, store_path: str | Path, log_path: str | Path | 
 # Sampling and judging operations
 # ---------------------------------------------------------------------------
 
+def draw_answer(
+    backend: Backend,
+    item: "ImageQuestion",
+    ordinal: int,
+    temperature: float,
+    role: str = ROLE_SAMPLE,
+) -> AnswerSample:
+    """Draw one answer for one question; ``ordinal`` is the repeat nonce.
+
+    Backend failure after the backend's retries propagates as
+    ``BackendError``.
+    """
+    request = ModelRequest(
+        question_id=item.id,
+        role=role,
+        ordinal=ordinal,
+        temperature=temperature,
+        question=item.question,
+        image_ref=item.image_ref,
+    )
+    reply = backend.invoke(request)
+    return AnswerSample(
+        question_id=item.id,
+        ordinal=ordinal,
+        text=reply.text,
+        temperature=temperature,
+        tokens_in=reply.tokens_in,
+        tokens_out=reply.tokens_out,
+        latency_ms=reply.latency_ms,
+        backend_fingerprint=reply.fingerprint,
+    )
+
+
+def collect_samples(question_id: str, k: int, drawn: dict[int, AnswerSample]) -> list[AnswerSample]:
+    """Order one question's drawn answers by ordinal 0..k-1.
+
+    ``drawn`` holds the draws that succeeded; raises
+    ``SamplingIncompleteError`` listing the ordinals it lacks.
+    """
+    missing = [ordinal for ordinal in range(k) if ordinal not in drawn]
+    if missing:
+        raise SamplingIncompleteError(question_id, missing)
+    return [drawn[ordinal] for ordinal in range(k)]
+
+
 def sample_answers(
     backend: Backend,
     item: "ImageQuestion",
@@ -668,37 +749,13 @@ def sample_answers(
     """
     if k < 1:
         raise ValueError("invalid sample count")
-    samples: list[AnswerSample] = []
-    missing: list[int] = []
+    drawn: dict[int, AnswerSample] = {}
     for ordinal in range(k):
-        request = ModelRequest(
-            question_id=item.id,
-            role=role,
-            ordinal=ordinal,
-            temperature=temperature,
-            question=item.question,
-            image_ref=item.image_ref,
-        )
         try:
-            reply = backend.invoke(request)
+            drawn[ordinal] = draw_answer(backend, item, ordinal, temperature, role)
         except BackendError:
-            missing.append(ordinal)
-            continue
-        samples.append(
-            AnswerSample(
-                question_id=item.id,
-                ordinal=ordinal,
-                text=reply.text,
-                temperature=temperature,
-                tokens_in=reply.tokens_in,
-                tokens_out=reply.tokens_out,
-                latency_ms=reply.latency_ms,
-                backend_fingerprint=reply.fingerprint,
-            )
-        )
-    if missing:
-        raise SamplingIncompleteError(item.id, missing)
-    return samples
+            pass
+    return collect_samples(item.id, k, drawn)
 
 
 def judge_entailment(

@@ -3,18 +3,22 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
+import shutil
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import entropygate
 from conftest import make_mock_corpus, make_mock_script
-from entropygate import gateway
+from entropygate import cli, gateway
 from entropygate.cli import (
     EXIT_BACKEND,
     EXIT_INCOMPLETE,
@@ -22,7 +26,8 @@ from entropygate.cli import (
     EXIT_USAGE,
     RunConfig,
     _curve_grid,
-    _run_pool,
+    _Job,
+    _run_jobs,
     main,
     question_file_name,
 )
@@ -215,21 +220,241 @@ class TestResumability:
         assert stored["k"] == 3
 
 
-class TestRunPool:
-    def test_interrupt_stops_queued_questions_from_starting(self):
+@pytest.fixture
+def mock_calls(monkeypatch):
+    """Counts MockBackend calls by role and the most in flight at once;
+    set ``delay_s`` to hold each call open."""
+    lock = threading.Lock()
+    stats = {"delay_s": 0.0, "in_flight": 0, "peak": 0, "roles": {}}
+    original = gateway.MockBackend.invoke
+
+    def invoke(backend, request):
+        with lock:
+            stats["in_flight"] += 1
+            stats["peak"] = max(stats["peak"], stats["in_flight"])
+            stats["roles"][request.role] = stats["roles"].get(request.role, 0) + 1
+        try:
+            time.sleep(stats["delay_s"])
+            return original(backend, request)
+        finally:
+            with lock:
+                stats["in_flight"] -= 1
+
+    monkeypatch.setattr(gateway.MockBackend, "invoke", invoke)
+    return stats
+
+
+def stage_files(out: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for name in ("samples", "clusters", "grades", "reports")
+        for path in sorted((out / name).rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestScheduler:
+    def test_interrupt_stops_queued_calls_from_starting(self):
         started = []
 
-        def work(item):
-            started.append(item.id)
-            if item.id == "q00":
+        def call(key):
+            started.append(key)
+            if key == 0:
                 raise KeyboardInterrupt
             time.sleep(0.02)
-            return "done"
 
-        items = [SimpleNamespace(id=f"q{i:02d}") for i in range(50)]
+        job = _Job("q00", {slot: slot for slot in range(50)}, call, lambda results, errors: None)
         with pytest.raises(KeyboardInterrupt):
-            _run_pool(RunConfig(concurrency=2), items, work)
+            _run_jobs(2, [job])
         assert len(started) < 10
+
+    def test_every_job_finishes_once_under_contention(self):
+        finished = []
+        outcome = {}
+
+        def job(q):
+            def finish(results, errors):
+                finished.append((q, results, errors))
+
+            return _Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, lambda key: 2 * key,
+                        finish)
+
+        def run():
+            outcome["value"] = _run_jobs(8, map(job, range(300)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert outcome["value"] == (300, [])
+        assert sorted(q for q, _, _ in finished) == list(range(300))
+        want = {slot: 2 * (slot % 7) for slot in range(30)}
+        assert all(results == want and not errors for _, results, errors in finished)
+
+    def test_calls_in_flight_reach_concurrency_and_never_exceed_it(self, workdir, mock_calls):
+        mock_calls["delay_s"] = 0.005
+        args = ["sample", "--corpus", str(workdir["corpus"]), "--no-cache", "--concurrency", "4"]
+        assert main([*args, *base_args(workdir)]) == EXIT_OK
+        assert sum(mock_calls["roles"].values()) == 10 * 16
+        assert mock_calls["peak"] == 4
+
+    def test_output_does_not_depend_on_concurrency(self, workdir):
+        outputs = []
+        for concurrency in ("1", "4"):
+            shutil.rmtree(workdir["out"], ignore_errors=True)
+            assert main(["sample", "--corpus", str(workdir["corpus"]),
+                         *base_args(workdir, "--concurrency", concurrency)]) == EXIT_OK
+            for stage in ("cluster", "grade"):
+                assert main([stage, *base_args(workdir, "--concurrency", concurrency)]) == EXIT_OK
+            # The report echoes the config, so it runs at one setting for both.
+            assert main(["report", *base_args(workdir, "--concurrency", "4")]) == EXIT_OK
+            outputs.append(stage_files(workdir["out"]))
+        assert len(outputs[0]) == 10 + 10 + 1 + 7
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cache", ["--cache", "--no-cache"])
+    def test_identical_judge_requests_are_sent_once(self, tmp_path, mock_calls, cache):
+        corpus_path = tmp_path / "corpus.jsonl"
+        [record] = make_mock_corpus(corpus_path, count=1)
+        script = {"answers": {record["id"]: {"sample": ["ct", "mri", "xray"] * 5,
+                                             "baseline": ["ct"]}}}
+        script_path = tmp_path / "three.json"
+        script_path.write_text(json.dumps(script))
+        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path), cache,
+                "--concurrency", "4"]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        assert main(["cluster", *args]) == EXIT_OK
+        assert mock_calls["roles"][gateway.ROLE_JUDGE] == 9
+        audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
+        assert len(audit["verdicts"]) == 210
+        assert audit["cluster_sizes"] == [5, 5, 5]
+
+    def test_pending_work_stays_bounded(self, tmp_path, monkeypatch, mock_calls):
+        lock = threading.Lock()
+        counts = {"futures": 0, "open": 0, "peak_open": 0}
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                with lock:
+                    counts["futures"] += 1
+                return super().submit(fn, *args, **kwargs)
+
+        class CountingJob(_Job):
+            def __post_init__(self):
+                with lock:
+                    counts["open"] += 1
+                    counts["peak_open"] = max(counts["peak_open"], counts["open"])
+                finish = self.finish
+
+                def counted(results, errors):
+                    with lock:
+                        counts["open"] -= 1
+                    finish(results, errors)
+
+                self.finish = counted
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli, "_Job", CountingJob)
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        make_mock_script(script_path, make_mock_corpus(corpus_path, count=200), k=5)
+        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path),
+                "--k", "5", "--no-cache", "--concurrency", "3"]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        assert main(["cluster", *args]) == EXIT_OK
+        assert mock_calls["roles"][gateway.ROLE_SAMPLE] == 200 * 5
+        assert counts["futures"] == 2 * 3  # one per worker, per stage
+        assert counts["open"] == 0
+        assert counts["peak_open"] <= 3 + 1
+
+
+class _CompletionHandler(BaseHTTPRequestHandler):
+    """Answers every chat completion with "ct"; counts connections and requests."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        with self.server.lock:
+            self.server.requests += 1
+        body = json.dumps({
+            "model": "m",
+            "choices": [{"message": {"role": "assistant", "content": "ct"}}],
+            "usage": {"prompt_tokens": 5, "completion_tokens": 1},
+        }).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def completion_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CompletionHandler)
+    server.daemon_threads = True
+    server.lock = threading.Lock()
+    server.connections = 0
+    server.requests = 0
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def http_args(server, corpus_path, out, *extra):
+    return ["sample", "--corpus", str(corpus_path), "--out", str(out), "--endpoint", server.url,
+            "--model", "m", "--api-key-env", "", *extra]
+
+
+class TestHttpStage:
+    def test_connections_are_kept_alive(self, tmp_path, completion_server, caplog, monkeypatch):
+        caplog.set_level(logging.WARNING, logger="urllib3")
+        closed = []
+        close = gateway.HttpBackend.close
+        monkeypatch.setattr(gateway.HttpBackend, "close",
+                            lambda backend: closed.append(True) or close(backend))
+        corpus_path = tmp_path / "corpus.jsonl"
+        rows = make_mock_corpus(corpus_path, count=20)
+        with open(corpus_path, "w") as handle:
+            for index, row in enumerate(rows):
+                image = tmp_path / f"{index}.png"
+                image.write_bytes(b"\x89PNG\r\n\x1a\n")
+                handle.write(json.dumps({**row, "image": str(image)}) + "\n")
+        args = http_args(completion_server, corpus_path, tmp_path / "out", "--concurrency", "12")
+        assert main(args) == EXIT_OK
+        assert completion_server.requests == 20 * 16
+        assert completion_server.connections <= 12
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+        assert closed == [True]
+
+    def test_every_missing_image_is_named_before_any_call(self, tmp_path, completion_server, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        rows = make_mock_corpus(corpus_path, count=3)
+        with open(corpus_path, "w") as handle:
+            for index, row in enumerate(rows):
+                handle.write(json.dumps({**row, "image": f"/nonexistent/{index}.png"}) + "\n")
+        args = http_args(completion_server, corpus_path, tmp_path / "out", "--concurrency", "1")
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(f"/nonexistent/{index}.png" in err for index in range(3))
+        assert completion_server.requests == 0
 
 
 class TestExitCodes:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
@@ -92,6 +94,26 @@ class TestParseYesNo:
 
 
 class TestMockBackend:
+    def test_call_count_is_exact_under_threads(self):
+        backend = MockBackend(answers={"q1": {"sample": ["a"]}})
+
+        def invoke_many():
+            for _ in range(2000):
+                backend.invoke(make_request())
+
+        threads = [threading.Thread(target=invoke_many) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert backend.call_count == 16_000
+
     def test_scripted_answers_by_ordinal(self):
         backend = MockBackend(
             answers={"q1": {"sample": ["a", "b"], "baseline": ["a"]}},
@@ -319,6 +341,13 @@ class CountingBackend(Backend):
 
 
 class TestCachingBackend:
+    def test_close_reaches_the_http_session(self, tmp_path):
+        inner = HttpBackend(BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
+        closed = []
+        inner._session.close = lambda: closed.append(True)
+        with_cache(inner, tmp_path / "cache").close()
+        assert closed == [True]
+
     def test_hit_replays_without_inner_call(self, tmp_path):
         inner = CountingBackend()
         backend = with_cache(inner, tmp_path / "cache")
