@@ -25,6 +25,7 @@ error, 2 incomplete pipeline data, 3 backend failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -43,7 +44,6 @@ from .entropy import cluster_distribution, discrete_semantic_entropy
 from .errors import (
     BackendError,
     CorpusFormatError,
-    EmptyRetainedSetError,
     EntropyGateError,
     GradingError,
     JudgingError,
@@ -112,7 +112,7 @@ class RunConfig:
             raise ValueError("temperatures must be >= 0")
         if not self.thresholds or any(t < 0 for t in self.thresholds):
             raise ValueError("invalid threshold")
-        if self.policy not in (clustering.POLICY_COMPONENTS, clustering.POLICY_GREEDY):
+        if self.policy not in clustering.POLICIES:
             raise ValueError(f"unknown clustering policy {self.policy!r}")
         if self.grader not in corpus.GRADERS:
             raise ValueError(f"unknown grader {self.grader!r}")
@@ -227,21 +227,31 @@ def question_file_name(question_id: str) -> str:
     return "h-" + hashlib.sha256(question_id.encode("utf-8")).hexdigest()[:24]
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically: a temp file, then ``os.replace``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
     tmp.write_text(text, encoding="utf-8")
     os.replace(tmp, path)
 
 
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+
+
+def _read_input(what: str, path: str, read: Callable):
+    """``read(path)`` for a file named on the command line; an unreadable or
+    malformed file is a usage error naming it."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {what} {path}: {exc}")
+
+
 def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
     """Corpus precedence: explicit --corpus, else the canonical copy."""
     if config.corpus:
-        try:
-            items = ADAPTERS[config.adapter](config.corpus)
-        except FileNotFoundError as exc:
-            raise _UsageError(f"corpus not found: {exc}")
+        items = _read_input("corpus", config.corpus, ADAPTERS[config.adapter])
         if not items:
             raise _UsageError(f"corpus {config.corpus} is empty")
         return items
@@ -257,7 +267,9 @@ def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
 
 def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend | None:
     if config.mock_script:
-        backend: gateway.Backend = gateway.MockBackend.from_script(config.mock_script)
+        backend: gateway.Backend = _read_input(
+            "mock script", config.mock_script, gateway.MockBackend.from_script
+        )
     elif config.endpoint_url and config.model:
         backend = gateway.HttpBackend(
             gateway.BackendConfig(
@@ -381,6 +393,19 @@ def _run_jobs(concurrency: int, jobs: Iterable[_Job]) -> tuple[int, list[tuple[s
     return done, failures
 
 
+def _require(items, load: Callable, stage: str) -> dict[str, dict]:
+    """Each item's ``load(item)`` record by id; ``_IncompleteError`` naming
+    the items it returns None for."""
+    records = {item.id: load(item) for item in items}
+    missing = sorted(qid for qid, record in records.items() if record is None)
+    if missing:
+        raise _IncompleteError(
+            f"missing or incomplete {stage}s for {len(missing)} question(s): "
+            f"{', '.join(missing)}; run the {stage} stage first"
+        )
+    return records
+
+
 def _report_failures(stage: str, failures: list[tuple[str, str]]) -> int:
     ids = ", ".join(qid for qid, _ in failures)
     print(f"{stage} failed for {len(failures)} question(s): {ids}", file=sys.stderr)
@@ -397,8 +422,9 @@ def _samples_path(config: RunConfig, item) -> Path:
     return config.samples_dir / f"{question_file_name(item.id)}.json"
 
 
-def _load_samples(path: Path, config: RunConfig) -> dict | None:
-    """The sample record at ``path`` if it is complete for ``config``, else None."""
+def _load_samples(config: RunConfig, item) -> dict | None:
+    """The item's sample record if it is complete for ``config``, else None."""
+    path = _samples_path(config, item)
     if not path.exists():
         return None
     try:
@@ -449,7 +475,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     todo = [
         item
         for item in sorted(items, key=lambda i: i.id)
-        if force or _load_samples(_samples_path(config, item), config) is None
+        if force or _load_samples(config, item) is None
     ]
     backend = _build_backend(config)
     temperatures = {
@@ -503,23 +529,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_samples(config: RunConfig, items) -> dict[str, dict]:
-    records = {}
-    missing = []
-    for item in items:
-        record = _load_samples(_samples_path(config, item), config)
-        if record is None:
-            missing.append(item.id)
-        else:
-            records[item.id] = record
-    if missing:
-        raise _IncompleteError(
-            f"missing or incomplete samples for {len(missing)} question(s): "
-            f"{', '.join(sorted(missing))}; run the sample stage first"
-        )
-    return records
-
-
 # ---------------------------------------------------------------------------
 # cluster
 # ---------------------------------------------------------------------------
@@ -528,8 +537,9 @@ def _clusters_path(config: RunConfig, item) -> Path:
     return config.clusters_dir / f"{question_file_name(item.id)}.json"
 
 
-def _load_cluster(path: Path, config: RunConfig) -> dict | None:
-    """The audit record at ``path`` if it is complete for ``config``, else None."""
+def _load_cluster(config: RunConfig, item) -> dict | None:
+    """The item's audit record if it is complete for ``config``, else None."""
+    path = _clusters_path(config, item)
     if not path.exists():
         return None
     try:
@@ -543,16 +553,12 @@ def _load_cluster(path: Path, config: RunConfig) -> dict | None:
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    try:
-        sample_records = _require_samples(config, items)
-    except _IncompleteError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INCOMPLETE
+    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
     force = bool(getattr(args, "force", False))
     todo = [
         item
         for item in sorted(items, key=lambda i: i.id)
-        if force or _load_cluster(_clusters_path(config, item), config) is None
+        if force or _load_cluster(config, item) is None
     ]
     backend = _build_backend(config)
 
@@ -588,23 +594,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require_clusters(config: RunConfig, items) -> dict[str, dict]:
-    records = {}
-    missing = []
-    for item in items:
-        record = _load_cluster(_clusters_path(config, item), config)
-        if record is None:
-            missing.append(item.id)
-        else:
-            records[item.id] = record
-    if missing:
-        raise _IncompleteError(
-            f"missing or incomplete clusters for {len(missing)} question(s): "
-            f"{', '.join(sorted(missing))}; run the cluster stage first"
-        )
-    return records
-
-
 # ---------------------------------------------------------------------------
 # grade
 # ---------------------------------------------------------------------------
@@ -628,16 +617,16 @@ def _load_grades(config: RunConfig, items) -> dict[str, dict] | None:
 def cmd_grade(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    try:
-        sample_records = _require_samples(config, items)
-    except _IncompleteError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INCOMPLETE
+    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
     force = bool(getattr(args, "force", False))
     import_file = getattr(args, "import_file", None)
     if not force and import_file is None and _load_grades(config, items) is not None:
         print(f"grades already complete at {config.grades_path}")
         return EXIT_OK
+    overrides = {}
+    if import_file:  # read before any grading call, so a bad file costs nothing
+        ids = [item.id for item in items]
+        overrides = _read_input("grade file", import_file, lambda p: corpus.import_grades(p, ids))
 
     backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
     by_id: dict[str, corpus.GradedAnswer] = {}
@@ -661,13 +650,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
             backend.close()
     if failures:
         return _report_failures("grading", failures)
-    graded = list(by_id.values())
-
-    if import_file:
-        overrides = corpus.import_grades(import_file, [item.id for item in items])
-        graded = corpus.apply_grade_overrides(graded, overrides)
-
-    config.grades_path.parent.mkdir(parents=True, exist_ok=True)
+    graded = corpus.apply_grade_overrides(list(by_id.values()), overrides)
     lines = []
     for record in sorted(graded, key=lambda g: g.question_id):
         lines.append(
@@ -683,9 +666,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                 sort_keys=True,
             )
         )
-    tmp = config.grades_path.with_name(f".grades.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    os.replace(tmp, config.grades_path)
+    _write_text(config.grades_path, "\n".join(lines) + "\n")
     print(f"graded {len(graded)} question(s) with {config.grader} into {config.grades_path}")
     return EXIT_OK
 
@@ -723,7 +704,10 @@ def _curve_grid(config: RunConfig) -> list[float]:
     return [g for g in grid if g >= 0]
 
 
-def _cost_inputs(config: RunConfig, items, sample_records, cluster_records):
+def _cost_inputs(items, sample_records, cluster_records):
+    """The recorded answer draws, and one verdict per judge call: pairs of a
+    question with the same two texts shared one call, so each distinct
+    (premise, hypothesis) text pair counts once."""
     samples = []
     verdicts = []
     for item in items:
@@ -741,17 +725,29 @@ def _cost_inputs(config: RunConfig, items, sample_records, cluster_records):
                     backend_fingerprint=s["fingerprint"],
                 )
             )
-        _, _, matrix, _, _ = clustering.load_audit_record(cluster_records[item.id])
-        verdicts.extend(matrix.verdicts.values())
+        _, texts, matrix, _, _ = clustering.load_audit_record(cluster_records[item.id])
+        calls = {}
+        for (i, j), verdict in matrix.verdicts.items():
+            calls.setdefault((texts[i], texts[j]), verdict)
+        verdicts.extend(calls.values())
     return samples, verdicts
 
 
-def _cost_dict(estimate: gateway.CostEstimate, question_count: int) -> dict:
-    data = asdict(estimate)
-    data["questions"] = question_count
-    if question_count:
-        data["mean_cost_per_question"] = estimate.total_cost / question_count
-    return data
+def _write_cost(config: RunConfig, items, sample_records, cluster_records) -> dict:
+    """Account the recorded usage into reports/cost.json and return it."""
+    samples, verdicts = _cost_inputs(items, sample_records, cluster_records)
+    cost = asdict(gateway.account_usage(samples, verdicts, config.price))
+    cost["questions"] = len(items)
+    cost["mean_cost_per_question"] = cost["total_cost"] / len(items)
+    _write_json(config.reports_dir / "cost.json", cost)
+    return cost
+
+
+def _write_curve(config: RunConfig, results) -> int:
+    """Write the threshold sweep to reports/curve.csv; returns its point count."""
+    points = evaluation.coverage_curve(results, _curve_grid(config))
+    evaluation.write_curve_csv(points, config.reports_dir / "curve.csv")
+    return len(points)
 
 
 def _threshold_label(threshold: float, k: int) -> str:
@@ -784,9 +780,9 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    cluster_records = _require_clusters(config, items)
+    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
     results = _collect_results(config, items, cluster_records)
-    sample_records = _require_samples(config, items)
+    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
 
     summary_lines = [
         "selective prediction report",
@@ -826,16 +822,12 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"(n={row.total}); " + "; ".join(cells)
         )
 
-    samples, verdicts = _cost_inputs(config, items, sample_records, cluster_records)
-    estimate = gateway.account_usage(samples, verdicts, config.price)
-    cost = _cost_dict(estimate, len(items))
+    cost = _write_cost(config, items, sample_records, cluster_records)
     summary_lines.append(
-        f"cost: ${estimate.total_cost:.2f} total "
-        f"(${cost.get('mean_cost_per_question', 0.0):.2f}/question) at "
-        f"${config.price:g}/1M tokens; pipeline latency ~{estimate.pipeline_latency_ms / 1000:.1f}s"
+        f"cost: ${cost['total_cost']:.2f} total "
+        f"(${cost['mean_cost_per_question']:.2f}/question) at "
+        f"${config.price:g}/1M tokens; pipeline latency ~{cost['pipeline_latency_ms'] / 1000:.1f}s"
     )
-
-    curve_points = evaluation.coverage_curve(results, _curve_grid(config))
 
     report = {
         "config": config.to_dict(),
@@ -863,16 +855,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     }
 
     reports = config.reports_dir
-    reports.mkdir(parents=True, exist_ok=True)
     _write_json(reports / "report.json", report)
-    _write_json(reports / "cost.json", cost)
     evaluation.write_outcomes_jsonl(results, list(config.thresholds), reports / "outcomes.jsonl")
-    evaluation.write_curve_csv(curve_points, reports / "curve.csv")
+    _write_curve(config, results)
     for threshold in config.thresholds:
         edges = evaluation.sankey_export(results, threshold)
         evaluation.write_sankey_csv(edges, reports / f"sankey-{threshold:g}.csv")
     summary = "\n".join(summary_lines) + "\n"
-    (reports / "summary.txt").write_text(summary, encoding="utf-8")
+    _write_text(reports / "summary.txt", summary)
     print(summary, end="")
     return EXIT_OK
 
@@ -880,32 +870,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    results = _collect_results(config, items, _require_clusters(config, items))
-    points = evaluation.coverage_curve(results, _curve_grid(config))
-    config.reports_dir.mkdir(parents=True, exist_ok=True)
-    path = config.reports_dir / "curve.csv"
-    evaluation.write_curve_csv(points, path)
-    print(f"wrote {len(points)} curve point(s) to {path}")
+    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
+    count = _write_curve(config, _collect_results(config, items, cluster_records))
+    print(f"wrote {count} curve point(s) to {config.reports_dir / 'curve.csv'}")
     return EXIT_OK
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    try:
-        sample_records = _require_samples(config, items)
-        cluster_records = _require_clusters(config, items)
-    except _IncompleteError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INCOMPLETE
-    samples, verdicts = _cost_inputs(config, items, sample_records, cluster_records)
-    estimate = gateway.account_usage(samples, verdicts, config.price)
-    cost = _cost_dict(estimate, len(items))
-    config.reports_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(config.reports_dir / "cost.json", cost)
+    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
+    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
+    cost = _write_cost(config, items, sample_records, cluster_records)
     print(
-        f"total ${estimate.total_cost:.2f} "
-        f"(sampling ${estimate.sampling_cost:.2f} + entailment ${estimate.entailment_cost:.2f}) "
+        f"total ${cost['total_cost']:.2f} "
+        f"(sampling ${cost['sampling_cost']:.2f} + entailment ${cost['entailment_cost']:.2f}) "
         f"for {len(items)} question(s) at ${config.price:g}/1M tokens"
     )
     return EXIT_OK
@@ -950,8 +929,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         default=None, help="served-answer temperature (default 0.1)")
     parser.add_argument("--thresholds", type=float, nargs="+", default=None,
                         help="entropy acceptance thresholds (default 0.6 0.3)")
-    parser.add_argument("--policy", default=None,
-                        choices=[clustering.POLICY_COMPONENTS, clustering.POLICY_GREEDY],
+    parser.add_argument("--policy", default=None, choices=clustering.POLICIES,
                         help="cluster assembly policy")
     parser.add_argument("--grader", default=None, choices=list(corpus.GRADERS),
                         help="answer grading rule")
@@ -1024,9 +1002,6 @@ def main(argv=None) -> int:
     except (CorpusFormatError, UnknownQuestionIdsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except EmptyRetainedSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
     except (BackendError, SamplingIncompleteError, JudgingError, GradingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -24,7 +24,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -117,16 +119,6 @@ class CurvePoint:
 
 
 @dataclass(frozen=True)
-class ThresholdCell:
-    """One subgroup's retention and accuracy at one threshold."""
-
-    threshold: float
-    retained: int
-    accuracy: float | None
-    delta: float | None
-
-
-@dataclass(frozen=True)
 class SubgroupRow:
     """One dataset subgroup across all requested thresholds."""
 
@@ -134,7 +126,7 @@ class SubgroupRow:
     subgroup: str
     total: int
     baseline_accuracy: float
-    cells: tuple[ThresholdCell, ...]
+    cells: tuple[CurvePoint, ...]
 
 
 @dataclass(frozen=True)
@@ -291,6 +283,31 @@ def bonferroni_significant(p_value: float, alpha: float = 0.05, comparisons: int
 # Curves, subgroups, flows
 # ---------------------------------------------------------------------------
 
+def _sweep(results: Sequence[QuestionResult], thresholds: Sequence[float]) -> list[CurvePoint]:
+    """Every threshold's point from one sort by entropy: the retained set
+    at t is the prefix of entropies <= t, its correct count a prefix sum."""
+    ordered = sorted(results, key=lambda r: r.entropy)
+    entropies = [r.entropy for r in ordered]
+    correct = list(accumulate((r.correct for r in ordered), initial=0))
+    total = len(ordered)
+    baseline = 100.0 * correct[total] / total
+    points = []
+    for threshold in thresholds:
+        kept = bisect_right(entropies, threshold)
+        accuracy = 100.0 * correct[kept] / kept if kept else None
+        points.append(
+            CurvePoint(
+                threshold=threshold,
+                retained=kept,
+                total=total,
+                coverage=kept / total,
+                accuracy=accuracy,
+                delta=None if accuracy is None else accuracy - baseline,
+            )
+        )
+    return points
+
+
 def coverage_curve(
     results: Sequence[QuestionResult], thresholds: Sequence[float]
 ) -> list[CurvePoint]:
@@ -309,28 +326,7 @@ def coverage_curve(
     for earlier, later in zip(thresholds, thresholds[1:]):
         if not later < earlier:
             raise ValueError("thresholds must be strictly descending")
-    total = len(results)
-    baseline = 100.0 * sum(1 for r in results if r.correct) / total
-    points = []
-    for threshold in thresholds:
-        kept = [r for r in results if r.retained_at(threshold)]
-        if kept:
-            accuracy = 100.0 * sum(1 for r in kept if r.correct) / len(kept)
-            delta = accuracy - baseline
-        else:
-            accuracy = None
-            delta = None
-        points.append(
-            CurvePoint(
-                threshold=threshold,
-                retained=len(kept),
-                total=total,
-                coverage=len(kept) / total,
-                accuracy=accuracy,
-                delta=delta,
-            )
-        )
-    return points
+    return _sweep(results, thresholds)
 
 
 def subgroup_report(
@@ -348,37 +344,16 @@ def subgroup_report(
     groups: dict[tuple[str, str], list[QuestionResult]] = {}
     for result in results:
         groups.setdefault((result.dataset, result.subgroup), []).append(result)
-    rows = []
-    for (dataset, subgroup), members in sorted(groups.items()):
-        total = len(members)
-        baseline = 100.0 * sum(1 for r in members if r.correct) / total
-        cells = []
-        for threshold in thresholds:
-            kept = [r for r in members if r.retained_at(threshold)]
-            if kept:
-                accuracy = 100.0 * sum(1 for r in kept if r.correct) / len(kept)
-                cells.append(
-                    ThresholdCell(
-                        threshold=threshold,
-                        retained=len(kept),
-                        accuracy=accuracy,
-                        delta=accuracy - baseline,
-                    )
-                )
-            else:
-                cells.append(
-                    ThresholdCell(threshold=threshold, retained=0, accuracy=None, delta=None)
-                )
-        rows.append(
-            SubgroupRow(
-                dataset=dataset,
-                subgroup=subgroup,
-                total=total,
-                baseline_accuracy=baseline,
-                cells=tuple(cells),
-            )
+    return [
+        SubgroupRow(
+            dataset=dataset,
+            subgroup=subgroup,
+            total=len(members),
+            baseline_accuracy=100.0 * sum(1 for r in members if r.correct) / len(members),
+            cells=tuple(_sweep(members, thresholds)),
         )
-    return rows
+        for (dataset, subgroup), members in sorted(groups.items())
+    ]
 
 
 TARGET_ACCEPTED_TRUE = "accepted-true"

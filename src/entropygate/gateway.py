@@ -56,6 +56,9 @@ ROLE_GRADE = "grade"
 _CHARS_PER_TOKEN = 4
 _TOKENS_PER_IMAGE = 765
 
+# Unparseable judge replies are asked again this many times.
+_JUDGE_PARSE_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -361,16 +364,9 @@ class HttpBackend(Backend):
             else:
                 content = text
         elif request.role == ROLE_JUDGE:
-            text = t.judge_user.format(
+            content = t.judge_user.format(
                 context=request.context, premise=request.premise, hypothesis=request.hypothesis
             )
-            if request.image_ref:
-                content = [
-                    {"type": "text", "text": text},
-                    {"type": "image_url", "image_url": {"url": _image_data_url(request.image_ref)}},
-                ]
-            else:
-                content = text
         elif request.role == ROLE_GRADE:
             content = t.grade_user.format(
                 question=request.question, reference=request.premise, answer=request.hypothesis
@@ -419,7 +415,7 @@ class HttpBackend(Backend):
             if part
         )
         tokens = max(1, chars // _CHARS_PER_TOKEN)
-        if request.image_ref and request.role in (ROLE_SAMPLE, ROLE_BASELINE, ROLE_JUDGE):
+        if request.image_ref:
             tokens += _TOKENS_PER_IMAGE
         return tokens
 
@@ -763,20 +759,17 @@ def judge_entailment(
     context: str,
     premise: str,
     hypothesis: str,
-    premise_index: int = 0,
-    hypothesis_index: int = 1,
     question_id: str = "",
-    image_ref: str | None = None,
-    parse_retries: int = 2,
 ) -> EntailmentVerdict:
     """Ask the backend whether premise entails hypothesis.
 
     Judging runs at temperature 0 (the lowest the API supports) for
-    determinism.  An unparseable reply is retried with a bumped ordinal
-    nonce (so caches don't replay the same bad reply) up to
-    ``parse_retries`` times, then conservatively mapped to
+    determinism, on the texts alone.  An unparseable reply is retried with
+    a bumped ordinal nonce (so caches don't replay the same bad reply) up
+    to ``_JUDGE_PARSE_RETRIES`` times, then conservatively mapped to
     "does-not-entail" with a warning.  Transport failure after the
-    backend's retries propagates as ``BackendError``.
+    backend's retries propagates as ``BackendError``.  The verdict's
+    indices are placeholders (0, 1); ``reduce_verdicts`` sets the pair's.
     """
     if not premise or not hypothesis:
         raise ValueError("premise and hypothesis must be nonempty")
@@ -784,7 +777,7 @@ def judge_entailment(
     tokens_in = 0
     tokens_out = 0
     latency_total = 0.0
-    for attempt in range(parse_retries + 1):
+    for attempt in range(_JUDGE_PARSE_RETRIES + 1):
         request = ModelRequest(
             question_id=question_id,
             role=ROLE_JUDGE,
@@ -793,7 +786,6 @@ def judge_entailment(
             context=context,
             premise=premise,
             hypothesis=hypothesis,
-            image_ref=image_ref,
         )
         reply = backend.invoke(request)
         tokens_in += reply.tokens_in or 0
@@ -806,12 +798,12 @@ def judge_entailment(
         log.warning(
             "unparseable judge reply %r after %d attempt(s); recording does-not-entail",
             reply.text if reply else "",
-            parse_retries + 1,
+            _JUDGE_PARSE_RETRIES + 1,
         )
         label = LABEL_NOT_ENTAILS
     return EntailmentVerdict(
-        premise_index=premise_index,
-        hypothesis_index=hypothesis_index,
+        premise_index=0,
+        hypothesis_index=1,
         label=label,
         raw_judge_output=reply.text if reply else "",
         tokens_in=tokens_in,
@@ -820,24 +812,11 @@ def judge_entailment(
     )
 
 
-def entailment_judge(
-    backend: Backend,
-    question_id: str = "",
-    image_ref: str | None = None,
-    parse_retries: int = 2,
-):
+def entailment_judge(backend: Backend, question_id: str = ""):
     """Bind a backend into the judge-callable shape ``cluster_answers`` takes."""
 
     def judge(context: str, premise: str, hypothesis: str) -> EntailmentVerdict:
-        return judge_entailment(
-            backend,
-            context,
-            premise,
-            hypothesis,
-            question_id=question_id,
-            image_ref=image_ref,
-            parse_retries=parse_retries,
-        )
+        return judge_entailment(backend, context, premise, hypothesis, question_id=question_id)
 
     return judge
 

@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's own code paths: entropy is
 recomputed with 50-digit arbitrary-precision arithmetic, components
-are recovered by breadth-first search over the edge set, and the paired
-bootstrap resamples question indices.
+are recovered by breadth-first search over the edge set, the paired
+bootstrap resamples question indices, and threshold sweeps rescan every
+result at every threshold.
 """
 
 from __future__ import annotations
@@ -125,3 +126,18 @@ def bootstrap_oracle(results, threshold, iterations, seed, chunk=1000):
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     tail = min(np.mean(deltas <= 0.0), np.mean(deltas >= 0.0))
     return float(ci_low), float(ci_high), min(1.0, max(2.0 * tail, 1.0 / iterations))
+
+
+def threshold_scan(results, thresholds):
+    """Rescan all results at each threshold: one (threshold, retained,
+    total, coverage, accuracy, delta) tuple per threshold, accuracy and
+    delta None when nothing is retained."""
+    total = len(results)
+    baseline = 100.0 * sum(1 for r in results if r.correct) / total
+    rows = []
+    for threshold in thresholds:
+        kept = [r for r in results if r.entropy <= threshold]
+        accuracy = 100.0 * sum(1 for r in kept if r.correct) / len(kept) if kept else None
+        delta = None if accuracy is None else accuracy - baseline
+        rows.append((threshold, len(kept), total, len(kept) / total, accuracy, delta))
+    return rows

@@ -57,6 +57,19 @@ def base_args(workdir, *extra):
     ]
 
 
+def three_text_question(tmp_path, *extra) -> list[str]:
+    """Sample one question whose 15 answers hold 3 texts; returns the stage args."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    [record] = make_mock_corpus(corpus_path, count=1)
+    script = {"tokens_in": 690, "tokens_out": 43,
+              "answers": {record["id"]: {"sample": ["ct", "mri", "xray"] * 5, "baseline": ["ct"]}}}
+    script_path = tmp_path / "three.json"
+    script_path.write_text(json.dumps(script))
+    args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path), *extra]
+    assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+    return args
+
+
 def run_pipeline(workdir, *extra):
     assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir, *extra)]) == EXIT_OK
     assert main(["cluster", *base_args(workdir, *extra)]) == EXIT_OK
@@ -181,6 +194,14 @@ class TestPipeline:
         assert cost["pipeline_latency_ms"] == pytest.approx(6000.0)
         curve_text = (workdir["out"] / "reports" / "curve.csv").read_text()
         assert curve_text.startswith("threshold,fraction_rejected,delta,n_retained")
+
+    def test_cost_counts_each_judge_call_once(self, tmp_path):
+        args = three_text_question(tmp_path)
+        assert main(["cluster", *args]) == EXIT_OK
+        assert main(["cost", *args]) == EXIT_OK
+        cost = json.loads((tmp_path / "out" / "reports" / "cost.json").read_text())
+        assert cost["sampling_tokens"] == 16 * (690 + 43)
+        assert cost["entailment_tokens"] == 9 * (690 + 43)  # 3 x 3 text pairs, not 210
 
 
 class TestResumability:
@@ -319,15 +340,7 @@ class TestScheduler:
 
     @pytest.mark.parametrize("cache", ["--cache", "--no-cache"])
     def test_identical_judge_requests_are_sent_once(self, tmp_path, mock_calls, cache):
-        corpus_path = tmp_path / "corpus.jsonl"
-        [record] = make_mock_corpus(corpus_path, count=1)
-        script = {"answers": {record["id"]: {"sample": ["ct", "mri", "xray"] * 5,
-                                             "baseline": ["ct"]}}}
-        script_path = tmp_path / "three.json"
-        script_path.write_text(json.dumps(script))
-        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path), cache,
-                "--concurrency", "4"]
-        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        args = three_text_question(tmp_path, cache, "--concurrency", "4")
         assert main(["cluster", *args]) == EXIT_OK
         assert mock_calls["roles"][gateway.ROLE_JUDGE] == 9
         audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
@@ -516,6 +529,28 @@ class TestExitCodes:
         assert main(args) == EXIT_USAGE
         assert "/nonexistent/x.png" in capsys.readouterr().err
         assert requests_made == []
+
+    @pytest.mark.parametrize(
+        "case", ["corpus-directory", "missing-import", "missing-script", "malformed-script"]
+    )
+    def test_unreadable_named_input_is_usage_error(self, workdir, tmp_path, capsys, case):
+        bad = tmp_path / "bad"
+        stage = ["sample", "--corpus", str(workdir["corpus"])]
+        script = workdir["script"]
+        if case == "corpus-directory":
+            bad.mkdir()
+            stage = ["sample", "--corpus", str(bad)]
+        elif case == "missing-import":
+            assert main([*stage, *base_args(workdir)]) == EXIT_OK
+            stage = ["grade", "--import", str(bad)]
+        elif case == "malformed-script":
+            bad.write_text("{not json")
+            script = bad
+        else:
+            script = bad
+        args = [*stage, "--out", str(workdir["out"]), "--mock-script", str(script)]
+        assert main(args) == EXIT_USAGE
+        assert str(bad) in capsys.readouterr().err
 
     def test_all_questions_rejected_is_incomplete(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"

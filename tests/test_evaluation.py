@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
@@ -29,7 +30,7 @@ from entropygate.evaluation import (
     write_outcomes_jsonl,
     write_sankey_csv,
 )
-from helpers import bootstrap_oracle
+from helpers import bootstrap_oracle, threshold_scan
 
 
 def result(qid="q", entropy=0.1, correct=True, dataset="d", subgroup="s"):
@@ -259,6 +260,43 @@ class TestSubgroupReport:
     def test_totals_partition_the_input(self, modality_results, abnormality_results):
         rows = subgroup_report(modality_results + abnormality_results, [0.6])
         assert sum(r.total for r in rows) == len(modality_results) + len(abnormality_results)
+
+
+class TestSweepOracle:
+    @staticmethod
+    def scan(points):
+        return [(p.threshold, p.retained, p.total, p.coverage, p.accuracy, p.delta) for p in points]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_curve_and_subgroups_match_a_per_threshold_scan(self, seed):
+        rng = random.Random(seed)
+        # Entropies mostly on the thresholds' own lattice: ties, and values
+        # exactly at a threshold, which is retained.
+        lattice = [round(0.1 * i, 1) for i in range(13)]
+        results = [
+            result(
+                qid=f"q{i}",
+                entropy=rng.choice(lattice) if rng.random() < 0.7 else rng.uniform(0.0, 1.3),
+                correct=rng.random() < 0.5,
+                dataset=rng.choice("ab"),
+                subgroup=rng.choice("xyz"),
+            )
+            for i in range(rng.randint(1, 60))
+        ]
+        thresholds = rng.sample(lattice, rng.randint(1, 6))
+        descending = sorted(thresholds, reverse=True)
+        assert self.scan(coverage_curve(results, descending)) == threshold_scan(results, descending)
+
+        groups = {}
+        for r in results:
+            groups.setdefault((r.dataset, r.subgroup), []).append(r)
+        rows = subgroup_report(results, thresholds)
+        assert [(row.dataset, row.subgroup) for row in rows] == sorted(groups)
+        for row in rows:
+            members = groups[(row.dataset, row.subgroup)]
+            assert row.total == len(members)
+            assert row.baseline_accuracy == 100.0 * sum(r.correct for r in members) / len(members)
+            assert self.scan(row.cells) == threshold_scan(members, thresholds)
 
 
 class TestSankeyExport:

@@ -475,16 +475,13 @@ class GarbageJudgeBackend(Backend):
 class TestJudgeEntailment:
     def test_verdict_with_indices(self):
         backend = MockBackend(judge_rule=equality_judge())
-        v = judge_entailment(
-            backend, "Q?", "ct", "ct", premise_index=3, hypothesis_index=7, question_id="q1"
-        )
+        v = judge_entailment(backend, "Q?", "ct", "ct", question_id="q1")
         assert v.label == LABEL_ENTAILS
-        assert (v.premise_index, v.hypothesis_index) == (3, 7)
         assert v.raw_judge_output == "entailment"
 
     def test_unparseable_retries_with_bumped_ordinal_then_conservative(self):
         backend = GarbageJudgeBackend()
-        v = judge_entailment(backend, "Q?", "a", "b", parse_retries=2)
+        v = judge_entailment(backend, "Q?", "a", "b")
         assert backend.ordinals == [0, 1, 2]
         assert v.label == LABEL_NOT_ENTAILS
         assert v.raw_judge_output == "who knows"
