@@ -13,13 +13,15 @@ Stages persist everything under one output directory::
                       curve.csv, sankey-<t>.csv, cost.json
 
 Each stage is idempotent: work already on disk is skipped, so re-running
-a completed stage performs no model calls.  The sample, cluster and grade
-stages run every model call of every question on one bounded pool
-(``--concurrency`` calls in flight) and write each question's record as
-soon as its calls are done, so interrupting a stage keeps every finished
-question; behind the record/replay cache, the calls of unfinished ones
-that completed are not paid for again.  Exit codes: 0 success, 1 usage
-error, 2 incomplete pipeline data, 3 backend failure.
+a completed stage performs no model calls; a record made from other
+sample texts than the current ones is stale and is redone.  The sample,
+cluster and grade stages run every model call of every question on one
+bounded pool (``--concurrency`` calls in flight) and write each
+question's record as soon as its calls are done, so interrupting a stage
+keeps every finished question; behind the record/replay cache, the calls
+of unfinished ones that completed are not paid for again.  Exit codes: 0
+success, 1 usage error, 2 incomplete or stale pipeline data, 3 backend
+failure.
 """
 
 from __future__ import annotations
@@ -29,17 +31,13 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import re
 import sys
-import threading
-import uuid
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Hashable, Iterable
+from typing import Callable
 
-from . import clustering, corpus, evaluation, gateway
+from . import clustering, corpus, evaluation, gateway, scheduler
 from .entropy import cluster_distribution, discrete_semantic_entropy
 from .errors import (
     BackendError,
@@ -49,6 +47,7 @@ from .errors import (
     JudgingError,
     SamplingIncompleteError,
     UnknownQuestionIdsError,
+    write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -208,7 +207,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         config = RunConfig(out=out, **values)
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc))
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(config.config_path, config.to_dict())
     return config
 
@@ -227,16 +225,8 @@ def question_file_name(question_id: str) -> str:
     return "h-" + hashlib.sha256(question_id.encode("utf-8")).hexdigest()[:24]
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` atomically: a temp file, then ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _write_json(path: Path, payload) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
+    write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
 def _read_input(what: str, path: str, read: Callable):
@@ -265,7 +255,7 @@ def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
     )
 
 
-def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend | None:
+def _build_backend(config: RunConfig) -> gateway.Backend:
     if config.mock_script:
         backend: gateway.Backend = _read_input(
             "mock script", config.mock_script, gateway.MockBackend.from_script
@@ -279,118 +269,14 @@ def _build_backend(config: RunConfig, required: bool = True) -> gateway.Backend 
             ),
             max_connections=config.concurrency,
         )
-    elif required:
+    else:
         raise _UsageError(
             "no backend configured: pass --mock-script, or --endpoint plus --model"
         )
-    else:
-        return None
     if config.use_cache:
         log_path = config.out_dir / "calls.jsonl" if config.call_log else None
         backend = gateway.with_cache(backend, config.resolved_cache_dir(), log_path)
     return backend
-
-
-@dataclass
-class _Job:
-    """One question's model calls and the reduction that consumes them.
-
-    ``slots`` maps each result slot to the key of the request that fills
-    it; ``call(key)`` makes that request.  Slots with equal keys share one
-    call.  ``finish(results, errors)`` gets, per slot, the call's result or
-    its per-call error (``BackendError`` or ``GradingError``).
-    """
-
-    question_id: str
-    slots: dict[Hashable, Hashable]
-    call: Callable[[Hashable], object]
-    finish: Callable[[dict, dict], None]
-    results: dict = field(default_factory=dict)  # by key
-    errors: dict = field(default_factory=dict)  # by key
-    left: int = 0  # keys whose call has not returned
-
-
-_CALL_ERRORS = (BackendError, GradingError)
-_QUESTION_ERRORS = (BackendError, SamplingIncompleteError, JudgingError, GradingError)
-
-
-def _run_jobs(concurrency: int, jobs: Iterable[_Job]) -> tuple[int, list[tuple[str, str]]]:
-    """Run every job's calls on one pool of ``concurrency`` workers.
-
-    The workers take calls from one lazy queue in job order, then slot
-    order, so at most ``concurrency`` calls are in flight and at most
-    ``concurrency + 1`` jobs are open, however long the corpus.  Each
-    distinct key of a job is called once (single-flight: request keys
-    carry the question id, so no two jobs share one), and every slot with
-    that key gets the result.  The worker that ends a job's last call runs
-    its ``finish``.
-
-    Returns (done, failures) where failures is a sorted list of
-    (question_id, message) for the jobs whose ``finish`` raised a
-    per-question error.  Any other exception, Ctrl-C included, stops the
-    workers from taking further calls and propagates once the running
-    ones end.
-    """
-    lock = threading.RLock()  # reentrant: calls() finishes a job without calls
-    stop = threading.Event()
-    done = 0
-    failures: list[tuple[str, str]] = []
-
-    def finish(job: _Job) -> None:
-        nonlocal done
-        results = {s: job.results[k] for s, k in job.slots.items() if k in job.results}
-        errors = {s: job.errors[k] for s, k in job.slots.items() if k in job.errors}
-        try:
-            job.finish(results, errors)
-        except _QUESTION_ERRORS as exc:
-            with lock:
-                failures.append((job.question_id, str(exc)))
-        else:
-            with lock:
-                done += 1
-
-    def calls():
-        for job in jobs:
-            keys = list(dict.fromkeys(job.slots.values()))
-            job.left = len(keys)
-            if not keys:
-                finish(job)
-            for key in keys:
-                yield job, key
-
-    queue = calls()
-
-    def work() -> None:
-        try:
-            while not stop.is_set():
-                with lock:
-                    entry = next(queue, None)
-                if entry is None:
-                    return
-                job, key = entry
-                try:
-                    outcome, store = job.call(key), job.results
-                except _CALL_ERRORS as exc:
-                    outcome, store = exc, job.errors
-                with lock:
-                    store[key] = outcome
-                    job.left -= 1
-                    last = not job.left
-                if last:
-                    finish(job)
-        except BaseException:
-            stop.set()
-            raise
-
-    pool = ThreadPoolExecutor(max_workers=concurrency)
-    try:
-        for worker in [pool.submit(work) for _ in range(concurrency)]:
-            worker.result()
-    finally:
-        stop.set()
-        pool.shutdown(cancel_futures=True)
-    failures.sort()
-    return done, failures
 
 
 def _require(items, load: Callable, stage: str) -> dict[str, dict]:
@@ -400,17 +286,17 @@ def _require(items, load: Callable, stage: str) -> dict[str, dict]:
     missing = sorted(qid for qid, record in records.items() if record is None)
     if missing:
         raise _IncompleteError(
-            f"missing or incomplete {stage}s for {len(missing)} question(s): "
+            f"missing, incomplete or stale {stage}s for {len(missing)} question(s): "
             f"{', '.join(missing)}; run the {stage} stage first"
         )
     return records
 
 
-def _report_failures(stage: str, failures: list[tuple[str, str]]) -> int:
+def _report_failures(stage: str, failures: list[tuple[str, Exception]]) -> int:
     ids = ", ".join(qid for qid, _ in failures)
     print(f"{stage} failed for {len(failures)} question(s): {ids}", file=sys.stderr)
-    for qid, message in failures:
-        print(f"  {qid}: {message}", file=sys.stderr)
+    for qid, exc in failures:
+        print(f"  {qid}: {exc}", file=sys.stderr)
     return EXIT_BACKEND
 
 
@@ -424,11 +310,8 @@ def _samples_path(config: RunConfig, item) -> Path:
 
 def _load_samples(config: RunConfig, item) -> dict | None:
     """The item's sample record if it is complete for ``config``, else None."""
-    path = _samples_path(config, item)
-    if not path.exists():
-        return None
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        record = json.loads(_samples_path(config, item).read_text(encoding="utf-8"))
         complete = (
             record["k"] == config.k
             and record["sample_temperature"] == config.sample_temperature
@@ -436,7 +319,7 @@ def _load_samples(config: RunConfig, item) -> dict | None:
             and len(record["samples"]) == config.k
             and isinstance(record["baseline"], dict)
         )
-    except (ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     return record if complete else None
 
@@ -478,22 +361,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         if force or _load_samples(config, item) is None
     ]
     backend = _build_backend(config)
-    temperatures = {
-        gateway.ROLE_SAMPLE: config.sample_temperature,
-        gateway.ROLE_BASELINE: config.baseline_temperature,
+    draws = {
+        gateway.ROLE_SAMPLE: (config.k, config.sample_temperature),
+        gateway.ROLE_BASELINE: (1, config.baseline_temperature),
     }
 
-    def job(item: corpus.ImageQuestion) -> _Job:
-        def call(slot):
-            role, ordinal = slot
-            return gateway.draw_answer(backend, item, ordinal, temperatures[role], role)
-
-        def finish(results, errors):
-            def drawn(role):
-                return {ordinal: s for (r, ordinal), s in results.items() if r == role}
-
-            samples = gateway.collect_samples(item.id, config.k, drawn(gateway.ROLE_SAMPLE))
-            [baseline] = gateway.collect_samples(item.id, 1, drawn(gateway.ROLE_BASELINE))
+    def job(item: corpus.ImageQuestion) -> scheduler.Job:
+        def done(drawn):
+            [baseline] = drawn[gateway.ROLE_BASELINE]
             _write_json(
                 _samples_path(config, item),
                 {
@@ -501,14 +376,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
                     "k": config.k,
                     "sample_temperature": config.sample_temperature,
                     "baseline_temperature": config.baseline_temperature,
-                    "samples": [_sample_to_dict(s) for s in samples],
+                    "samples": [_sample_to_dict(s) for s in drawn[gateway.ROLE_SAMPLE]],
                     "baseline": _sample_to_dict(baseline),
                 },
             )
 
-        slots = [(gateway.ROLE_SAMPLE, ordinal) for ordinal in range(config.k)]
-        slots.append((gateway.ROLE_BASELINE, 0))
-        return _Job(item.id, {slot: slot for slot in slots}, call, finish)
+        return gateway.sampling_job(backend, item, draws, done)
 
     try:
         if not config.mock_script:  # the mock backend never reads images
@@ -517,7 +390,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 raise _UsageError(
                     f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}"
                 )
-        done, failures = _run_jobs(config.concurrency, map(job, todo))
+        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
     finally:
         backend.close()
     if failures:
@@ -537,14 +410,24 @@ def _clusters_path(config: RunConfig, item) -> Path:
     return config.clusters_dir / f"{question_file_name(item.id)}.json"
 
 
-def _load_cluster(config: RunConfig, item) -> dict | None:
-    """The item's audit record if it is complete for ``config``, else None."""
+def _texts(sample_record: dict) -> list[str]:
+    return [s["text"] for s in sample_record["samples"]]
+
+
+def _load_cluster(config: RunConfig, item, sample_records=None) -> dict | None:
+    """The item's audit record if it is complete for ``config`` and, given
+    ``sample_records``, was computed from the item's current sample texts;
+    else None."""
     path = _clusters_path(config, item)
     if not path.exists():
         return None
     try:
         record = clustering.read_audit_record(path)
-        complete = record["k"] == config.k and record["policy"] == config.policy
+        complete = (
+            record["k"] == config.k
+            and record["policy"] == config.policy
+            and (sample_records is None or record["samples"] == _texts(sample_records[item.id]))
+        )
     except (ValueError, KeyError, TypeError):
         return None
     return record if complete else None
@@ -558,31 +441,23 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     todo = [
         item
         for item in sorted(items, key=lambda i: i.id)
-        if force or _load_cluster(config, item) is None
+        if force or _load_cluster(config, item, sample_records) is None
     ]
     backend = _build_backend(config)
 
-    def job(item: corpus.ImageQuestion) -> _Job:
-        texts = [s["text"] for s in sample_records[item.id]["samples"]]
+    def job(item: corpus.ImageQuestion) -> scheduler.Job:
+        texts = _texts(sample_records[item.id])
 
-        def call(texts_pair):
-            premise, hypothesis = texts_pair
-            return gateway.judge_entailment(
-                backend, item.question, premise, hypothesis, question_id=item.id
-            )
-
-        def finish(results, errors):
-            partition, matrix = clustering.reduce_verdicts(len(texts), results, config.policy)
+        def done(partition, matrix):
             dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
             record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
-            config.clusters_dir.mkdir(parents=True, exist_ok=True)
             clustering.write_audit_record(_clusters_path(config, item), record)
 
-        slots = {(i, j): (texts[i], texts[j]) for i, j in clustering.required_checks(len(texts))}
-        return _Job(item.id, slots, call, finish)
+        judge = gateway.entailment_judge(backend, question_id=item.id)
+        return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
 
     try:
-        done, failures = _run_jobs(config.concurrency, map(job, todo))
+        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
     finally:
         backend.close()
     if failures:
@@ -598,10 +473,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # grade
 # ---------------------------------------------------------------------------
 
-def _load_grades(config: RunConfig, items) -> dict[str, dict] | None:
-    """Grades by question id if every item has one, else None."""
-    if not config.grades_path.exists():
-        return None
+def _load_grades(config: RunConfig, sample_records=None) -> dict[str, dict]:
+    """The grades on disk by question id; given ``sample_records``, only
+    those that graded their question's current baseline answer."""
     grades = {}
     try:
         with open(config.grades_path, encoding="utf-8") as handle:
@@ -609,9 +483,15 @@ def _load_grades(config: RunConfig, items) -> dict[str, dict] | None:
                 if line.strip():
                     record = json.loads(line)
                     grades[record["question_id"]] = record
-    except (ValueError, KeyError):
-        return None
-    return grades if all(item.id in grades for item in items) else None
+    except (OSError, ValueError, KeyError):
+        return {}
+    if sample_records is None:
+        return grades
+    return {
+        qid: grade
+        for qid, grade in grades.items()
+        if qid in sample_records and grade["answer"] == sample_records[qid]["baseline"]["text"]
+    }
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
@@ -620,7 +500,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
     force = bool(getattr(args, "force", False))
     import_file = getattr(args, "import_file", None)
-    if not force and import_file is None and _load_grades(config, items) is not None:
+    grades = _load_grades(config, sample_records)
+    if not force and import_file is None and all(item.id in grades for item in items):
         print(f"grades already complete at {config.grades_path}")
         return EXIT_OK
     overrides = {}
@@ -631,7 +512,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
     by_id: dict[str, corpus.GradedAnswer] = {}
 
-    def job(item: corpus.ImageQuestion) -> _Job:
+    def job(item: corpus.ImageQuestion) -> scheduler.Job:
         def call(answer):
             return corpus.grade(item, answer, config.grader, backend)
 
@@ -641,10 +522,12 @@ def cmd_grade(args: argparse.Namespace) -> int:
             by_id[item.id] = results[0]
 
         answer = sample_records[item.id]["baseline"]["text"]
-        return _Job(item.id, {0: answer}, call, finish)
+        return scheduler.Job(item.id, {0: answer}, call, finish)
 
     try:
-        _, failures = _run_jobs(config.concurrency, map(job, sorted(items, key=lambda i: i.id)))
+        _, failures = scheduler.run_jobs(
+            config.concurrency, map(job, sorted(items, key=lambda i: i.id))
+        )
     finally:
         if backend is not None:
             backend.close()
@@ -666,7 +549,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                 sort_keys=True,
             )
         )
-    _write_text(config.grades_path, "\n".join(lines) + "\n")
+    write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
     print(f"graded {len(graded)} question(s) with {config.grader} into {config.grades_path}")
     return EXIT_OK
 
@@ -675,13 +558,11 @@ def cmd_grade(args: argparse.Namespace) -> int:
 # report / curve / cost
 # ---------------------------------------------------------------------------
 
-def _collect_results(config: RunConfig, items, cluster_records) -> list[evaluation.QuestionResult]:
-    grades = _load_grades(config, items)
-    if grades is None:
-        raise _IncompleteError(
-            "grades are missing or incomplete; run the grade stage "
-            "(or import human grades with: grade --import FILE)"
-        )
+def _collect_results(
+    config: RunConfig, items, cluster_records, sample_records=None
+) -> list[evaluation.QuestionResult]:
+    on_disk = _load_grades(config, sample_records)
+    grades = _require(items, lambda item: on_disk.get(item.id), "grade")
     results = []
     for item in sorted(items, key=lambda i: i.id):
         results.append(
@@ -780,9 +661,10 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
-    results = _collect_results(config, items, cluster_records)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
+    load = functools.partial(_load_cluster, config, sample_records=sample_records)
+    cluster_records = _require(items, load, "cluster")
+    results = _collect_results(config, items, cluster_records, sample_records)
 
     summary_lines = [
         "selective prediction report",
@@ -862,7 +744,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         edges = evaluation.sankey_export(results, threshold)
         evaluation.write_sankey_csv(edges, reports / f"sankey-{threshold:g}.csv")
     summary = "\n".join(summary_lines) + "\n"
-    _write_text(reports / "summary.txt", summary)
+    write_text_atomic(reports / "summary.txt", summary)
     print(summary, end="")
     return EXIT_OK
 
@@ -880,7 +762,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
+    load = functools.partial(_load_cluster, config, sample_records=sample_records)
+    cluster_records = _require(items, load, "cluster")
     cost = _write_cost(config, items, sample_records, cluster_records)
     print(
         f"total ${cost['total_cost']:.2f} "

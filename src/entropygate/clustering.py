@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .errors import BackendError, IncompleteMatrixError, JudgingError
+from . import scheduler
+from .errors import IncompleteMatrixError, JudgingError
 
 LABEL_ENTAILS = "entails"
 LABEL_NOT_ENTAILS = "does-not-entail"
@@ -69,7 +70,7 @@ class EntailmentVerdict:
 
 # An entailment judge: (question context, premise text, hypothesis text) ->
 # EntailmentVerdict.  The indices on the returned verdict are overwritten
-# with the actual pair indices by cluster_answers.
+# with the actual pair indices by judging_job.
 Judge = Callable[[str, str, str], EntailmentVerdict]
 
 
@@ -208,31 +209,40 @@ def _greedy_representative(graph: EntailmentGraph) -> tuple[tuple[int, ...], ...
     return tuple(tuple(c) for c in clusters)
 
 
-def reduce_verdicts(
-    k: int,
-    verdicts: dict[tuple[int, int], EntailmentVerdict],
-    policy: str = POLICY_COMPONENTS,
-) -> tuple[SemanticClustering, EntailmentMatrix]:
-    """Assemble one question's judged pairs into its matrix and partition.
+def judging_job(
+    question_id: str,
+    samples: list[str],
+    judge: Judge,
+    context: str,
+    policy: str,
+    done: Callable[[SemanticClustering, EntailmentMatrix], None],
+) -> scheduler.Job:
+    """One question's k*(k-1) judge calls as a scheduler job.
 
-    ``verdicts`` maps each ordered pair (i, j) whose judge call succeeded
-    to its verdict; the verdict's indices are rewritten to (i, j), so pairs
-    with identical texts may share one verdict.  Raises ``JudgingError``
-    listing the pairs of ``required_checks(k)`` it lacks.
+    Each pair (i, j) of ``required_checks`` is keyed by its two texts, so
+    pairs with identical texts share one judge call.  The verdicts, with
+    the pair's indices, give the matrix and the partition under ``policy``
+    for ``done(partition, matrix)``.  Raises ``JudgingError`` listing the
+    pairs whose call failed after the backend's retries.
     """
-    checks = required_checks(k)
-    failed = [pair for pair in checks if pair not in verdicts]
-    if failed:
-        raise JudgingError(failed)
-    matrix = EntailmentMatrix(
-        k=k,
-        verdicts={
-            (i, j): replace(verdicts[(i, j)], premise_index=i, hypothesis_index=j)
-            for i, j in checks
-        },
-    )
-    graph = mutual_entailment_graph(matrix)
-    return assemble_clusters(graph, policy), matrix
+
+    def call(texts: tuple[str, str]) -> EntailmentVerdict:
+        return judge(context, *texts)
+
+    def finish(results: dict, errors: dict) -> None:
+        if errors:
+            raise JudgingError(list(errors))
+        matrix = EntailmentMatrix(
+            k=len(samples),
+            verdicts={
+                (i, j): replace(verdict, premise_index=i, hypothesis_index=j)
+                for (i, j), verdict in results.items()
+            },
+        )
+        done(assemble_clusters(mutual_entailment_graph(matrix), policy), matrix)
+
+    slots = {(i, j): (samples[i], samples[j]) for i, j in required_checks(len(samples))}
+    return scheduler.Job(question_id, slots, call, finish)
 
 
 def cluster_answers(
@@ -243,24 +253,20 @@ def cluster_answers(
 ) -> tuple[SemanticClustering, EntailmentMatrix]:
     """Judge all ordered pairs of answers and assemble semantic clusters.
 
-    Issues exactly k*(k-1) judge calls, one after another in
-    ``required_checks`` order; ``reduce_verdicts`` turns them into the
-    matrix and the partition.
-
-    Backend failures are collected per pair; if any pair failed after the
-    backend's own retries, raises ``JudgingError`` listing the failed
-    pairs.  Behind the record/replay cache, a rerun repeats only the
-    judge calls that failed.
+    Runs ``judging_job`` on the CLI's scheduler at one worker: one call per
+    distinct text pair, in ``required_checks`` order, so k distinct texts
+    take exactly k*(k-1).  If any failed after the backend's retries,
+    raises ``JudgingError`` listing the failed pairs; behind the
+    record/replay cache, a rerun repeats only those calls.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    verdicts: dict[tuple[int, int], EntailmentVerdict] = {}
-    for i, j in required_checks(len(samples)):
-        try:
-            verdicts[(i, j)] = judge(context, samples[i], samples[j])
-        except BackendError:
-            pass
-    return reduce_verdicts(len(samples), verdicts, policy)
+    outcome = []
+    job = judging_job("", samples, judge, context, policy, lambda *result: outcome.extend(result))
+    _, failures = scheduler.run_jobs(1, [job])
+    if failures:
+        raise failures[0][1]
+    return tuple(outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +337,12 @@ def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, Sem
 
 
 def write_audit_record(path: str | Path, record: dict) -> None:
-    Path(path).write_text(
-        json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    # In place, not via ``write_text_atomic``: a torn record does not parse, so
+    # the CLI redoes it; a temp file per record slowed a 706-question stage 30%.
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def read_audit_record(path: str | Path) -> dict:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError
+from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_text_atomic
 from .gateway import ROLE_GRADE, Backend, BackendError, ModelRequest, parse_yes_no_reply
 
 log = logging.getLogger(__name__)
@@ -126,19 +126,18 @@ def load_corpus(path: str | Path) -> list[ImageQuestion]:
 
 def write_corpus(items: Iterable[ImageQuestion], path: str | Path):
     """Write questions as canonical JSONL (UTF-8, one object per line)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for item in items:
-            record = {
-                "id": item.id,
-                "image": item.image_ref,
-                "question": item.question,
-                "reference": item.reference,
-                "dataset": item.dataset,
-                "subgroup": item.subgroup,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    lines = []
+    for item in items:
+        record = {
+            "id": item.id,
+            "image": item.image_ref,
+            "question": item.question,
+            "reference": item.reference,
+            "dataset": item.dataset,
+            "subgroup": item.subgroup,
+        }
+        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    write_text_atomic(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +160,15 @@ def _normalize_category(raw: str) -> str:
     return _CATEGORY_ALIASES.get(key, raw.strip().casefold())
 
 
-def load_vqa_med(source: str | Path, dataset: str = "VQA-Med-2019") -> list[ImageQuestion]:
+def load_vqa_med(source: str | Path) -> list[ImageQuestion]:
     """Adapt pipe-delimited VQA files into the canonical corpus shape.
 
     Each line is ``image|question|answer`` or ``image|category|question|
     answer``; the 4-field form carries the subgroup, the 3-field form
     takes the subgroup from the file's stem.  A directory is read as all
     its ``*.txt`` files in sorted order.  Ids are ``<subgroup>-<image>``
-    made unique with a numeric suffix on collision.
+    made unique with a numeric suffix on collision; the dataset is
+    ``VQA-Med-2019``.
     """
     source = Path(source)
     if source.is_dir():
@@ -219,7 +219,7 @@ def load_vqa_med(source: str | Path, dataset: str = "VQA-Med-2019") -> list[Imag
                         image_ref=image,
                         question=question,
                         reference=answer,
-                        dataset=dataset,
+                        dataset="VQA-Med-2019",
                         subgroup=subgroup,
                     )
                 )
@@ -249,7 +249,7 @@ _MODALITY_ALIASES = {
 _DEFAULT_DIAGNOSIS_QUESTION = "What is the most likely diagnosis?"
 
 
-def load_rad_dataset(source: str | Path, dataset: str = "RadDataset") -> list[ImageQuestion]:
+def load_rad_dataset(source: str | Path) -> list[ImageQuestion]:
     """Adapt a diagnosis-benchmark CSV manifest into the canonical shape.
 
     Required columns: image, modality, diagnosis.  Optional: id (defaults
@@ -257,7 +257,7 @@ def load_rad_dataset(source: str | Path, dataset: str = "RadDataset") -> list[Im
     context (prepended to the question when present).  The modality is
     normalized to one of CT / MRI / radiography / angiography and becomes
     the subgroup; an unrecognized modality is kept casefolded with a
-    warning rather than dropped.
+    warning rather than dropped.  The dataset is ``RadDataset``.
     """
     source = Path(source)
     with open(source, encoding="utf-8", newline="") as handle:
@@ -314,7 +314,7 @@ def load_rad_dataset(source: str | Path, dataset: str = "RadDataset") -> list[Im
                     image_ref=image,
                     question=question,
                     reference=diagnosis,
-                    dataset=dataset,
+                    dataset="RadDataset",
                     subgroup=modality,
                 )
             )

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the atomic file writer shared across the package."""
 
 from __future__ import annotations
+
+import os
+import uuid
+from pathlib import Path
 
 
 class EntropyGateError(Exception):
@@ -70,3 +74,13 @@ class GradingError(EntropyGateError):
 
 class EmptyRetainedSetError(EntropyGateError):
     """A threshold left no questions retained, so accuracy is undefined."""
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) through a temp file and
+    ``os.replace``, so no reader or concurrent writer sees a torn file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)

@@ -3,7 +3,7 @@
 Three interchangeable backends sit behind one ``invoke`` interface:
 
 * ``HttpBackend``: a live chat-completions-style HTTP endpoint, with the
-  image embedded as a base64 data URL, bounded retries with exponential
+  image embedded as a base64 data URL, five attempts with exponential
   backoff + jitter, and the API key read from a named environment
   variable (never from flags or files).
 * ``MockBackend``: scripted answers keyed by (question_id, role, ordinal)
@@ -16,9 +16,6 @@ Three interchangeable backends sit behind one ``invoke`` interface:
 Requests are semantic (question text + image reference, or an entailment
 pair), so each backend renders its own wire format and the cache key is a
 digest over the canonical request rather than over transport bytes.
-
-The shipped prompt templates are this package's own defaults; override
-them via ``PromptTemplates`` to match any given deployment.
 """
 
 from __future__ import annotations
@@ -32,13 +29,13 @@ import os
 import random
 import threading
 import time
-import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
+from . import scheduler
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
-from .errors import BackendError, CorpusFormatError, SamplingIncompleteError
+from .errors import BackendError, CorpusFormatError, SamplingIncompleteError, write_text_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import ImageQuestion
@@ -59,6 +56,32 @@ _TOKENS_PER_IMAGE = 765
 # Unparseable judge replies are asked again this many times.
 _JUDGE_PARSE_RETRIES = 2
 
+# HTTP retry policy: attempts, full-jitter backoff bounds, per-attempt timeout.
+_HTTP_ATTEMPTS = 5
+_BACKOFF_BASE_S = 0.5
+_BACKOFF_CAP_S = 30.0
+_REQUEST_TIMEOUT_S = 120.0
+
+# Prompts rendered by the HTTP backend: this package's own, not a
+# reproduction of any particular deployment's prompts.
+_SYSTEM_PROMPT = "You are assisting with radiological image interpretation."
+_ANSWER_PROMPT = "{question}\nAnswer concisely with a short phrase."
+_JUDGE_PROMPT = (
+    "We are evaluating answers to the question: {context}\n"
+    "Answer 1: {premise}\n"
+    "Answer 2: {hypothesis}\n"
+    "Does the meaning of Answer 1 follow from Answer 2's being a full "
+    "answer, i.e. does Answer 1 entail Answer 2? Reply with exactly one "
+    "word: entailment or no-entailment."
+)
+_GRADE_PROMPT = (
+    "Question: {question}\n"
+    "Reference answer: {reference}\n"
+    "Candidate answer: {answer}\n"
+    "Is the candidate clinically equivalent to the reference as an "
+    "answer to the question? Reply with exactly one word: yes or no."
+)
+
 
 @dataclass(frozen=True)
 class BackendConfig:
@@ -67,40 +90,6 @@ class BackendConfig:
     endpoint_url: str
     model_name: str
     api_key_env: str = "ENTROPYGATE_API_KEY"
-    retry_limit: int = 4  # retries after the first try: 4 -> 5 attempts total
-    backoff_base_s: float = 0.5
-    backoff_cap_s: float = 30.0
-    request_timeout_s: float = 120.0
-
-    def __post_init__(self):
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
-        if self.request_timeout_s <= 0:
-            raise ValueError("request_timeout_s must be > 0")
-
-
-@dataclass(frozen=True)
-class PromptTemplates:
-    """Prompt text rendered by live backends.  Defaults are ours, not a
-    reproduction of any particular deployment's prompts."""
-
-    system: str = "You are assisting with radiological image interpretation."
-    answer_user: str = "{question}\nAnswer concisely with a short phrase."
-    judge_user: str = (
-        "We are evaluating answers to the question: {context}\n"
-        "Answer 1: {premise}\n"
-        "Answer 2: {hypothesis}\n"
-        "Does the meaning of Answer 1 follow from Answer 2's being a full "
-        "answer, i.e. does Answer 1 entail Answer 2? Reply with exactly one "
-        "word: entailment or no-entailment."
-    )
-    grade_user: str = (
-        "Question: {question}\n"
-        "Reference answer: {reference}\n"
-        "Candidate answer: {answer}\n"
-        "Is the candidate clinically equivalent to the reference as an "
-        "answer to the question? Reply with exactly one word: yes or no."
-    )
 
 
 @dataclass(frozen=True)
@@ -286,13 +275,11 @@ class HttpBackend(Backend):
     def __init__(
         self,
         config: BackendConfig,
-        templates: PromptTemplates | None = None,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
         max_connections: int = 10,
     ):
         self.config = config
-        self.templates = templates or PromptTemplates()
         self.model_name = config.model_name
         self._session = None
         if transport is None:
@@ -313,15 +300,13 @@ class HttpBackend(Backend):
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        attempts = self.config.retry_limit + 1
-        last_error = "no attempt made"
-        for attempt in range(attempts):
+        for attempt in range(_HTTP_ATTEMPTS):
             if attempt:
                 self._sleep(self._backoff(attempt))
             started = time.perf_counter()
             try:
                 status, body = self._transport(
-                    self.config.endpoint_url, headers, payload, self.config.request_timeout_s
+                    self.config.endpoint_url, headers, payload, _REQUEST_TIMEOUT_S
                 )
             except (ConnectionError, TimeoutError, OSError) as exc:
                 last_error = f"transport error: {exc}"
@@ -334,7 +319,7 @@ class HttpBackend(Backend):
                 raise BackendError(f"HTTP {status} from {self.config.endpoint_url}: {body}")
             return self._parse_reply(body, request, latency_ms)
         raise BackendError(
-            f"request failed after {attempts} attempt(s): {last_error}"
+            f"request failed after {_HTTP_ATTEMPTS} attempt(s): {last_error}"
         )
 
     def _api_key(self) -> str:
@@ -348,14 +333,13 @@ class HttpBackend(Backend):
 
     def _backoff(self, attempt: int) -> float:
         # full jitter: uniform in (0, min(cap, base * 2^(attempt-1)))
-        ceiling = min(self.config.backoff_cap_s, self.config.backoff_base_s * 2 ** (attempt - 1))
+        ceiling = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2 ** (attempt - 1))
         return self._jitter.uniform(0, ceiling)
 
     def build_payload(self, request: ModelRequest) -> dict:
-        t = self.templates
         if request.role in (ROLE_SAMPLE, ROLE_BASELINE):
             content: list | str
-            text = t.answer_user.format(question=request.question)
+            text = _ANSWER_PROMPT.format(question=request.question)
             if request.image_ref:
                 content = [
                     {"type": "text", "text": text},
@@ -364,22 +348,21 @@ class HttpBackend(Backend):
             else:
                 content = text
         elif request.role == ROLE_JUDGE:
-            content = t.judge_user.format(
+            content = _JUDGE_PROMPT.format(
                 context=request.context, premise=request.premise, hypothesis=request.hypothesis
             )
         elif request.role == ROLE_GRADE:
-            content = t.grade_user.format(
+            content = _GRADE_PROMPT.format(
                 question=request.question, reference=request.premise, answer=request.hypothesis
             )
         else:
             raise ValueError(f"unknown request role {request.role!r}")
-        messages = []
-        if t.system:
-            messages.append({"role": "system", "content": t.system})
-        messages.append({"role": "user", "content": content})
         return {
             "model": self.config.model_name,
-            "messages": messages,
+            "messages": [
+                {"role": "system", "content": _SYSTEM_PROMPT},
+                {"role": "user", "content": content},
+            ],
             "temperature": request.temperature,
         }
 
@@ -499,6 +482,8 @@ class MockBackend(Backend):
     question_id -> "yes"/"no" for model-judge grading.
     """
 
+    model_name = "mock"
+
     def __init__(
         self,
         answers: dict[str, dict[str, list[str]]] | None = None,
@@ -508,7 +493,6 @@ class MockBackend(Backend):
         tokens_in: int = 0,
         tokens_out: int = 0,
         fail: set[tuple[str, str, int]] | None = None,
-        model_name: str = "mock",
     ):
         self.answers = answers or {}
         self.judge_rule = judge_rule or equality_judge()
@@ -517,12 +501,11 @@ class MockBackend(Backend):
         self.tokens_in = tokens_in
         self.tokens_out = tokens_out
         self.fail = fail or set()
-        self.model_name = model_name
         self.call_count = 0
         self._count_lock = threading.Lock()
 
     @classmethod
-    def from_script(cls, script: dict | str | Path, **overrides) -> "MockBackend":
+    def from_script(cls, script: dict | str | Path) -> "MockBackend":
         """Build from the JSON scripting format.
 
         Schema::
@@ -544,7 +527,7 @@ class MockBackend(Backend):
         rule_name = judge_spec.get("rule", "equality")
         if rule_name not in _JUDGE_RULES:
             raise ValueError(f"unknown mock judge rule {rule_name!r}")
-        kwargs = dict(
+        return cls(
             answers=script.get("answers", {}),
             judge_rule=_JUDGE_RULES[rule_name](judge_spec),
             grade_replies=script.get("grades", {}),
@@ -552,8 +535,6 @@ class MockBackend(Backend):
             tokens_in=int(script.get("tokens_in", 0)),
             tokens_out=int(script.get("tokens_out", 0)),
         )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         with self._count_lock:
@@ -640,18 +621,13 @@ class CachingBackend(Backend):
         return reply
 
     def _write_entry(self, path: Path, key: CacheKey, request: ModelRequest, reply: ModelReply):
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
             "key": key.digest,
             "model": self.inner.model_name,
             "request": asdict(request),
             "reply": asdict(reply),
         }
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-        tmp.write_text(
-            json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2), encoding="utf-8"
-        )
-        os.replace(tmp, path)
+        write_text_atomic(path, json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2))
 
     def _log_call(self, key: CacheKey, request: ModelRequest, reply: ModelReply, cached: bool):
         if self.log_path is None:
@@ -683,49 +659,57 @@ def with_cache(backend: Backend, store_path: str | Path, log_path: str | Path | 
 # Sampling and judging operations
 # ---------------------------------------------------------------------------
 
-def draw_answer(
+def sampling_job(
     backend: Backend,
     item: "ImageQuestion",
-    ordinal: int,
-    temperature: float,
-    role: str = ROLE_SAMPLE,
-) -> AnswerSample:
-    """Draw one answer for one question; ``ordinal`` is the repeat nonce.
+    draws: dict[str, tuple[int, float]],
+    done: Callable[[dict[str, list[AnswerSample]]], None],
+) -> scheduler.Job:
+    """One question's answer draws as a scheduler job.
 
-    Backend failure after the backend's retries propagates as
-    ``BackendError``.
+    ``draws`` maps each role to (count, temperature); ordinals 0..count-1
+    are the repeat nonce that keeps draws apart in the cache.  ``done``
+    gets each role's answers in ordinal order.  If a call failed after the
+    backend's retries, raises ``SamplingIncompleteError`` listing the
+    failed ordinals of the first role in ``draws`` that has any.
     """
-    request = ModelRequest(
-        question_id=item.id,
-        role=role,
-        ordinal=ordinal,
-        temperature=temperature,
-        question=item.question,
-        image_ref=item.image_ref,
-    )
-    reply = backend.invoke(request)
-    return AnswerSample(
-        question_id=item.id,
-        ordinal=ordinal,
-        text=reply.text,
-        temperature=temperature,
-        tokens_in=reply.tokens_in,
-        tokens_out=reply.tokens_out,
-        latency_ms=reply.latency_ms,
-        backend_fingerprint=reply.fingerprint,
-    )
 
+    def call(slot: tuple[str, int]) -> AnswerSample:
+        role, ordinal = slot
+        temperature = draws[role][1]
+        reply = backend.invoke(
+            ModelRequest(
+                question_id=item.id,
+                role=role,
+                ordinal=ordinal,
+                temperature=temperature,
+                question=item.question,
+                image_ref=item.image_ref,
+            )
+        )
+        return AnswerSample(
+            question_id=item.id,
+            ordinal=ordinal,
+            text=reply.text,
+            temperature=temperature,
+            tokens_in=reply.tokens_in,
+            tokens_out=reply.tokens_out,
+            latency_ms=reply.latency_ms,
+            backend_fingerprint=reply.fingerprint,
+        )
 
-def collect_samples(question_id: str, k: int, drawn: dict[int, AnswerSample]) -> list[AnswerSample]:
-    """Order one question's drawn answers by ordinal 0..k-1.
+    def finish(results: dict, errors: dict) -> None:
+        for role in draws:
+            missing = [ordinal for r, ordinal in errors if r == role]
+            if missing:
+                raise SamplingIncompleteError(item.id, missing)
+        done({
+            role: [results[(role, ordinal)] for ordinal in range(count)]
+            for role, (count, _) in draws.items()
+        })
 
-    ``drawn`` holds the draws that succeeded; raises
-    ``SamplingIncompleteError`` listing the ordinals it lacks.
-    """
-    missing = [ordinal for ordinal in range(k) if ordinal not in drawn]
-    if missing:
-        raise SamplingIncompleteError(question_id, missing)
-    return [drawn[ordinal] for ordinal in range(k)]
+    slots = [(role, ordinal) for role, (count, _) in draws.items() for ordinal in range(count)]
+    return scheduler.Job(item.id, {slot: slot for slot in slots}, call, finish)
 
 
 def sample_answers(
@@ -737,21 +721,22 @@ def sample_answers(
 ) -> list[AnswerSample]:
     """Draw k independent answers for one question at the given temperature.
 
-    Requests carry ordinals 0..k-1 so repeated sampling never collapses in
-    the cache; the calls run one after another.  Every ordinal is tried;
+    Runs ``sampling_job`` on the CLI's scheduler at one worker, so the
+    calls go one after another in ordinal order.  Every ordinal is tried;
     if any call fails after the backend's retries, raises
     ``SamplingIncompleteError`` listing the missing ordinals.  Behind the
     record/replay cache, a rerun repeats only the calls that failed.
     """
     if k < 1:
         raise ValueError("invalid sample count")
-    drawn: dict[int, AnswerSample] = {}
-    for ordinal in range(k):
-        try:
-            drawn[ordinal] = draw_answer(backend, item, ordinal, temperature, role)
-        except BackendError:
-            pass
-    return collect_samples(item.id, k, drawn)
+    drawn: list[AnswerSample] = []
+    job = sampling_job(
+        backend, item, {role: (k, temperature)}, lambda by_role: drawn.extend(by_role[role])
+    )
+    _, failures = scheduler.run_jobs(1, [job])
+    if failures:
+        raise failures[0][1]
+    return drawn
 
 
 def judge_entailment(
@@ -769,7 +754,8 @@ def judge_entailment(
     to ``_JUDGE_PARSE_RETRIES`` times, then conservatively mapped to
     "does-not-entail" with a warning.  Transport failure after the
     backend's retries propagates as ``BackendError``.  The verdict's
-    indices are placeholders (0, 1); ``reduce_verdicts`` sets the pair's.
+    indices are placeholders (0, 1); ``clustering.judging_job`` sets the
+    pair's.
     """
     if not premise or not hypothesis:
         raise ValueError("premise and hypothesis must be nonempty")

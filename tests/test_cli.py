@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import logging
 import os
@@ -18,7 +19,7 @@ import pytest
 
 import entropygate
 from conftest import make_mock_corpus, make_mock_script
-from entropygate import cli, gateway
+from entropygate import cli, entropy, gateway, scheduler
 from entropygate.cli import (
     EXIT_BACKEND,
     EXIT_INCOMPLETE,
@@ -26,11 +27,11 @@ from entropygate.cli import (
     EXIT_USAGE,
     RunConfig,
     _curve_grid,
-    _Job,
-    _run_jobs,
     main,
     question_file_name,
 )
+from entropygate.clustering import cluster_answers
+from entropygate.scheduler import Job, run_jobs
 
 
 @pytest.fixture
@@ -204,6 +205,43 @@ class TestPipeline:
         assert cost["entailment_tokens"] == 9 * (690 + 43)  # 3 x 3 text pairs, not 210
 
 
+class TestStaleRecords:
+    def test_new_samples_invalidate_clusters_and_grades(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        records = make_mock_corpus(corpus_path, count=3)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        make_mock_script(first, records, k=5)
+        second.write_text(json.dumps({"answers": {
+            record["id"]: {"sample": [f"other-{j}" for j in range(5)], "baseline": ["zzz"]}
+            for record in records
+        }}))
+        out = tmp_path / "out"
+        common = ["--out", str(out), "--k", "5", "--iterations", "500"]
+        old = [*common, "--mock-script", str(first)]
+        new = [*common, "--mock-script", str(second)]
+        assert main(["sample", "--corpus", str(corpus_path), *old]) == EXIT_OK
+        assert main(["cluster", *old]) == EXIT_OK
+        assert main(["grade", *old]) == EXIT_OK
+        assert main(["sample", "--force", "--no-cache", *new]) == EXIT_OK
+        capsys.readouterr()
+
+        for stage in ("report", "cost"):
+            assert main([stage, *new]) == EXIT_INCOMPLETE
+            assert "stale clusters for 3 question(s): q00, q01, q02" in capsys.readouterr().err
+
+        assert main(["cluster", *new]) == EXIT_OK
+        assert "(3 new, 0 already complete)" in capsys.readouterr().out
+        audit = json.loads((out / "clusters" / "q-q00.json").read_text())
+        assert audit["samples"] == [f"other-{j}" for j in range(5)]
+        assert audit["dse"] == pytest.approx(0.69897000433601886)  # log10(5)
+
+        assert main(["report", *new]) == EXIT_INCOMPLETE
+        assert "stale grades for 3 question(s): q00, q01, q02" in capsys.readouterr().err
+        assert main(["grade", *new]) == EXIT_OK
+        grades = (out / "grades" / "grades.jsonl").read_text().splitlines()
+        assert [json.loads(line)["answer"] for line in grades] == ["zzz"] * 3
+
+
 class TestResumability:
     def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir):
         run_pipeline(workdir, "--call-log")
@@ -223,6 +261,17 @@ class TestResumability:
         lines = log_path.read_text().splitlines()
         assert len(lines) > first_len
         assert all(json.loads(line)["cached"] for line in lines[first_len:])
+
+    def test_torn_cluster_record_is_redone(self, workdir, capsys):
+        assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
+        assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        path = workdir["out"] / "clusters" / "q-q00.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        capsys.readouterr()
+        assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        assert "(1 new, 9 already complete)" in capsys.readouterr().out
+        assert path.read_bytes() == whole
 
     def test_config_merge_prefers_stored_over_default(self, workdir):
         args = base_args(workdir)
@@ -284,9 +333,9 @@ class TestScheduler:
                 raise KeyboardInterrupt
             time.sleep(0.02)
 
-        job = _Job("q00", {slot: slot for slot in range(50)}, call, lambda results, errors: None)
+        job = Job("q00", {slot: slot for slot in range(50)}, call, lambda results, errors: None)
         with pytest.raises(KeyboardInterrupt):
-            _run_jobs(2, [job])
+            run_jobs(2, [job])
         assert len(started) < 10
 
     def test_every_job_finishes_once_under_contention(self):
@@ -297,11 +346,11 @@ class TestScheduler:
             def finish(results, errors):
                 finished.append((q, results, errors))
 
-            return _Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, lambda key: 2 * key,
-                        finish)
+            return Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, lambda key: 2 * key,
+                       finish)
 
         def run():
-            outcome["value"] = _run_jobs(8, map(job, range(300)))
+            outcome["value"] = run_jobs(8, map(job, range(300)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -347,6 +396,17 @@ class TestScheduler:
         assert len(audit["verdicts"]) == 210
         assert audit["cluster_sizes"] == [5, 5, 5]
 
+    def test_library_sends_identical_judge_requests_once(self, tmp_path):
+        args = three_text_question(tmp_path)
+        assert main(["cluster", *args]) == EXIT_OK
+        audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
+        backend = gateway.MockBackend()
+        judge = gateway.entailment_judge(backend, question_id="q00")
+        partition, matrix = cluster_answers(audit["samples"], judge, context="q")
+        assert backend.call_count == 9
+        assert matrix.complete
+        assert [list(cluster) for cluster in partition.clusters] == audit["clusters"]
+
     def test_pending_work_stays_bounded(self, tmp_path, monkeypatch, mock_calls):
         lock = threading.Lock()
         counts = {"futures": 0, "open": 0, "peak_open": 0}
@@ -357,7 +417,7 @@ class TestScheduler:
                     counts["futures"] += 1
                 return super().submit(fn, *args, **kwargs)
 
-        class CountingJob(_Job):
+        class CountingJob(Job):
             def __post_init__(self):
                 with lock:
                     counts["open"] += 1
@@ -371,8 +431,8 @@ class TestScheduler:
 
                 self.finish = counted
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
-        monkeypatch.setattr(cli, "_Job", CountingJob)
+        monkeypatch.setattr(scheduler, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(scheduler, "Job", CountingJob)
         corpus_path = tmp_path / "corpus.jsonl"
         script_path = tmp_path / "mock.json"
         make_mock_script(script_path, make_mock_corpus(corpus_path, count=200), k=5)
@@ -574,6 +634,30 @@ class TestExitCodes:
         assert main(["grade", *args]) == EXIT_OK
         assert main(["report", *args]) == EXIT_INCOMPLETE
         assert "empty retained set" in capsys.readouterr().err
+
+
+class TestTracing:
+    def test_benchmark_tracer_sees_every_cluster_layer(self, workdir):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        tracing.install(tracer, {})
+        try:
+            with tracer.stage("cli.sample"):
+                assert main(["sample", "--corpus", str(workdir["corpus"]),
+                             *base_args(workdir)]) == EXIT_OK
+            with tracer.stage("cli.cluster"):
+                assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        summary = tracing.summarize(tracer.spans)
+        for name in ("gateway.judge_entailment", "entropy.discrete_semantic_entropy",
+                     "clustering.audit_record", "clustering.write_audit_record"):
+            assert summary.get(name, {"count": 0})["count"] > 0, name
+        assert summary["clustering.write_audit_record"]["count"] == 10
+        assert cli.discrete_semantic_entropy is entropy.discrete_semantic_entropy
 
 
 class TestModuleEntryPoint:

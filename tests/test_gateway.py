@@ -217,14 +217,11 @@ def completion_body(text: str, usage: bool = True) -> dict:
     return body
 
 
-def make_http(transport, **config_overrides) -> HttpBackend:
+def make_http(transport) -> HttpBackend:
     config = BackendConfig(
         endpoint_url="https://api.example.test/v1/chat/completions",
         model_name="m-1",
         api_key_env="TEST_GATEWAY_KEY",
-        backoff_base_s=0.0,
-        backoff_cap_s=0.0,
-        **config_overrides,
     )
     return HttpBackend(config, transport=transport, sleep=lambda s: None)
 
@@ -260,7 +257,7 @@ class TestHttpBackend:
         transport = FakeTransport(
             [(429, "slow down"), (503, "busy"), (200, completion_body("ok"))]
         )
-        reply = make_http(transport, retry_limit=3).invoke(make_request())
+        reply = make_http(transport).invoke(make_request())
         assert reply.text == "ok"
         assert len(transport.calls) == 3
 
@@ -269,20 +266,21 @@ class TestHttpBackend:
         transport = FakeTransport(
             [ConnectionError("reset"), TimeoutError("slow"), (200, completion_body("ok"))]
         )
-        reply = make_http(transport, retry_limit=2).invoke(make_request())
+        reply = make_http(transport).invoke(make_request())
         assert reply.text == "ok"
 
     def test_exhausted_retries(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
-        transport = FakeTransport([(500, "boom")] * 3)
-        with pytest.raises(BackendError, match="after 3 attempt"):
-            make_http(transport, retry_limit=2).invoke(make_request())
+        transport = FakeTransport([(500, "boom")] * 5)
+        with pytest.raises(BackendError, match="after 5 attempt"):
+            make_http(transport).invoke(make_request())
+        assert len(transport.calls) == 5
 
     def test_client_error_fails_immediately(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
         transport = FakeTransport([(400, {"error": "bad request"})])
         with pytest.raises(BackendError, match="HTTP 400"):
-            make_http(transport, retry_limit=5).invoke(make_request())
+            make_http(transport).invoke(make_request())
         assert len(transport.calls) == 1
 
     def test_malformed_body(self, monkeypatch):
@@ -314,10 +312,6 @@ class TestHttpBackend:
         text = transport.calls[0]["payload"]["messages"][-1]["content"]
         assert "ct" in text and "mri" in text and "Q?" in text
         assert transport.calls[0]["payload"]["temperature"] == 0.0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BackendConfig(endpoint_url="u", model_name="m", retry_limit=-1)
 
 
 class CountingBackend(Backend):
