@@ -42,19 +42,19 @@ from .gateway import (
     AnswerSample,
     Backend,
     BackendConfig,
-    CacheKey,
+    CachingBackend,
     CostEstimate,
     HttpBackend,
     MockBackend,
     ModelReply,
     ModelRequest,
     account_usage,
+    cache_key,
     entailment_judge,
     equality_judge,
     judge_entailment,
     parse_entailment_reply,
     sample_answers,
-    with_cache,
 )
 from .corpus import (
     GradedAnswer,
@@ -117,19 +117,19 @@ __all__ = [
     "AnswerSample",
     "Backend",
     "BackendConfig",
-    "CacheKey",
+    "CachingBackend",
     "CostEstimate",
     "HttpBackend",
     "MockBackend",
     "ModelReply",
     "ModelRequest",
     "account_usage",
+    "cache_key",
     "entailment_judge",
     "equality_judge",
     "judge_entailment",
     "parse_entailment_reply",
     "sample_answers",
-    "with_cache",
     "GradedAnswer",
     "ImageQuestion",
     "grade",

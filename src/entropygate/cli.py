@@ -13,15 +13,21 @@ Stages persist everything under one output directory::
                       curve.csv, sankey-<t>.csv, cost.json
 
 Each stage is idempotent: work already on disk is skipped, so re-running
-a completed stage performs no model calls; a record made from other
-sample texts than the current ones is stale and is redone.  The sample,
-cluster and grade stages run every model call of every question on one
-bounded pool (``--concurrency`` calls in flight) and write each
-question's record as soon as its calls are done, so interrupting a stage
-keeps every finished question; behind the record/replay cache, the calls
-of unfinished ones that completed are not paid for again.  Exit codes: 0
-success, 1 usage error, 2 incomplete or stale pipeline data, 3 backend
-failure.
+a completed stage performs no model calls.  A record is reused only if
+every input it stores is the current one; else it is stale and redone:
+a cluster record made from other sample texts, and a grade of another
+baseline answer or by another grader (an imported grade stays current).
+The sample, cluster and grade stages work per question: they run every
+model call of the questions with no current record (all of them under
+``--force``) on one bounded pool (``--concurrency`` calls in flight).
+``sample`` and ``cluster`` write each question's record as soon as its
+calls are done, so interrupting a stage keeps every finished question;
+behind the record/replay cache, the calls of unfinished ones that
+completed are not paid for again.  ``grade`` writes ``grades.jsonl`` once
+at the end with its ``--import`` overrides applied; an earlier override
+stays until its question is regraded (``--force``, or a new baseline
+answer).  Exit codes: 0 success, 1 usage error, 2 incomplete or stale
+pipeline data, 3 backend failure.
 """
 
 from __future__ import annotations
@@ -275,8 +281,54 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
         )
     if config.use_cache:
         log_path = config.out_dir / "calls.jsonl" if config.call_log else None
-        backend = gateway.with_cache(backend, config.resolved_cache_dir(), log_path)
+        backend = gateway.CachingBackend(backend, config.resolved_cache_dir(), log_path)
     return backend
+
+
+def _current(record: dict, **inputs) -> bool:
+    """Whether ``record`` was made from the current inputs: each named field
+    it stores equals the given value, or is a member of a given set."""
+    return all(
+        record[name] in value if isinstance(value, set) else record[name] == value
+        for name, value in inputs.items()
+    )
+
+
+def _todo(args: argparse.Namespace, items, load: Callable) -> list:
+    """The items a stage (re)does, by id: all under ``--force``, else those
+    ``load(item)`` finds no current record for."""
+    return [item for item in sorted(items, key=lambda i: i.id) if args.force or load(item) is None]
+
+
+# stage: (what fails, what the summary says it did, the RunConfig path written)
+_STAGES = {
+    "sample": ("sampling", "sampled", "samples_dir"),
+    "cluster": ("clustering", "clustered", "clusters_dir"),
+    "grade": ("grading", "graded", "grades_path"),
+}
+
+
+def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backend) -> int:
+    """Run ``job(item)`` for every item of ``todo`` on one pool of
+    ``--concurrency`` calls and close ``backend``; then exit 3 naming the
+    questions that failed, or print one summary line."""
+    failed, verb, where = _STAGES[stage]
+    try:
+        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
+    finally:
+        if backend is not None:
+            backend.close()
+    if failures:
+        ids = ", ".join(qid for qid, _ in failures)
+        print(f"{failed} failed for {len(failures)} question(s): {ids}", file=sys.stderr)
+        for qid, exc in failures:
+            print(f"  {qid}: {exc}", file=sys.stderr)
+        return EXIT_BACKEND
+    print(
+        f"{verb} {len(items)} question(s) ({done} new, "
+        f"{len(items) - len(todo)} already complete) into {getattr(config, where)}"
+    )
+    return EXIT_OK
 
 
 def _require(items, load: Callable, stage: str) -> dict[str, dict]:
@@ -292,14 +344,6 @@ def _require(items, load: Callable, stage: str) -> dict[str, dict]:
     return records
 
 
-def _report_failures(stage: str, failures: list[tuple[str, Exception]]) -> int:
-    ids = ", ".join(qid for qid, _ in failures)
-    print(f"{stage} failed for {len(failures)} question(s): {ids}", file=sys.stderr)
-    for qid, exc in failures:
-        print(f"  {qid}: {exc}", file=sys.stderr)
-    return EXIT_BACKEND
-
-
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -313,9 +357,12 @@ def _load_samples(config: RunConfig, item) -> dict | None:
     try:
         record = json.loads(_samples_path(config, item).read_text(encoding="utf-8"))
         complete = (
-            record["k"] == config.k
-            and record["sample_temperature"] == config.sample_temperature
-            and record["baseline_temperature"] == config.baseline_temperature
+            _current(
+                record,
+                k=config.k,
+                sample_temperature=config.sample_temperature,
+                baseline_temperature=config.baseline_temperature,
+            )
             and len(record["samples"]) == config.k
             and isinstance(record["baseline"], dict)
         )
@@ -336,30 +383,28 @@ def _sample_to_dict(sample: gateway.AnswerSample) -> dict:
     }
 
 
-def _unreadable_images(items) -> list[str]:
-    """The local image files among ``items`` that cannot be opened."""
-    refs = {item.image_ref for item in items if item.image_ref}
+def _check_images(todo) -> None:
+    """Usage error naming every local image file among ``todo`` that cannot
+    be opened."""
     unreadable = []
-    for ref in sorted(refs):
+    for ref in sorted({item.image_ref for item in todo if item.image_ref}):
         if ref.startswith("data:"):
             continue
         try:
             open(ref, "rb").close()
         except OSError:
             unreadable.append(ref)
-    return unreadable
+    if unreadable:
+        raise _UsageError(f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     corpus.write_corpus(items, config.corpus_path)
-    force = bool(getattr(args, "force", False))
-    todo = [
-        item
-        for item in sorted(items, key=lambda i: i.id)
-        if force or _load_samples(config, item) is None
-    ]
+    todo = _todo(args, items, functools.partial(_load_samples, config))
+    if not config.mock_script:  # the mock backend never reads images
+        _check_images(todo)
     backend = _build_backend(config)
     draws = {
         gateway.ROLE_SAMPLE: (config.k, config.sample_temperature),
@@ -383,23 +428,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
         return gateway.sampling_job(backend, item, draws, done)
 
-    try:
-        if not config.mock_script:  # the mock backend never reads images
-            unreadable = _unreadable_images(todo)
-            if unreadable:
-                raise _UsageError(
-                    f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}"
-                )
-        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
-    finally:
-        backend.close()
-    if failures:
-        return _report_failures("sampling", failures)
-    print(
-        f"sampled {len(items)} question(s) "
-        f"({done} new, {len(items) - len(todo)} already complete) into {config.samples_dir}"
-    )
-    return EXIT_OK
+    return _run_stage(config, "sample", items, todo, job, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +450,12 @@ def _load_cluster(config: RunConfig, item, sample_records=None) -> dict | None:
     path = _clusters_path(config, item)
     if not path.exists():
         return None
+    inputs = {"k": config.k, "policy": config.policy}
+    if sample_records is not None:
+        inputs["samples"] = _texts(sample_records[item.id])
     try:
         record = clustering.read_audit_record(path)
-        complete = (
-            record["k"] == config.k
-            and record["policy"] == config.policy
-            and (sample_records is None or record["samples"] == _texts(sample_records[item.id]))
-        )
+        complete = _current(record, **inputs)
     except (ValueError, KeyError, TypeError):
         return None
     return record if complete else None
@@ -437,12 +465,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    force = bool(getattr(args, "force", False))
-    todo = [
-        item
-        for item in sorted(items, key=lambda i: i.id)
-        if force or _load_cluster(config, item, sample_records) is None
-    ]
+    load = functools.partial(_load_cluster, config, sample_records=sample_records)
+    todo = _todo(args, items, load)
     backend = _build_backend(config)
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -456,17 +480,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         judge = gateway.entailment_judge(backend, question_id=item.id)
         return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
 
-    try:
-        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
-    finally:
-        backend.close()
-    if failures:
-        return _report_failures("clustering", failures)
-    print(
-        f"clustered {len(items)} question(s) "
-        f"({done} new, {len(items) - len(todo)} already complete) into {config.clusters_dir}"
-    )
-    return EXIT_OK
+    return _run_stage(config, "cluster", items, todo, job, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -474,43 +488,42 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_grades(config: RunConfig, sample_records=None) -> dict[str, dict]:
-    """The grades on disk by question id; given ``sample_records``, only
-    those that graded their question's current baseline answer."""
-    grades = {}
+    """The current grades on disk by question id: made by the configured
+    grader or imported and, given ``sample_records``, of the question's
+    current baseline answer."""
+    inputs = {"grader": {config.grader, corpus.GRADER_IMPORTED}}
+    current = {}
     try:
         with open(config.grades_path, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    record = json.loads(line)
-                    grades[record["question_id"]] = record
-    except (OSError, ValueError, KeyError):
+            grades = {
+                record["question_id"]: record
+                for record in map(json.loads, filter(str.strip, handle))
+            }
+        for qid, record in grades.items():
+            if sample_records is not None:
+                if qid not in sample_records:
+                    continue
+                inputs["answer"] = sample_records[qid]["baseline"]["text"]
+            if _current(record, **inputs):
+                current[qid] = record
+    except (OSError, ValueError, KeyError, TypeError):
         return {}
-    if sample_records is None:
-        return grades
-    return {
-        qid: grade
-        for qid, grade in grades.items()
-        if qid in sample_records and grade["answer"] == sample_records[qid]["baseline"]["text"]
-    }
+    return current
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    force = bool(getattr(args, "force", False))
-    import_file = getattr(args, "import_file", None)
-    grades = _load_grades(config, sample_records)
-    if not force and import_file is None and all(item.id in grades for item in items):
-        print(f"grades already complete at {config.grades_path}")
-        return EXIT_OK
     overrides = {}
-    if import_file:  # read before any grading call, so a bad file costs nothing
+    if args.import_file:  # read before any grading call, so a bad file costs nothing
         ids = [item.id for item in items]
-        overrides = _read_input("grade file", import_file, lambda p: corpus.import_grades(p, ids))
-
+        overrides = _read_input(
+            "grade file", args.import_file, lambda p: corpus.import_grades(p, ids)
+        )
+    grades = _load_grades(config, sample_records)
+    todo = _todo(args, items, lambda item: grades.get(item.id))
     backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
-    by_id: dict[str, corpus.GradedAnswer] = {}
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
         def call(answer):
@@ -519,39 +532,17 @@ def cmd_grade(args: argparse.Namespace) -> int:
         def finish(results, errors):
             if errors:
                 raise errors[0]
-            by_id[item.id] = results[0]
+            grades[item.id] = asdict(results[0])
 
         answer = sample_records[item.id]["baseline"]["text"]
         return scheduler.Job(item.id, {0: answer}, call, finish)
 
-    try:
-        _, failures = scheduler.run_jobs(
-            config.concurrency, map(job, sorted(items, key=lambda i: i.id))
-        )
-    finally:
-        if backend is not None:
-            backend.close()
-    if failures:
-        return _report_failures("grading", failures)
-    graded = corpus.apply_grade_overrides(list(by_id.values()), overrides)
-    lines = []
-    for record in sorted(graded, key=lambda g: g.question_id):
-        lines.append(
-            json.dumps(
-                {
-                    "question_id": record.question_id,
-                    "answer": record.answer,
-                    "reference": record.reference,
-                    "correct": record.correct,
-                    "grader": record.grader,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
+    code = _run_stage(config, "grade", items, todo, job, backend)
+    for qid in overrides.keys() & grades.keys():
+        grades[qid] = {**grades[qid], "correct": overrides[qid], "grader": corpus.GRADER_IMPORTED}
+    lines = [json.dumps(grades[qid], ensure_ascii=False, sort_keys=True) for qid in sorted(grades)]
     write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
-    print(f"graded {len(graded)} question(s) with {config.grader} into {config.grades_path}")
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -428,17 +428,3 @@ def import_grades(path: str | Path, known_ids: Iterable[str]) -> dict[str, bool]
     if unknown:
         raise UnknownQuestionIdsError(unknown)
     return overrides
-
-
-def apply_grade_overrides(
-    graded: Iterable[GradedAnswer], overrides: dict[str, bool]
-) -> list[GradedAnswer]:
-    """Replace verdicts with human overrides, marking them as imported."""
-    out: list[GradedAnswer] = []
-    for record in graded:
-        if record.question_id in overrides:
-            record = replace(
-                record, correct=overrides[record.question_id], grader=GRADER_IMPORTED
-            )
-        out.append(record)
-    return out

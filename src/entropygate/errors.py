@@ -78,9 +78,14 @@ class EmptyRetainedSetError(EntropyGateError):
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) through a temp file and
-    ``os.replace``, so no reader or concurrent writer sees a torn file."""
+    ``os.replace``, so no reader or concurrent writer sees a torn file.
+    If either step fails, the temp file is removed and the error raised."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

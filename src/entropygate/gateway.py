@@ -9,8 +9,8 @@ Three interchangeable backends sit behind one ``invoke`` interface:
 * ``MockBackend``: scripted answers keyed by (question_id, role, ordinal)
   plus rule-based entailment judges (equality, equivalence classes,
   seeded random); drives every offline test.
-* ``CachingBackend`` (via ``with_cache``): content-addressed record/replay
-  store wrapped around any backend: a hit returns the recorded reply
+* ``CachingBackend``: content-addressed record/replay store wrapped
+  around any backend: a hit returns the recorded reply
   byte-identically, a miss delegates and persists atomically.
 
 Requests are semantic (question text + image reference, or an entailment
@@ -140,17 +140,11 @@ class AnswerSample:
     backend_fingerprint: str
 
 
-@dataclass(frozen=True)
-class CacheKey:
-    """Content digest identifying one logical model call."""
-
-    digest: str
-
-    @classmethod
-    def for_request(cls, model_name: str, request: ModelRequest) -> "CacheKey":
-        payload = {"model": model_name, "request": asdict(request)}
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-        return cls(digest=hashlib.sha256(canonical.encode("utf-8")).hexdigest())
+def cache_key(model_name: str, request: ModelRequest) -> str:
+    """Content digest (sha256 hex) identifying one logical model call."""
+    payload = {"model": model_name, "request": asdict(request)}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class Backend:
@@ -600,11 +594,11 @@ class CachingBackend(Backend):
     def close(self) -> None:
         self.inner.close()
 
-    def _entry_path(self, key: CacheKey) -> Path:
-        return self.store / key.digest[:2] / f"{key.digest}.json"
+    def _entry_path(self, key: str) -> Path:
+        return self.store / key[:2] / f"{key}.json"
 
     def invoke(self, request: ModelRequest) -> ModelReply:
-        key = CacheKey.for_request(self.inner.model_name, request)
+        key = cache_key(self.inner.model_name, request)
         path = self._entry_path(key)
         if path.exists():
             try:
@@ -620,21 +614,21 @@ class CachingBackend(Backend):
         self._log_call(key, request, reply, cached=False)
         return reply
 
-    def _write_entry(self, path: Path, key: CacheKey, request: ModelRequest, reply: ModelReply):
+    def _write_entry(self, path: Path, key: str, request: ModelRequest, reply: ModelReply):
         entry = {
-            "key": key.digest,
+            "key": key,
             "model": self.inner.model_name,
             "request": asdict(request),
             "reply": asdict(reply),
         }
         write_text_atomic(path, json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2))
 
-    def _log_call(self, key: CacheKey, request: ModelRequest, reply: ModelReply, cached: bool):
+    def _log_call(self, key: str, request: ModelRequest, reply: ModelReply, cached: bool):
         if self.log_path is None:
             return
         line = json.dumps(
             {
-                "key": key.digest,
+                "key": key,
                 "question_id": request.question_id,
                 "role": request.role,
                 "ordinal": request.ordinal,
@@ -648,11 +642,6 @@ class CachingBackend(Backend):
         self.log_path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.log_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-
-
-def with_cache(backend: Backend, store_path: str | Path, log_path: str | Path | None = None) -> CachingBackend:
-    """Wrap a backend with the record/replay cache at ``store_path``."""
-    return CachingBackend(backend, store_path, log_path)
 
 
 # ---------------------------------------------------------------------------
@@ -841,19 +830,18 @@ def account_usage(
     """
     incomplete = 0
 
-    def tokens(records, get_in, get_out) -> int:
+    def tokens(records) -> int:
         nonlocal incomplete
         total = 0
         for record in records:
-            t_in, t_out = get_in(record), get_out(record)
-            if t_in is None or t_out is None:
+            if record.tokens_in is None or record.tokens_out is None:
                 incomplete += 1
                 continue
-            total += t_in + t_out
+            total += record.tokens_in + record.tokens_out
         return total
 
-    sampling_tokens = tokens(samples, lambda s: s.tokens_in, lambda s: s.tokens_out)
-    entailment_tokens = tokens(verdicts, lambda v: v.tokens_in, lambda v: v.tokens_out)
+    sampling_tokens = tokens(samples)
+    entailment_tokens = tokens(verdicts)
     if incomplete:
         log.warning("%d record(s) missing token counts; costed as zero", incomplete)
 

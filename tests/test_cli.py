@@ -71,6 +71,28 @@ def three_text_question(tmp_path, *extra) -> list[str]:
     return args
 
 
+def graded_run(tmp_path, count, *extra) -> list[str]:
+    """Sample, cluster and grade ``count`` mock questions at k=5, with a
+    "yes" reply scripted for model-judge grading; returns the stage args."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    script_path = tmp_path / "mock.json"
+    records = make_mock_corpus(corpus_path, count=count)
+    script = make_mock_script(script_path, records, k=5)
+    script["grades"] = {record["id"]: "yes" for record in records}
+    script_path.write_text(json.dumps(script))
+    args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path),
+            "--k", "5", "--iterations", "500", *extra]
+    assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+    assert main(["cluster", *args]) == EXIT_OK
+    assert main(["grade", *args]) == EXIT_OK
+    return args
+
+
+def read_grades(tmp_path) -> list[dict]:
+    path = tmp_path / "out" / "grades" / "grades.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def run_pipeline(workdir, *extra):
     assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir, *extra)]) == EXIT_OK
     assert main(["cluster", *base_args(workdir, *extra)]) == EXIT_OK
@@ -241,6 +263,54 @@ class TestStaleRecords:
         grades = (out / "grades" / "grades.jsonl").read_text().splitlines()
         assert [json.loads(line)["answer"] for line in grades] == ["zzz"] * 3
 
+    def test_other_grader_makes_grades_stale(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 3)
+        capsys.readouterr()
+        assert main(["report", "--grader", "normalized-containment", *args]) == EXIT_INCOMPLETE
+        assert main(["curve", *args]) == EXIT_INCOMPLETE
+        assert capsys.readouterr().err.count("stale grades for 3 question(s): q00, q01, q02") == 2
+
+        assert main(["grade", *args]) == EXIT_OK
+        assert "graded 3 question(s) (3 new, 0 already complete)" in capsys.readouterr().out
+        assert [g["grader"] for g in read_grades(tmp_path)] == ["normalized-containment"] * 3
+        assert main(["report", *args]) == EXIT_OK
+
+
+class TestGradeImport:
+    def test_override_stays_until_its_question_is_regraded(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 3)
+        exact = read_grades(tmp_path)
+        assert [g["correct"] for g in exact] == [True, True, False]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        first.write_text("q00 0\n")
+        second.write_text("q02 yes\n")
+        assert main(["grade", "--import", str(first), *args]) == EXIT_OK
+        assert main(["grade", "--import", str(second), *args]) == EXIT_OK
+        imported = [
+            {**exact[0], "correct": False, "grader": "imported"},
+            exact[1],
+            {**exact[2], "correct": True, "grader": "imported"},
+        ]
+        assert read_grades(tmp_path) == imported
+        capsys.readouterr()
+        assert main(["grade", *args]) == EXIT_OK
+        assert "(0 new, 3 already complete)" in capsys.readouterr().out
+        assert read_grades(tmp_path) == imported
+
+        script_path = tmp_path / "mock.json"
+        script = json.loads(script_path.read_text())
+        for answers in script["answers"].values():
+            answers["baseline"] = ["zzz"]
+        script_path.write_text(json.dumps(script))
+        assert main(["sample", "--force", "--no-cache", *args]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", *args]) == EXIT_INCOMPLETE
+        assert "stale grades for 3 question(s): q00, q01, q02" in capsys.readouterr().err
+        assert main(["grade", *args]) == EXIT_OK
+        assert [(g["answer"], g["correct"], g["grader"]) for g in read_grades(tmp_path)] == [
+            ("zzz", False, "normalized-exact")
+        ] * 3
+
 
 class TestResumability:
     def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir):
@@ -252,6 +322,19 @@ class TestResumability:
         run_pipeline(workdir, "--call-log")
         assert len(log_path.read_text().splitlines()) == first_len
         assert (workdir["out"] / "reports" / "report.json").read_bytes() == report_bytes
+
+    def test_grade_redoes_only_missing_grades(self, tmp_path, mock_calls, capsys):
+        args = graded_run(tmp_path, 10, "--grader", "model-judge", "--no-cache")
+        assert mock_calls["roles"][gateway.ROLE_GRADE] == 10
+        path = tmp_path / "out" / "grades" / "grades.jsonl"
+        whole = path.read_text()
+        lines = whole.splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[4:]))
+        capsys.readouterr()
+        assert main(["grade", *args]) == EXIT_OK
+        assert mock_calls["roles"][gateway.ROLE_GRADE] == 11
+        assert "(1 new, 9 already complete)" in capsys.readouterr().out
+        assert path.read_text() == whole
 
     def test_force_redoes_work_through_the_cache(self, workdir):
         run_pipeline(workdir, "--call-log")
@@ -642,6 +725,9 @@ class TestTracing:
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
+        script = json.loads(workdir["script"].read_text())
+        script["grades"] = {record["id"]: "yes" for record in workdir["records"]}
+        workdir["script"].write_text(json.dumps(script))
         tracer = tracing.Tracer()
         tracing.install(tracer, {})
         try:
@@ -650,13 +736,22 @@ class TestTracing:
                              *base_args(workdir)]) == EXIT_OK
             with tracer.stage("cli.cluster"):
                 assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+            with tracer.stage("cli.grade"):
+                assert main(["grade", "--grader", "model-judge", *base_args(workdir)]) == EXIT_OK
+            summary = tracing.summarize(tracer.spans)
+            tracer.spans.clear()
+            with tracer.stage("cli.cluster"):
+                assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+            rerun = tracing.summarize(tracer.spans)
         finally:
             tracer.uninstall()
-        summary = tracing.summarize(tracer.spans)
         for name in ("gateway.judge_entailment", "entropy.discrete_semantic_entropy",
                      "clustering.audit_record", "clustering.write_audit_record"):
             assert summary.get(name, {"count": 0})["count"] > 0, name
         assert summary["clustering.write_audit_record"]["count"] == 10
+        assert summary["corpus.grade"]["count"] == 10
+        assert rerun["clustering.read_audit_record"]["count"] == 10
+        assert "gateway.judge_entailment" not in rerun
         assert cli.discrete_semantic_entropy is entropy.discrete_semantic_entropy
 
 

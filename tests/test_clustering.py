@@ -25,7 +25,12 @@ from entropygate.clustering import (
     write_audit_record,
 )
 from entropygate.errors import BackendError, IncompleteMatrixError, JudgingError
-from entropygate.gateway import MockBackend, entailment_judge, equivalence_class_judge, with_cache
+from entropygate.gateway import (
+    CachingBackend,
+    MockBackend,
+    entailment_judge,
+    equivalence_class_judge,
+)
 from helpers import components_by_bfs, random_equivalence_classes, refines
 
 
@@ -218,13 +223,13 @@ class TestClusterAnswers:
                 raise BackendError("down")
             return same(premise, hypothesis)
 
-        flaky = with_cache(MockBackend(judge_rule=flaky_rule), tmp_path / "cache")
+        flaky = CachingBackend(MockBackend(judge_rule=flaky_rule), tmp_path / "cache")
         with pytest.raises(JudgingError) as excinfo:
             cluster_answers(samples, entailment_judge(flaky, question_id="q1"), context="q")
         assert excinfo.value.failed_pairs == [(1, 2)]
 
         healthy = MockBackend(judge_rule=same)
-        cached = with_cache(healthy, tmp_path / "cache")
+        cached = CachingBackend(healthy, tmp_path / "cache")
         clustering, matrix = cluster_answers(
             samples, entailment_judge(cached, question_id="q1"), context="q"
         )

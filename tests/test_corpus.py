@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 
 import pytest
 
 from entropygate.corpus import (
     GRADER_CONTAINMENT,
     GRADER_EXACT,
-    GRADER_IMPORTED,
     GRADER_MODEL,
-    GradedAnswer,
     ImageQuestion,
-    apply_grade_overrides,
     grade,
     import_grades,
     load_corpus,
@@ -23,7 +21,12 @@ from entropygate.corpus import (
     normalize_text,
     write_corpus,
 )
-from entropygate.errors import CorpusFormatError, GradingError, UnknownQuestionIdsError
+from entropygate.errors import (
+    CorpusFormatError,
+    GradingError,
+    UnknownQuestionIdsError,
+    write_text_atomic,
+)
 from entropygate.gateway import MockBackend
 
 
@@ -101,6 +104,17 @@ class TestCanonicalCorpus:
         with caplog.at_level(logging.WARNING, logger="entropygate.corpus"):
             assert load_corpus(path) == []
         assert any("empty" in record.getMessage() for record in caplog.records)
+
+
+class TestWriteTextAtomic:
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_text_atomic(tmp_path / "a.json", "{}")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVqaMedAdapter:
@@ -288,12 +302,3 @@ class TestImportGrades:
         path = tmp_path / "grades.txt"
         path.write_text("q1,0\nq1,1\n")
         assert import_grades(path, known_ids={"q1"}) == {"q1": True}
-
-    def test_apply_overrides(self):
-        graded = [
-            GradedAnswer("q1", "a", "r", correct=False, grader=GRADER_EXACT),
-            GradedAnswer("q2", "b", "r", correct=True, grader=GRADER_EXACT),
-        ]
-        updated = apply_grade_overrides(graded, {"q1": True})
-        assert updated[0].correct and updated[0].grader == GRADER_IMPORTED
-        assert updated[1] == graded[1]

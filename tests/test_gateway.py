@@ -20,7 +20,6 @@ from entropygate.gateway import (
     AnswerSample,
     Backend,
     BackendConfig,
-    CacheKey,
     CachingBackend,
     EntailmentVerdict,
     HttpBackend,
@@ -28,6 +27,7 @@ from entropygate.gateway import (
     ModelReply,
     ModelRequest,
     account_usage,
+    cache_key,
     equality_judge,
     equivalence_class_judge,
     judge_entailment,
@@ -35,7 +35,6 @@ from entropygate.gateway import (
     parse_yes_no_reply,
     sample_answers,
     seeded_random_judge,
-    with_cache,
 )
 
 
@@ -339,12 +338,12 @@ class TestCachingBackend:
         inner = HttpBackend(BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
         closed = []
         inner._session.close = lambda: closed.append(True)
-        with_cache(inner, tmp_path / "cache").close()
+        CachingBackend(inner, tmp_path / "cache").close()
         assert closed == [True]
 
     def test_hit_replays_without_inner_call(self, tmp_path):
         inner = CountingBackend()
-        backend = with_cache(inner, tmp_path / "cache")
+        backend = CachingBackend(inner, tmp_path / "cache")
         first = backend.invoke(make_request())
         second = backend.invoke(make_request())
         assert inner.calls == 1
@@ -352,29 +351,29 @@ class TestCachingBackend:
 
     def test_distinct_ordinals_are_distinct_entries(self, tmp_path):
         inner = CountingBackend()
-        backend = with_cache(inner, tmp_path / "cache")
+        backend = CachingBackend(inner, tmp_path / "cache")
         backend.invoke(make_request(ordinal=0))
         backend.invoke(make_request(ordinal=1))
         assert inner.calls == 2
 
     def test_entry_layout_and_content(self, tmp_path):
-        backend = with_cache(CountingBackend(), tmp_path / "cache")
+        backend = CachingBackend(CountingBackend(), tmp_path / "cache")
         request = make_request()
         backend.invoke(request)
-        key = CacheKey.for_request("counting", request)
-        path = tmp_path / "cache" / key.digest[:2] / f"{key.digest}.json"
+        key = cache_key("counting", request)
+        path = tmp_path / "cache" / key[:2] / f"{key}.json"
         assert path.exists()
         entry = json.loads(path.read_text())
-        assert entry["key"] == key.digest
+        assert entry["key"] == key
         assert entry["reply"]["text"] == "hello"
 
     def test_corrupt_entry_refetched_and_replaced(self, tmp_path):
         inner = CountingBackend()
-        backend = with_cache(inner, tmp_path / "cache")
+        backend = CachingBackend(inner, tmp_path / "cache")
         request = make_request()
         backend.invoke(request)
-        key = CacheKey.for_request("counting", request)
-        path = tmp_path / "cache" / key.digest[:2] / f"{key.digest}.json"
+        key = cache_key("counting", request)
+        path = tmp_path / "cache" / key[:2] / f"{key}.json"
         path.write_text("{not json")
         reply = backend.invoke(request)
         assert reply.text == "hello"
@@ -383,26 +382,26 @@ class TestCachingBackend:
 
     def test_call_log_records_hits_and_misses(self, tmp_path):
         log_path = tmp_path / "calls.jsonl"
-        backend = with_cache(CountingBackend(), tmp_path / "cache", log_path)
+        backend = CachingBackend(CountingBackend(), tmp_path / "cache", log_path)
         backend.invoke(make_request())
         backend.invoke(make_request())
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
         assert [line["cached"] for line in lines] == [False, True]
 
     def test_no_log_by_default(self, tmp_path):
-        backend = with_cache(CountingBackend(), tmp_path / "cache")
+        backend = CachingBackend(CountingBackend(), tmp_path / "cache")
         backend.invoke(make_request())
         assert not (tmp_path / "calls.jsonl").exists()
 
 
 class TestCacheKey:
     def test_stable_and_sensitive(self):
-        a = CacheKey.for_request("m", make_request())
-        b = CacheKey.for_request("m", make_request())
+        a = cache_key("m", make_request())
+        b = cache_key("m", make_request())
         assert a == b
-        assert CacheKey.for_request("m2", make_request()) != a
-        assert CacheKey.for_request("m", make_request(ordinal=1)) != a
-        assert CacheKey.for_request("m", make_request(temperature=0.5)) != a
+        assert cache_key("m2", make_request()) != a
+        assert cache_key("m", make_request(ordinal=1)) != a
+        assert cache_key("m", make_request(temperature=0.5)) != a
 
 
 class TestSampleAnswers:
@@ -440,12 +439,14 @@ class TestSampleAnswers:
         answers = {"q1": {"sample": ["a", "b", "c"]}}
         flaky = MockBackend(answers=answers, fail={("q1", "sample", 1)})
         with pytest.raises(SamplingIncompleteError) as excinfo:
-            sample_answers(with_cache(flaky, tmp_path / "cache"), make_item(), k=3, temperature=1.0)
+            sample_answers(
+                CachingBackend(flaky, tmp_path / "cache"), make_item(), k=3, temperature=1.0
+            )
         assert excinfo.value.missing_ordinals == [1]
 
         healthy = MockBackend(answers=answers)
         samples = sample_answers(
-            with_cache(healthy, tmp_path / "cache"), make_item(), k=3, temperature=1.0
+            CachingBackend(healthy, tmp_path / "cache"), make_item(), k=3, temperature=1.0
         )
         assert healthy.call_count == 1
         assert [s.text for s in samples] == ["a", "b", "c"]
