@@ -23,11 +23,11 @@ model call of the questions with no current record (all of them under
 ``sample`` and ``cluster`` write each question's record as soon as its
 calls are done, so interrupting a stage keeps every finished question;
 behind the record/replay cache, the calls of unfinished ones that
-completed are not paid for again.  ``grade`` writes ``grades.jsonl`` once
-at the end with its ``--import`` overrides applied; an earlier override
-stays until its question is regraded (``--force``, or a new baseline
-answer).  Exit codes: 0 success, 1 usage error, 2 incomplete or stale
-pipeline data, 3 backend failure.
+completed are not paid for again.  ``grade`` writes ``grades.jsonl`` when
+it ends, finished or interrupted, with its ``--import`` overrides applied;
+an earlier override stays until its question is regraded (``--force``, or
+a new baseline answer).  Exit codes: 0 success, else the ``exit_code`` of
+the error that stopped the stage (``errors.EXIT_*``).
 """
 
 from __future__ import annotations
@@ -45,29 +45,28 @@ from typing import Callable
 
 from . import clustering, corpus, evaluation, gateway, scheduler
 from .entropy import cluster_distribution, discrete_semantic_entropy
-from .errors import (
-    BackendError,
-    CorpusFormatError,
+from .errors import (  # the EXIT_* names are the CLI's public exit statuses
+    EXIT_BACKEND,
+    EXIT_INCOMPLETE,
+    EXIT_USAGE,
     EntropyGateError,
-    GradingError,
-    JudgingError,
-    SamplingIncompleteError,
-    UnknownQuestionIdsError,
+    IncompleteRecordsError,
+    UsageError,
     write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INCOMPLETE = 2
-EXIT_BACKEND = 3
 
 ADAPTERS = {
     "canonical": corpus.load_corpus,
     "vqa-med": corpus.load_vqa_med,
     "rad-dataset": corpus.load_rad_dataset,
 }
+
+# The `curve` sweep: 1.2 (above log10(15), so nothing is rejected), 1.1, ..., 0.0.
+CURVE_THRESHOLDS = tuple(i / 10 for i in range(12, -1, -1))
 
 # Field defaults captured up front: the RunConfig body defines a field
 # named ``corpus`` which shadows the module inside the class namespace.
@@ -104,9 +103,6 @@ class RunConfig:
     comparisons: int = 12
     concurrency: int = 4
     price: float = 10.0
-    curve_start: float = 1.2
-    curve_stop: float = 0.0
-    curve_step: float = 0.1
 
     def __post_init__(self):
         if self.adapter not in ADAPTERS:
@@ -131,10 +127,6 @@ class RunConfig:
             raise ValueError("concurrency must be >= 1")
         if self.price < 0:
             raise ValueError("price must be >= 0")
-        if self.curve_step <= 0:
-            raise ValueError("curve step must be > 0")
-        if self.curve_start < self.curve_stop or self.curve_stop < 0:
-            raise ValueError("curve range must satisfy start >= stop >= 0")
 
     # -- paths ------------------------------------------------------------
 
@@ -175,14 +167,6 @@ class RunConfig:
         return data
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _IncompleteError(Exception):
-    pass
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, the stored config.json, and explicit flags.
 
@@ -197,7 +181,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             stored = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as exc:
-            raise _UsageError(f"unreadable config {config_path}: {exc}")
+            raise UsageError(f"unreadable config {config_path}: {exc}")
     values: dict = {}
     for field in fields(RunConfig):
         if field.name == "out":
@@ -212,7 +196,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     try:
         config = RunConfig(out=out, **values)
     except (TypeError, ValueError) as exc:
-        raise _UsageError(str(exc))
+        raise UsageError(str(exc))
     _write_json(config.config_path, config.to_dict())
     return config
 
@@ -241,7 +225,7 @@ def _read_input(what: str, path: str, read: Callable):
     try:
         return read(path)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot read {what} {path}: {exc}")
+        raise UsageError(f"cannot read {what} {path}: {exc}")
 
 
 def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
@@ -249,16 +233,14 @@ def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
     if config.corpus:
         items = _read_input("corpus", config.corpus, ADAPTERS[config.adapter])
         if not items:
-            raise _UsageError(f"corpus {config.corpus} is empty")
+            raise UsageError(f"corpus {config.corpus} is empty")
         return items
     if config.corpus_path.exists():
         items = corpus.load_corpus(config.corpus_path)
         if not items:
-            raise _UsageError(f"corpus {config.corpus_path} is empty")
+            raise UsageError(f"corpus {config.corpus_path} is empty")
         return items
-    raise _UsageError(
-        "no corpus: pass --corpus (with --adapter) or run the sample stage first"
-    )
+    raise UsageError("no corpus: pass --corpus (with --adapter) or run the sample stage first")
 
 
 def _build_backend(config: RunConfig) -> gateway.Backend:
@@ -276,9 +258,7 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
             max_connections=config.concurrency,
         )
     else:
-        raise _UsageError(
-            "no backend configured: pass --mock-script, or --endpoint plus --model"
-        )
+        raise UsageError("no backend configured: pass --mock-script, or --endpoint plus --model")
     if config.use_cache:
         log_path = config.out_dir / "calls.jsonl" if config.call_log else None
         backend = gateway.CachingBackend(backend, config.resolved_cache_dir(), log_path)
@@ -332,12 +312,12 @@ def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backen
 
 
 def _require(items, load: Callable, stage: str) -> dict[str, dict]:
-    """Each item's ``load(item)`` record by id; ``_IncompleteError`` naming
+    """Each item's ``load(item)`` record by id; ``IncompleteRecordsError`` naming
     the items it returns None for."""
     records = {item.id: load(item) for item in items}
     missing = sorted(qid for qid, record in records.items() if record is None)
     if missing:
-        raise _IncompleteError(
+        raise IncompleteRecordsError(
             f"missing, incomplete or stale {stage}s for {len(missing)} question(s): "
             f"{', '.join(missing)}; run the {stage} stage first"
         )
@@ -395,7 +375,7 @@ def _check_images(todo) -> None:
         except OSError:
             unreadable.append(ref)
     if unreadable:
-        raise _UsageError(f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}")
+        raise UsageError(f"cannot read {len(unreadable)} image file(s): {', '.join(unreadable)}")
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -537,12 +517,13 @@ def cmd_grade(args: argparse.Namespace) -> int:
         answer = sample_records[item.id]["baseline"]["text"]
         return scheduler.Job(item.id, {0: answer}, call, finish)
 
-    code = _run_stage(config, "grade", items, todo, job, backend)
-    for qid in overrides.keys() & grades.keys():
-        grades[qid] = {**grades[qid], "correct": overrides[qid], "grader": corpus.GRADER_IMPORTED}
-    lines = [json.dumps(grades[qid], ensure_ascii=False, sort_keys=True) for qid in sorted(grades)]
-    write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
-    return code
+    try:
+        return _run_stage(config, "grade", items, todo, job, backend)
+    finally:  # also on Ctrl-C, so every finished grade is kept
+        for qid in overrides.keys() & grades.keys():
+            grades[qid] |= {"correct": overrides[qid], "grader": corpus.GRADER_IMPORTED}
+        lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
+        write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +548,6 @@ def _collect_results(
             )
         )
     return results
-
-
-def _curve_grid(config: RunConfig) -> list[float]:
-    """Descending sweep start..stop inclusive, on one decimal-step lattice."""
-    steps = int(round((config.curve_start - config.curve_stop) / config.curve_step))
-    grid = [round(config.curve_stop + i * config.curve_step, 10) for i in range(steps, -1, -1)]
-    return [g for g in grid if g >= 0]
 
 
 def _cost_inputs(items, sample_records, cluster_records):
@@ -617,7 +591,7 @@ def _write_cost(config: RunConfig, items, sample_records, cluster_records) -> di
 
 def _write_curve(config: RunConfig, results) -> int:
     """Write the threshold sweep to reports/curve.csv; returns its point count."""
-    points = evaluation.coverage_curve(results, _curve_grid(config))
+    points = evaluation.coverage_curve(results, CURVE_THRESHOLDS)
     evaluation.write_curve_csv(points, config.reports_dir / "curve.csv")
     return len(points)
 
@@ -818,12 +792,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="model calls in flight across questions (default 4)")
     parser.add_argument("--price", type=float, default=None,
                         help="dollars per million tokens (default 10.0)")
-    parser.add_argument("--curve-start", dest="curve_start", type=float, default=None,
-                        help="curve sweep start threshold (default 1.2)")
-    parser.add_argument("--curve-stop", dest="curve_stop", type=float, default=None,
-                        help="curve sweep final threshold (default 0.0)")
-    parser.add_argument("--curve-step", dest="curve_step", type=float, default=None,
-                        help="curve sweep step (default 0.1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -867,21 +835,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _IncompleteError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INCOMPLETE
-    except (CorpusFormatError, UnknownQuestionIdsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BackendError, SamplingIncompleteError, JudgingError, GradingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
     except EntropyGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
+        return exc.exit_code
 
 
 def console_main() -> None:

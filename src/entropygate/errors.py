@@ -1,4 +1,9 @@
-"""Exception types and the atomic file writer shared across the package."""
+"""Exception types and the atomic file writer shared across the package.
+
+An error's ``exit_code`` is the command line's exit status for it, one of
+the ``EXIT_*`` numbers below.  A ``BackendError`` fails one question of a
+stage; any other error stops the stage.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,36 @@ import os
 import uuid
 from pathlib import Path
 
+EXIT_USAGE = 1  # fix the input
+EXIT_INCOMPLETE = 2  # run an earlier stage
+EXIT_BACKEND = 3  # rerun to resume
+
 
 class EntropyGateError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = EXIT_INCOMPLETE
+
+
+class UsageError(EntropyGateError):
+    """A setting or a named input file is missing, unreadable or invalid."""
+
+    exit_code = EXIT_USAGE
+
+
+class IncompleteRecordsError(EntropyGateError):
+    """A stage needs records that an earlier stage has not written, or
+    wrote from other inputs than the current ones."""
+
 
 class BackendError(EntropyGateError):
-    """A model backend call failed after exhausting its retry budget."""
+    """A model backend call failed after exhausting its retry budget, or
+    (subclasses) a question's answers could not be drawn, judged or graded."""
+
+    exit_code = EXIT_BACKEND
 
 
-class SamplingIncompleteError(EntropyGateError):
+class SamplingIncompleteError(BackendError):
     """Some of the requested answer samples could not be obtained."""
 
     def __init__(self, question_id, missing_ordinals):
@@ -27,7 +52,7 @@ class SamplingIncompleteError(EntropyGateError):
         )
 
 
-class JudgingError(EntropyGateError):
+class JudgingError(BackendError):
     """Entailment judging failed for one or more pairs."""
 
     def __init__(self, failed_pairs):
@@ -48,7 +73,7 @@ class IncompleteMatrixError(EntropyGateError):
         super().__init__(f"missing verdicts: {shown}{more}")
 
 
-class CorpusFormatError(EntropyGateError):
+class CorpusFormatError(UsageError):
     """A corpus or grade file could not be parsed."""
 
     def __init__(self, message, path=None, line=None):
@@ -60,7 +85,7 @@ class CorpusFormatError(EntropyGateError):
         super().__init__(f"{message}{where}")
 
 
-class UnknownQuestionIdsError(EntropyGateError):
+class UnknownQuestionIdsError(UsageError):
     """A grade-override file references question ids absent from the corpus."""
 
     def __init__(self, unknown_ids):
@@ -68,7 +93,7 @@ class UnknownQuestionIdsError(EntropyGateError):
         super().__init__(f"unknown question ids in grade file: {self.unknown_ids}")
 
 
-class GradingError(EntropyGateError):
+class GradingError(BackendError):
     """A model-judge grading call failed; the answer is left ungraded."""
 
 

@@ -22,6 +22,7 @@ to plot as a Sankey diagram.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from bisect import bisect_right
@@ -32,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyRetainedSetError
+from .errors import EmptyRetainedSetError, write_text_atomic
 
 _REDRAW_KEY = 7901  # fixed tag keeping redraw substreams disjoint from the main draw
 
@@ -391,47 +392,47 @@ def write_outcomes_jsonl(
     results: Sequence[QuestionResult], thresholds: Sequence[float], path: str | Path
 ):
     """One JSON line per question: entropy, correctness, and gate decisions."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for result in sorted(results, key=lambda r: r.question_id):
-            record = {
-                "id": result.question_id,
-                "dataset": result.dataset,
-                "subgroup": result.subgroup,
-                "entropy": result.entropy,
-                "correct": result.correct,
-                "answer": result.answer,
-                "retained": {f"{t:g}": result.retained_at(t) for t in thresholds},
-            }
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    records = (
+        {
+            "id": result.question_id,
+            "dataset": result.dataset,
+            "subgroup": result.subgroup,
+            "entropy": result.entropy,
+            "correct": result.correct,
+            "answer": result.answer,
+            "retained": {f"{t:g}": result.retained_at(t) for t in thresholds},
+        }
+        for result in sorted(results, key=lambda r: r.question_id)
+    )
+    lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records]
+    write_text_atomic(path, "".join(lines))
+
+
+def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]):
+    """Render the rows first, so a failing ``rows`` leaves ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, text.getvalue())
 
 
 def write_curve_csv(points: Iterable[CurvePoint], path: str | Path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["threshold", "fraction_rejected", "delta", "n_retained"])
-        for point in points:
-            writer.writerow(
-                [
-                    f"{point.threshold:g}",
-                    f"{point.fraction_rejected:.6f}",
-                    "undefined" if point.delta is None else f"{point.delta:.6f}",
-                    point.retained,
-                ]
-            )
+    rows = (
+        [
+            f"{point.threshold:g}",
+            f"{point.fraction_rejected:.6f}",
+            "undefined" if point.delta is None else f"{point.delta:.6f}",
+            point.retained,
+        ]
+        for point in points
+    )
+    _write_csv(path, ["threshold", "fraction_rejected", "delta", "n_retained"], rows)
 
 
 def write_sankey_csv(edges: Iterable[FlowEdge], path: str | Path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["source", "target", "count"])
-        for edge in edges:
-            writer.writerow([edge.source, edge.target, edge.count])
+    rows = ([edge.source, edge.target, edge.count] for edge in edges)
+    _write_csv(path, ["source", "target", "count"], rows)
 
 
 def format_outcome_line(outcome: FilterOutcome) -> str:

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable
 
-from .errors import BackendError, GradingError, JudgingError, SamplingIncompleteError
+from .errors import BackendError
 
 
 @dataclass
@@ -19,7 +19,7 @@ class Job:
     ``slots`` maps each result slot to the key of the request that fills
     it; ``call(key)`` makes that request.  Slots with equal keys share one
     call.  ``finish(results, errors)`` gets, per slot, the call's result or
-    its per-call error (``BackendError`` or ``GradingError``).
+    its per-call error (a ``BackendError``).
     """
 
     question_id: str
@@ -29,10 +29,6 @@ class Job:
     results: dict = field(default_factory=dict)  # by key
     errors: dict = field(default_factory=dict)  # by key
     left: int = 0  # keys whose call has not returned
-
-
-_CALL_ERRORS = (BackendError, GradingError)
-_QUESTION_ERRORS = (BackendError, SamplingIncompleteError, JudgingError, GradingError)
 
 
 def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str, Exception]]]:
@@ -47,9 +43,9 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
     its ``finish``.
 
     Returns (done, failures) where failures lists (question_id, exception)
-    by question id for the jobs whose ``finish`` raised a per-question
-    error.  Any other exception, Ctrl-C included, stops the workers from
-    taking further calls and propagates once the running ones end.
+    by question id for the jobs whose ``finish`` raised a ``BackendError``.
+    Any other exception, Ctrl-C included, stops the workers from taking
+    further calls and propagates once the running ones end.
     """
     lock = threading.RLock()  # reentrant: calls() finishes a job without calls
     stop = threading.Event()
@@ -62,7 +58,7 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
         errors = {s: job.errors[k] for s, k in job.slots.items() if k in job.errors}
         try:
             job.finish(results, errors)
-        except _QUESTION_ERRORS as exc:
+        except BackendError as exc:
             with lock:
                 failures.append((job.question_id, exc))
         else:
@@ -90,7 +86,7 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
                 job, key = entry
                 try:
                     outcome, store = job.call(key), job.results
-                except _CALL_ERRORS as exc:
+                except BackendError as exc:
                     outcome, store = exc, job.errors
                 with lock:
                     store[key] = outcome

@@ -25,12 +25,24 @@ from entropygate.cli import (
     EXIT_INCOMPLETE,
     EXIT_OK,
     EXIT_USAGE,
+    CURVE_THRESHOLDS,
     RunConfig,
-    _curve_grid,
     main,
     question_file_name,
 )
 from entropygate.clustering import cluster_answers
+from entropygate.errors import (
+    BackendError,
+    CorpusFormatError,
+    EmptyRetainedSetError,
+    GradingError,
+    IncompleteMatrixError,
+    IncompleteRecordsError,
+    JudgingError,
+    SamplingIncompleteError,
+    UnknownQuestionIdsError,
+    UsageError,
+)
 from entropygate.scheduler import Job, run_jobs
 
 
@@ -71,9 +83,9 @@ def three_text_question(tmp_path, *extra) -> list[str]:
     return args
 
 
-def graded_run(tmp_path, count, *extra) -> list[str]:
-    """Sample, cluster and grade ``count`` mock questions at k=5, with a
-    "yes" reply scripted for model-judge grading; returns the stage args."""
+def sampled_run(tmp_path, count, *extra) -> list[str]:
+    """Sample ``count`` mock questions at k=5, with a "yes" reply scripted
+    for model-judge grading; returns the stage args."""
     corpus_path = tmp_path / "corpus.jsonl"
     script_path = tmp_path / "mock.json"
     records = make_mock_corpus(corpus_path, count=count)
@@ -83,6 +95,12 @@ def graded_run(tmp_path, count, *extra) -> list[str]:
     args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path),
             "--k", "5", "--iterations", "500", *extra]
     assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+    return args
+
+
+def graded_run(tmp_path, count, *extra) -> list[str]:
+    """``sampled_run``, then cluster and grade; returns the stage args."""
+    args = sampled_run(tmp_path, count, *extra)
     assert main(["cluster", *args]) == EXIT_OK
     assert main(["grade", *args]) == EXIT_OK
     return args
@@ -144,14 +162,10 @@ class TestQuestionFileName:
 
 class TestCurveGrid:
     def test_default_grid(self):
-        grid = _curve_grid(RunConfig())
+        grid = list(CURVE_THRESHOLDS)
         assert len(grid) == 13
         assert grid[0] == 1.2 and grid[-1] == 0.0
         assert grid == sorted(grid, reverse=True)
-
-    def test_custom_grid(self):
-        grid = _curve_grid(RunConfig(curve_start=0.5, curve_stop=0.3, curve_step=0.1))
-        assert grid == [0.5, 0.4, 0.3]
 
 
 class TestPipeline:
@@ -336,6 +350,29 @@ class TestResumability:
         assert "(1 new, 9 already complete)" in capsys.readouterr().out
         assert path.read_text() == whole
 
+    def test_interrupted_grade_keeps_finished_grades(self, tmp_path, mock_calls, monkeypatch,
+                                                     capsys):
+        args = sampled_run(tmp_path, 10, "--grader", "model-judge", "--no-cache",
+                           "--concurrency", "1")
+        counting = gateway.MockBackend.invoke
+
+        def invoke(backend, request):  # Ctrl-C in the 6th grade call
+            if request.role == gateway.ROLE_GRADE and mock_calls["roles"].get(request.role) == 5:
+                raise KeyboardInterrupt
+            return counting(backend, request)
+
+        monkeypatch.setattr(gateway.MockBackend, "invoke", invoke)
+        with pytest.raises(KeyboardInterrupt):
+            main(["grade", *args])
+        assert [g["question_id"] for g in read_grades(tmp_path)] == [f"q0{i}" for i in range(5)]
+
+        monkeypatch.setattr(gateway.MockBackend, "invoke", counting)
+        capsys.readouterr()
+        assert main(["grade", *args]) == EXIT_OK
+        assert mock_calls["roles"][gateway.ROLE_GRADE] == 5 + 5
+        assert "(5 new, 5 already complete)" in capsys.readouterr().out
+        assert len(read_grades(tmp_path)) == 10
+
     def test_force_redoes_work_through_the_cache(self, workdir):
         run_pipeline(workdir, "--call-log")
         log_path = workdir["out"] / "calls.jsonl"
@@ -364,6 +401,20 @@ class TestResumability:
         assert record["k"] == 5
         stored = json.loads((workdir["out"] / "config.json").read_text())
         assert stored["k"] == 5
+
+    def test_config_with_curve_settings_still_loads(self, workdir):
+        # A config.json written when the curve sweep had three settings.
+        out = workdir["out"]
+        stored = {**RunConfig(out=str(out)).to_dict(), "k": 5,
+                  "curve_start": 1.2, "curve_stop": 0.0, "curve_step": 0.1}
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps(stored))
+        assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
+        record = json.loads((out / "samples" / "q-q00.json").read_text())
+        assert record["k"] == 5
+        config = json.loads((out / "config.json").read_text())
+        assert config["k"] == 5
+        assert not [key for key in config if key.startswith("curve_")]
 
     def test_cli_flag_overrides_stored(self, workdir):
         args = base_args(workdir)
@@ -420,6 +471,28 @@ class TestScheduler:
         with pytest.raises(KeyboardInterrupt):
             run_jobs(2, [job])
         assert len(started) < 10
+
+    def test_any_backend_error_fails_only_its_question(self):
+        class QuotaError(BackendError):
+            pass
+
+        def call(key):
+            if key == "q1":
+                raise QuotaError("quota exhausted")
+            return key
+
+        finished = []
+
+        def finish(results, errors):
+            if errors:
+                raise errors[0]
+            finished.append(results[0])
+
+        jobs = [Job(f"q{q}", {0: f"q{q}"}, call, finish) for q in range(4)]
+        done, failures = run_jobs(2, jobs)
+        assert done == 3
+        assert [(qid, type(exc)) for qid, exc in failures] == [("q1", QuotaError)]
+        assert sorted(finished) == ["q0", "q2", "q3"]
 
     def test_every_job_finishes_once_under_contention(self):
         finished = []
@@ -637,6 +710,30 @@ class TestExitCodes:
         assert main(["cluster", *args]) == EXIT_OK
         assert main(["report", *args]) == EXIT_INCOMPLETE
         assert "grade stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (UsageError("no corpus"), EXIT_USAGE),
+            (CorpusFormatError("invalid JSON", path="c.jsonl", line=3), EXIT_USAGE),
+            (UnknownQuestionIdsError(["zz"]), EXIT_USAGE),
+            (IncompleteRecordsError("missing grades; run the grade stage first"), EXIT_INCOMPLETE),
+            (EmptyRetainedSetError("empty retained set"), EXIT_INCOMPLETE),
+            (IncompleteMatrixError([(0, 1)]), EXIT_INCOMPLETE),
+            (BackendError("HTTP 500"), EXIT_BACKEND),
+            (SamplingIncompleteError("q00", [3]), EXIT_BACKEND),
+            (JudgingError([(0, 1)]), EXIT_BACKEND),
+            (GradingError("unparseable reply"), EXIT_BACKEND),
+        ],
+        ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+    )
+    def test_status_is_the_error_class_exit_code(self, monkeypatch, capsys, error, code):
+        def cmd_cost(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_cost", cmd_cost)
+        assert main(["cost"]) == code == type(error).exit_code
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_short_script_is_backend_failure(self, workdir, tmp_path):
         # Script covers only 9 of the 10 questions: the missing one fails,

@@ -349,6 +349,22 @@ class TestWriters:
         assert rows[1][0] == "1.2" and rows[1][3] == "3"
         assert rows[2][2] == "undefined" and rows[2][3] == "0"
 
+    def test_failing_points_leave_the_previous_curve_csv(self, tmp_path):
+        results = [result(qid=f"q{i}", entropy=0.1 * i) for i in range(3)]
+        points = coverage_curve(results, [1.2, 0.3, 0.0])
+        path = tmp_path / "curve.csv"
+        write_curve_csv(points, path)
+        before = path.read_bytes()
+
+        def torn():
+            yield points[0]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_curve_csv(torn(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
     def test_outcomes_jsonl_sorted_and_parseable(self, tmp_path):
         results = [
             result(qid="zz", entropy=0.9, correct=False),
