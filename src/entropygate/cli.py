@@ -16,7 +16,9 @@ Each stage is idempotent: work already on disk is skipped, so re-running
 a completed stage performs no model calls.  A record is reused only if
 every input it stores is the current one; else it is stale and redone:
 a cluster record made from other sample texts, and a grade of another
-baseline answer or by another grader (an imported grade stays current).
+baseline answer or by another grader (an imported grade stays current);
+``report``, ``curve`` and ``cost`` read the run the same way and exit 2
+naming the questions whose records are missing or stale.
 The sample, cluster and grade stages work per question: they run every
 model call of the questions with no current record (all of them under
 ``--force``) on one bounded pool (``--concurrency`` calls in flight).
@@ -423,20 +425,14 @@ def _texts(sample_record: dict) -> list[str]:
     return [s["text"] for s in sample_record["samples"]]
 
 
-def _load_cluster(config: RunConfig, item, sample_records=None) -> dict | None:
-    """The item's audit record if it is complete for ``config`` and, given
-    ``sample_records``, was computed from the item's current sample texts;
-    else None."""
-    path = _clusters_path(config, item)
-    if not path.exists():
-        return None
-    inputs = {"k": config.k, "policy": config.policy}
-    if sample_records is not None:
-        inputs["samples"] = _texts(sample_records[item.id])
+def _load_cluster(config: RunConfig, sample_records, item) -> dict | None:
+    """The item's audit record if it is complete for ``config`` and was
+    computed from the item's current sample texts, else None."""
+    texts = _texts(sample_records[item.id])
     try:
-        record = clustering.read_audit_record(path)
-        complete = _current(record, **inputs)
-    except (ValueError, KeyError, TypeError):
+        record = clustering.read_audit_record(_clusters_path(config, item))
+        complete = _current(record, k=config.k, policy=config.policy, samples=texts)
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     return record if complete else None
 
@@ -445,8 +441,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    load = functools.partial(_load_cluster, config, sample_records=sample_records)
-    todo = _todo(args, items, load)
+    todo = _todo(args, items, functools.partial(_load_cluster, config, sample_records))
     backend = _build_backend(config)
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -467,28 +462,24 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # grade
 # ---------------------------------------------------------------------------
 
-def _load_grades(config: RunConfig, sample_records=None) -> dict[str, dict]:
+def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
     """The current grades on disk by question id: made by the configured
-    grader or imported and, given ``sample_records``, of the question's
-    current baseline answer."""
-    inputs = {"grader": {config.grader, corpus.GRADER_IMPORTED}}
-    current = {}
+    grader or imported, and of the question's current baseline answer."""
+    graders = {config.grader, corpus.GRADER_IMPORTED}
     try:
         with open(config.grades_path, encoding="utf-8") as handle:
             grades = {
                 record["question_id"]: record
                 for record in map(json.loads, filter(str.strip, handle))
             }
-        for qid, record in grades.items():
-            if sample_records is not None:
-                if qid not in sample_records:
-                    continue
-                inputs["answer"] = sample_records[qid]["baseline"]["text"]
-            if _current(record, **inputs):
-                current[qid] = record
+        return {
+            qid: record
+            for qid, record in grades.items()
+            if qid in sample_records
+            and _current(record, grader=graders, answer=sample_records[qid]["baseline"]["text"])
+        }
     except (OSError, ValueError, KeyError, TypeError):
         return {}
-    return current
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
@@ -530,8 +521,18 @@ def cmd_grade(args: argparse.Namespace) -> int:
 # report / curve / cost
 # ---------------------------------------------------------------------------
 
+def _judged_run(config: RunConfig):
+    """The items of a finished run with their current sample and cluster
+    records by id; ``IncompleteRecordsError`` naming the ids whose records
+    are missing, incomplete or stale."""
+    items = _load_items(config)
+    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
+    load = functools.partial(_load_cluster, config, sample_records)
+    return items, sample_records, _require(items, load, "cluster")
+
+
 def _collect_results(
-    config: RunConfig, items, cluster_records, sample_records=None
+    config: RunConfig, items, sample_records, cluster_records
 ) -> list[evaluation.QuestionResult]:
     on_disk = _load_grades(config, sample_records)
     grades = _require(items, lambda item: on_disk.get(item.id), "grade")
@@ -551,9 +552,7 @@ def _collect_results(
 
 
 def _cost_inputs(items, sample_records, cluster_records):
-    """The recorded answer draws, and one verdict per judge call: pairs of a
-    question with the same two texts shared one call, so each distinct
-    (premise, hypothesis) text pair counts once."""
+    """The recorded answer draws, and one verdict per judge call."""
     samples = []
     verdicts = []
     for item in items:
@@ -571,11 +570,7 @@ def _cost_inputs(items, sample_records, cluster_records):
                     backend_fingerprint=s["fingerprint"],
                 )
             )
-        _, texts, matrix, _, _ = clustering.load_audit_record(cluster_records[item.id])
-        calls = {}
-        for (i, j), verdict in matrix.verdicts.items():
-            calls.setdefault((texts[i], texts[j]), verdict)
-        verdicts.extend(calls.values())
+        verdicts.extend(clustering.judge_calls(cluster_records[item.id]))
     return samples, verdicts
 
 
@@ -625,11 +620,8 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    items = _load_items(config)
-    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    load = functools.partial(_load_cluster, config, sample_records=sample_records)
-    cluster_records = _require(items, load, "cluster")
-    results = _collect_results(config, items, cluster_records, sample_records)
+    items, sample_records, cluster_records = _judged_run(config)
+    results = _collect_results(config, items, sample_records, cluster_records)
 
     summary_lines = [
         "selective prediction report",
@@ -716,24 +708,18 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    items = _load_items(config)
-    cluster_records = _require(items, functools.partial(_load_cluster, config), "cluster")
-    count = _write_curve(config, _collect_results(config, items, cluster_records))
+    count = _write_curve(config, _collect_results(config, *_judged_run(config)))
     print(f"wrote {count} curve point(s) to {config.reports_dir / 'curve.csv'}")
     return EXIT_OK
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    items = _load_items(config)
-    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    load = functools.partial(_load_cluster, config, sample_records=sample_records)
-    cluster_records = _require(items, load, "cluster")
-    cost = _write_cost(config, items, sample_records, cluster_records)
+    cost = _write_cost(config, *_judged_run(config))
     print(
         f"total ${cost['total_cost']:.2f} "
         f"(sampling ${cost['sampling_cost']:.2f} + entailment ${cost['entailment_cost']:.2f}) "
-        f"for {len(items)} question(s) at ${config.price:g}/1M tokens"
+        f"for {cost['questions']} question(s) at ${config.price:g}/1M tokens"
     )
     return EXIT_OK
 

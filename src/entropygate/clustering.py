@@ -312,21 +312,23 @@ def audit_record(
     }
 
 
+def _verdict(row: dict) -> EntailmentVerdict:
+    """The verdict one row of an audit record's ``verdicts`` stores."""
+    return EntailmentVerdict(
+        premise_index=row["premise"],
+        hypothesis_index=row["hypothesis"],
+        label=row["label"],
+        raw_judge_output=row["raw"],
+        tokens_in=row.get("tokens_in"),
+        tokens_out=row.get("tokens_out"),
+        latency_ms=row.get("latency_ms", 0.0),
+    )
+
+
 def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, SemanticClustering, float]:
     """Inverse of ``audit_record``."""
     k = data["k"]
-    verdicts = {}
-    for row in data["verdicts"]:
-        pair = (row["premise"], row["hypothesis"])
-        verdicts[pair] = EntailmentVerdict(
-            premise_index=pair[0],
-            hypothesis_index=pair[1],
-            label=row["label"],
-            raw_judge_output=row["raw"],
-            tokens_in=row.get("tokens_in"),
-            tokens_out=row.get("tokens_out"),
-            latency_ms=row.get("latency_ms", 0.0),
-        )
+    verdicts = {(row["premise"], row["hypothesis"]): _verdict(row) for row in data["verdicts"]}
     matrix = EntailmentMatrix(k=k, verdicts=verdicts)
     clustering = SemanticClustering(
         k=k,
@@ -334,6 +336,21 @@ def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, Sem
         policy=data["policy"],
     )
     return data["question_id"], list(data["samples"]), matrix, clustering, data["dse"]
+
+
+def judge_calls(data: dict) -> list[EntailmentVerdict]:
+    """One verdict per judge call behind an audit record.
+
+    ``judging_job`` sends pairs with the same (premise, hypothesis) texts
+    as one call, made for the first such pair in ``required_checks`` order,
+    which is the order of the record's rows; that pair's verdict stands
+    for the call.
+    """
+    samples = data["samples"]
+    calls: dict[tuple[str, str], dict] = {}
+    for row in data["verdicts"]:
+        calls.setdefault((samples[row["premise"]], samples[row["hypothesis"]]), row)
+    return [_verdict(row) for row in calls.values()]
 
 
 def write_audit_record(path: str | Path, record: dict) -> None:

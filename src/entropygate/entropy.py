@@ -67,10 +67,6 @@ class EntropyValue:
                 f"entropy {self.value} outside [0, log10({self.sample_count})]"
             )
 
-    def display(self, ndigits: int = 1) -> float:
-        """Value rounded for display (round-half-even, like ``round``)."""
-        return round(self.value, ndigits)
-
 
 @dataclass(frozen=True)
 class GateDecision:

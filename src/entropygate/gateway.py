@@ -364,6 +364,8 @@ class HttpBackend(Backend):
         try:
             text = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
+            text = None
+        if not isinstance(text, str):  # e.g. ``"content": null``
             raise BackendError(f"malformed completion response: {body!r}")
         usage = body.get("usage") or {}
         tokens_in = usage.get("prompt_tokens")
@@ -738,16 +740,15 @@ def judge_entailment(
     """Ask the backend whether premise entails hypothesis.
 
     Judging runs at temperature 0 (the lowest the API supports) for
-    determinism, on the texts alone.  An unparseable reply is retried with
-    a bumped ordinal nonce (so caches don't replay the same bad reply) up
-    to ``_JUDGE_PARSE_RETRIES`` times, then conservatively mapped to
+    determinism, on the texts alone; an empty answer is judged like any
+    other text.  An unparseable reply is retried with a bumped ordinal
+    nonce (so caches don't replay the same bad reply) up to
+    ``_JUDGE_PARSE_RETRIES`` times, then conservatively mapped to
     "does-not-entail" with a warning.  Transport failure after the
     backend's retries propagates as ``BackendError``.  The verdict's
     indices are placeholders (0, 1); ``clustering.judging_job`` sets the
     pair's.
     """
-    if not premise or not hypothesis:
-        raise ValueError("premise and hypothesis must be nonempty")
     reply = None
     tokens_in = 0
     tokens_out = 0

@@ -232,6 +232,19 @@ class TestPipeline:
         curve_text = (workdir["out"] / "reports" / "curve.csv").read_text()
         assert curve_text.startswith("threshold,fraction_rejected,delta,n_retained")
 
+    def test_empty_answers_cluster_together(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        records = make_mock_corpus(corpus_path, count=2)
+        script = make_mock_script(script_path, records, k=5)
+        script["answers"]["q00"]["sample"] = ["ct", "", "ct", "", "ct"]
+        script_path.write_text(json.dumps(script))
+        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path), "--k", "5"]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        assert main(["cluster", *args]) == EXIT_OK
+        audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
+        assert audit["clusters"] == [[0, 2, 4], [1, 3]]
+
     def test_cost_counts_each_judge_call_once(self, tmp_path):
         args = three_text_question(tmp_path)
         assert main(["cluster", *args]) == EXIT_OK
@@ -261,9 +274,10 @@ class TestStaleRecords:
         assert main(["sample", "--force", "--no-cache", *new]) == EXIT_OK
         capsys.readouterr()
 
-        for stage in ("report", "cost"):
+        for stage in ("report", "curve", "cost"):
             assert main([stage, *new]) == EXIT_INCOMPLETE
             assert "stale clusters for 3 question(s): q00, q01, q02" in capsys.readouterr().err
+        assert not (out / "reports" / "curve.csv").exists()
 
         assert main(["cluster", *new]) == EXIT_OK
         assert "(3 new, 0 already complete)" in capsys.readouterr().out
@@ -711,6 +725,15 @@ class TestExitCodes:
         assert main(["report", *args]) == EXIT_INCOMPLETE
         assert "grade stage" in capsys.readouterr().err
 
+    def test_unreadable_cluster_record_is_named(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 3)
+        record = tmp_path / "out" / "clusters" / "q-q01.json"
+        record.unlink()
+        record.mkdir()  # reading it raises IsADirectoryError
+        capsys.readouterr()
+        assert main(["report", *args]) == EXIT_INCOMPLETE
+        assert "stale clusters for 1 question(s): q01" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "error,code",
         [
@@ -816,12 +839,18 @@ class TestExitCodes:
         assert "empty retained set" in capsys.readouterr().err
 
 
+@pytest.fixture
+def tracing():
+    """The benchmark's tracer, ``perfbench/tracing.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestTracing:
-    def test_benchmark_tracer_sees_every_cluster_layer(self, workdir):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+    def test_benchmark_tracer_sees_every_cluster_layer(self, workdir, tracing):
         script = json.loads(workdir["script"].read_text())
         script["grades"] = {record["id"]: "yes" for record in workdir["records"]}
         workdir["script"].write_text(json.dumps(script))
@@ -850,6 +879,30 @@ class TestTracing:
         assert rerun["clustering.read_audit_record"]["count"] == 10
         assert "gateway.judge_entailment" not in rerun
         assert cli.discrete_semantic_entropy is entropy.discrete_semantic_entropy
+
+    def test_benchmark_tracer_sees_every_report_layer(self, workdir, tracing):
+        run_pipeline(workdir)
+        tracer = tracing.Tracer()
+        # install reads every attribute it wraps, so a renamed or removed one raises here
+        tracing.install(tracer, {})
+        summaries = {}
+        try:
+            assert all(callable(original) for _, _, original, _ in tracer._patches)
+            for command in ("report", "curve"):
+                tracer.spans.clear()
+                with tracer.stage(f"cli.{command}"):
+                    assert main([command, *base_args(workdir)]) == EXIT_OK
+                summaries[command] = {
+                    name: entry["count"] for name, entry in tracing.summarize(tracer.spans).items()
+                }
+        finally:
+            tracer.uninstall()
+        report, curve = summaries["report"], summaries["curve"]
+        assert report["clustering.read_audit_record"] == curve["clustering.read_audit_record"] == 10
+        assert report["evaluation.bootstrap_delta"] == 2
+        assert report["gateway.account_usage"] == 1
+        assert curve["evaluation.coverage_curve"] == 1
+        assert "clustering.load_audit_record" not in report  # cost reads the rows as stored
 
 
 class TestModuleEntryPoint:

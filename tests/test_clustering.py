@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from entropygate.clustering import (
     LABEL_ENTAILS,
@@ -18,6 +20,7 @@ from entropygate.clustering import (
     assemble_clusters,
     audit_record,
     cluster_answers,
+    judge_calls,
     load_audit_record,
     mutual_entailment_graph,
     read_audit_record,
@@ -283,3 +286,49 @@ class TestAuditRecords:
         record = audit_record("q", samples, matrix, clustering, dse=0.0)
         order = [(v["premise"], v["hypothesis"]) for v in record["verdicts"]]
         assert order == required_checks(3)
+
+
+@st.composite
+def stored_audit_records(draw) -> dict:
+    """An audit record as read back from disk, over texts that repeat."""
+    k = draw(st.integers(1, 6))
+    samples = draw(st.lists(st.sampled_from(["ct", "mri", ""]), min_size=k, max_size=k))
+    verdicts = {
+        (i, j): EntailmentVerdict(
+            premise_index=i,
+            hypothesis_index=j,
+            label=draw(st.sampled_from([LABEL_ENTAILS, LABEL_NOT_ENTAILS])),
+            raw_judge_output=draw(st.sampled_from(["entailment", "no", ""])),
+            tokens_in=draw(st.none() | st.integers(0, 999)),
+            tokens_out=draw(st.none() | st.integers(0, 999)),
+            latency_ms=draw(st.integers(0, 9999)) / 8,
+        )
+        for i, j in required_checks(k)
+    }
+    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
+    partition = assemble_clusters(mutual_entailment_graph(matrix))
+    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse=0.0)))
+
+
+def judge_calls_oracle(record: dict) -> list[EntailmentVerdict]:
+    """The full matrix, deduplicated by (premise text, hypothesis text)."""
+    _, texts, matrix, _, _ = load_audit_record(record)
+    calls = {}
+    for (i, j), v in matrix.verdicts.items():
+        calls.setdefault((texts[i], texts[j]), v)
+    return list(calls.values())
+
+
+class TestJudgeCalls:
+    @given(stored_audit_records())
+    def test_matches_matrix_deduplicated_by_text_pair(self, record):
+        assert judge_calls(record) == judge_calls_oracle(record)
+
+    def test_one_verdict_per_call_judging_job_made(self):
+        samples = ["ct", "mri", "xray"] * 5
+        judge = entailment_judge(MockBackend())
+        partition, matrix = cluster_answers(samples, judge, context="q")
+        calls = judge_calls(audit_record("q", samples, matrix, partition, dse=0.0))
+        assert [(v.premise_index, v.hypothesis_index) for v in calls] == [
+            (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (2, 5)
+        ]

@@ -111,12 +111,6 @@ class TestEntropyValue:
         # At the ceiling (within tolerance) is legal.
         EntropyValue(value=math.log10(15), sample_count=15)
 
-    def test_display_rounds_half_to_even(self):
-        assert EntropyValue(0.25, 15).display() == 0.2
-        assert EntropyValue(0.75, 15).display() == 0.8
-        assert EntropyValue(1.1760912590556813, 15).display() == 1.2
-        assert EntropyValue(0.4384696840285889, 15).display() == 0.4
-
 
 class TestMaxEntropy:
     def test_value(self):

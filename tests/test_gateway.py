@@ -288,6 +288,23 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed"):
             make_http(transport).invoke(make_request())
 
+    @pytest.mark.parametrize("usage", [True, False])
+    @pytest.mark.parametrize("role", [ROLE_SAMPLE, ROLE_JUDGE])
+    def test_null_content_is_malformed_and_not_cached(self, monkeypatch, tmp_path, role, usage):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        transport = FakeTransport(
+            [(200, completion_body(None, usage=usage)), (200, completion_body("entailment"))]
+        )
+        backend = CachingBackend(make_http(transport), tmp_path / "cache")
+        if role == ROLE_SAMPLE:
+            call = lambda: backend.invoke(make_request()).text  # noqa: E731
+        else:
+            call = lambda: judge_entailment(backend, "Q?", "ct", "mri").label  # noqa: E731
+        with pytest.raises(BackendError, match="malformed"):
+            call()
+        assert call() in ("entailment", LABEL_ENTAILS)  # asked again, not replayed
+        assert len(transport.calls) == 2
+
     def test_image_inlined_as_data_url(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
         transport = FakeTransport([(200, completion_body("ok"))])
@@ -482,9 +499,15 @@ class TestJudgeEntailment:
         assert v.raw_judge_output == "who knows"
         assert v.tokens_in == 15  # accumulated across attempts
 
-    def test_empty_texts_rejected(self):
-        with pytest.raises(ValueError):
-            judge_entailment(MockBackend(), "Q?", "", "b")
+    def test_empty_answer_is_judged(self, monkeypatch):
+        backend = MockBackend(judge_rule=equality_judge())
+        assert judge_entailment(backend, "Q?", "", "").label == LABEL_ENTAILS
+        assert judge_entailment(backend, "Q?", "", "b").label == LABEL_NOT_ENTAILS
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        transport = FakeTransport([(200, completion_body("no-entailment"))])
+        v = judge_entailment(make_http(transport), "Q?", "", "ct")
+        assert v.label == LABEL_NOT_ENTAILS
+        assert "ct" in transport.calls[0]["payload"]["messages"][-1]["content"]
 
 
 class TestAccountUsage:
