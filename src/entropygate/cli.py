@@ -39,6 +39,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -76,6 +77,10 @@ _DEFAULT_POLICY = clustering.POLICY_COMPONENTS
 _DEFAULT_GRADER = corpus.GRADER_EXACT
 
 
+def _finite_nonnegative(*values: float) -> bool:
+    return all(math.isfinite(value) and value >= 0 for value in values)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved pipeline settings; defaults follow the evaluated protocol:
@@ -92,7 +97,6 @@ class RunConfig:
     mock_script: str | None = None
     use_cache: bool = True
     cache_dir: str | None = None  # default: <out>/cache
-    call_log: bool = False
     k: int = 15
     sample_temperature: float = 1.0
     baseline_temperature: float = 0.1
@@ -111,9 +115,9 @@ class RunConfig:
             raise ValueError(f"unknown adapter {self.adapter!r}")
         if self.k < 1:
             raise ValueError("invalid sample count")
-        if self.sample_temperature < 0 or self.baseline_temperature < 0:
-            raise ValueError("temperatures must be >= 0")
-        if not self.thresholds or any(t < 0 for t in self.thresholds):
+        if not _finite_nonnegative(self.sample_temperature, self.baseline_temperature):
+            raise ValueError("temperatures must be finite and >= 0")
+        if not self.thresholds or not _finite_nonnegative(*self.thresholds):
             raise ValueError("invalid threshold")
         if self.policy not in clustering.POLICIES:
             raise ValueError(f"unknown clustering policy {self.policy!r}")
@@ -127,8 +131,8 @@ class RunConfig:
             raise ValueError("comparisons must be >= 1")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        if self.price < 0:
-            raise ValueError("price must be >= 0")
+        if not _finite_nonnegative(self.price):
+            raise ValueError("price must be finite and >= 0")
 
     # -- paths ------------------------------------------------------------
 
@@ -262,8 +266,7 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
     else:
         raise UsageError("no backend configured: pass --mock-script, or --endpoint plus --model")
     if config.use_cache:
-        log_path = config.out_dir / "calls.jsonl" if config.call_log else None
-        backend = gateway.CachingBackend(backend, config.resolved_cache_dir(), log_path)
+        backend = gateway.CachingBackend(backend, config.resolved_cache_dir())
     return backend
 
 
@@ -293,7 +296,7 @@ _STAGES = {
 def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backend) -> int:
     """Run ``job(item)`` for every item of ``todo`` on one pool of
     ``--concurrency`` calls and close ``backend``; then exit 3 naming the
-    questions that failed, or print one summary line."""
+    questions that failed, or print one summary line with the cache's counts."""
     failed, verb, where = _STAGES[stage]
     try:
         done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
@@ -306,9 +309,12 @@ def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backen
         for qid, exc in failures:
             print(f"  {qid}: {exc}", file=sys.stderr)
         return EXIT_BACKEND
+    calls = ""
+    if isinstance(backend, gateway.CachingBackend):
+        calls = f"; {backend.misses} model call(s) sent, {backend.hits} replayed from the cache"
     print(
         f"{verb} {len(items)} question(s) ({done} new, "
-        f"{len(items) - len(todo)} already complete) into {getattr(config, where)}"
+        f"{len(items) - len(todo)} already complete) into {getattr(config, where)}{calls}"
     )
     return EXIT_OK
 
@@ -754,8 +760,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         default=None, help="record/replay cache for model calls (default on)")
     parser.add_argument("--cache-dir", dest="cache_dir", default=None,
                         help="cache location (default: <out>/cache)")
-    parser.add_argument("--call-log", dest="call_log", action=argparse.BooleanOptionalAction,
-                        default=None, help="append per-call records to <out>/calls.jsonl")
     parser.add_argument("--k", type=int, default=None, help="samples per question (default 15)")
     parser.add_argument("--sample-temperature", dest="sample_temperature", type=float,
                         default=None, help="sampling temperature (default 1.0)")

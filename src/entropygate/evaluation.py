@@ -114,10 +114,6 @@ class CurvePoint:
     def fraction_rejected(self) -> float:
         return 1.0 - self.coverage
 
-    @property
-    def empty(self) -> bool:
-        return self.retained == 0
-
 
 @dataclass(frozen=True)
 class SubgroupRow:

@@ -576,22 +576,26 @@ class CachingBackend(Backend):
     """Content-addressed record/replay cache around another backend.
 
     One JSON file per cache key under ``store_path/<2-hex>/<digest>.json``,
-    holding the canonicalized request and the verbatim reply.  Writes go
-    through a temp file and ``os.replace`` so concurrent writers can never
-    leave a torn entry; a corrupt entry is treated as a miss and replaced.
-    Optionally appends one JSON line per call to ``log_path``.
+    holding the canonicalized request and the verbatim reply: the record of
+    one call.  Writes go through a temp file and ``os.replace`` so
+    concurrent writers can never leave a torn entry; a corrupt entry
+    (unparseable, or a reply without text) is treated as a miss and
+    replaced.  ``hits`` counts the replies replayed and ``misses`` the
+    replies fetched from ``inner`` and recorded.
 
     Note: cache keys cover the logical request (the image *reference*,
     not its bytes); editing an image in place under the same path will
     not invalidate recorded replies.
     """
 
-    def __init__(self, inner: Backend, store_path: str | Path, log_path: str | Path | None = None):
+    def __init__(self, inner: Backend, store_path: str | Path):
         self.inner = inner
         self.store = Path(store_path)
         self.store.mkdir(parents=True, exist_ok=True)
-        self.log_path = Path(log_path) if log_path else None
         self.model_name = inner.model_name
+        self.hits = 0
+        self.misses = 0
+        self._count_lock = threading.Lock()
 
     def close(self) -> None:
         self.inner.close()
@@ -602,18 +606,23 @@ class CachingBackend(Backend):
     def invoke(self, request: ModelRequest) -> ModelReply:
         key = cache_key(self.inner.model_name, request)
         path = self._entry_path(key)
-        if path.exists():
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                reply = ModelReply(**entry["reply"])
-            except (ValueError, KeyError, TypeError) as exc:
-                log.warning("corrupt cache entry %s (%s); re-fetching", path, exc)
-            else:
-                self._log_call(key, request, reply, cached=True)
-                return reply
+        try:
+            entry = json.loads(path.read_text(encoding="utf-8"))
+            reply = ModelReply(**entry["reply"])
+            if not isinstance(reply.text, str):
+                raise TypeError(f"reply text is {reply.text!r}")
+        except FileNotFoundError:
+            pass
+        except (ValueError, KeyError, TypeError) as exc:
+            log.warning("corrupt cache entry %s (%s); re-fetching", path, exc)
+        else:
+            with self._count_lock:
+                self.hits += 1
+            return reply
         reply = self.inner.invoke(request)
         self._write_entry(path, key, request, reply)
-        self._log_call(key, request, reply, cached=False)
+        with self._count_lock:
+            self.misses += 1
         return reply
 
     def _write_entry(self, path: Path, key: str, request: ModelRequest, reply: ModelReply):
@@ -624,26 +633,6 @@ class CachingBackend(Backend):
             "reply": asdict(reply),
         }
         write_text_atomic(path, json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2))
-
-    def _log_call(self, key: str, request: ModelRequest, reply: ModelReply, cached: bool):
-        if self.log_path is None:
-            return
-        line = json.dumps(
-            {
-                "key": key,
-                "question_id": request.question_id,
-                "role": request.role,
-                "ordinal": request.ordinal,
-                "cached": cached,
-                "latency_ms": reply.latency_ms,
-                "tokens_in": reply.tokens_in,
-                "tokens_out": reply.tokens_out,
-            },
-            sort_keys=True,
-        )
-        self.log_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.log_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------

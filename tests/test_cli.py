@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -142,6 +143,10 @@ class TestRunConfig:
             ({"adapter": "mystery"}, "adapter"),
             ({"policy": "mystery"}, "policy"),
             ({"grader": "mystery"}, "grader"),
+            ({"thresholds": (math.nan,)}, "invalid threshold"),
+            ({"thresholds": (math.inf,)}, "invalid threshold"),
+            ({"sample_temperature": math.nan}, "temperature"),
+            ({"price": math.inf}, "price"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -341,14 +346,16 @@ class TestGradeImport:
 
 
 class TestResumability:
-    def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir):
-        run_pipeline(workdir, "--call-log")
-        log_path = workdir["out"] / "calls.jsonl"
-        first_len = len(log_path.read_text().splitlines())
+    def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir, capsys):
+        run_pipeline(workdir)
         report_bytes = (workdir["out"] / "reports" / "report.json").read_bytes()
+        capsys.readouterr()
 
-        run_pipeline(workdir, "--call-log")
-        assert len(log_path.read_text().splitlines()) == first_len
+        run_pipeline(workdir)
+        lines = capsys.readouterr().out.splitlines()
+        for verb in ("sampled", "clustered"):  # the default grader makes no call
+            [line] = [line for line in lines if line.startswith(f"{verb} 10 question(s)")]
+            assert line.endswith("; 0 model call(s) sent, 0 replayed from the cache")
         assert (workdir["out"] / "reports" / "report.json").read_bytes() == report_bytes
 
     def test_grade_redoes_only_missing_grades(self, tmp_path, mock_calls, capsys):
@@ -361,7 +368,7 @@ class TestResumability:
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
         assert mock_calls["roles"][gateway.ROLE_GRADE] == 11
-        assert "(1 new, 9 already complete)" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith(f"(1 new, 9 already complete) into {path}\n")
         assert path.read_text() == whole
 
     def test_interrupted_grade_keeps_finished_grades(self, tmp_path, mock_calls, monkeypatch,
@@ -387,14 +394,20 @@ class TestResumability:
         assert "(5 new, 5 already complete)" in capsys.readouterr().out
         assert len(read_grades(tmp_path)) == 10
 
-    def test_force_redoes_work_through_the_cache(self, workdir):
-        run_pipeline(workdir, "--call-log")
-        log_path = workdir["out"] / "calls.jsonl"
-        first_len = len(log_path.read_text().splitlines())
-        assert main(["sample", "--force", *base_args(workdir, "--call-log")]) == EXIT_OK
-        lines = log_path.read_text().splitlines()
-        assert len(lines) > first_len
-        assert all(json.loads(line)["cached"] for line in lines[first_len:])
+    def test_force_redoes_work_through_the_cache(self, workdir, capsys):
+        run_pipeline(workdir)
+        capsys.readouterr()
+        assert main(["sample", "--force", *base_args(workdir)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "(10 new, 0 already complete) into "
+            f"{workdir['out'] / 'samples'}; 0 model call(s) sent, 160 replayed from the cache\n"
+        )
+
+    def test_model_judge_regrade_replays_from_the_cache(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 3, "--grader", "model-judge")
+        capsys.readouterr()
+        assert main(["grade", "--force", *args]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 3 replayed from the cache\n")
 
     def test_torn_cluster_record_is_redone(self, workdir, capsys):
         assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
@@ -419,7 +432,7 @@ class TestResumability:
     def test_config_with_curve_settings_still_loads(self, workdir):
         # A config.json written when the curve sweep had three settings.
         out = workdir["out"]
-        stored = {**RunConfig(out=str(out)).to_dict(), "k": 5,
+        stored = {**RunConfig(out=str(out)).to_dict(), "k": 5, "call_log": True,
                   "curve_start": 1.2, "curve_stop": 0.0, "curve_step": 0.1}
         out.mkdir()
         (out / "config.json").write_text(json.dumps(stored))
@@ -429,6 +442,7 @@ class TestResumability:
         config = json.loads((out / "config.json").read_text())
         assert config["k"] == 5
         assert not [key for key in config if key.startswith("curve_")]
+        assert "call_log" not in config
 
     def test_cli_flag_overrides_stored(self, workdir):
         args = base_args(workdir)
@@ -710,6 +724,13 @@ class TestExitCodes:
     def test_invalid_k_is_usage_error(self, workdir):
         args = ["sample", "--corpus", str(workdir["corpus"]), "--k", "0", *base_args(workdir)]
         assert main(args) == EXIT_USAGE
+
+    def test_non_finite_setting_is_usage_error_and_not_stored(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 3)
+        config = (tmp_path / "out" / "config.json").read_bytes()
+        assert main(["report", *args, "--thresholds", "inf"]) == EXIT_USAGE
+        assert "invalid threshold" in capsys.readouterr().err
+        assert (tmp_path / "out" / "config.json").read_bytes() == config
 
     def test_sample_without_corpus_is_usage_error(self, workdir):
         assert main(["sample", *base_args(workdir)]) == EXIT_USAGE

@@ -218,7 +218,7 @@ class TestCoverageCurve:
         results = [result(qid=f"q{i}", entropy=0.9) for i in range(5)]
         [high, low] = coverage_curve(results, [0.9, 0.3])
         assert high.retained == 5
-        assert low.empty
+        assert low.retained == 0
         assert low.accuracy is None and low.delta is None
         assert low.fraction_rejected == 1.0
 

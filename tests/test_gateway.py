@@ -92,6 +92,22 @@ class TestParseYesNo:
         assert parse_yes_no_reply("hard to say") is None
 
 
+def run_in_threads(target):
+    """Run ``target`` on 8 threads at once, switching as often as the
+    interpreter allows, and wait for all of them."""
+    threads = [threading.Thread(target=target) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
 class TestMockBackend:
     def test_call_count_is_exact_under_threads(self):
         backend = MockBackend(answers={"q1": {"sample": ["a"]}})
@@ -100,17 +116,7 @@ class TestMockBackend:
             for _ in range(2000):
                 backend.invoke(make_request())
 
-        threads = [threading.Thread(target=invoke_many) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        run_in_threads(invoke_many)
         assert backend.call_count == 16_000
 
     def test_scripted_answers_by_ordinal(self):
@@ -391,24 +397,36 @@ class TestCachingBackend:
         backend.invoke(request)
         key = cache_key("counting", request)
         path = tmp_path / "cache" / key[:2] / f"{key}.json"
-        path.write_text("{not json")
-        reply = backend.invoke(request)
-        assert reply.text == "hello"
-        assert inner.calls == 2
-        assert json.loads(path.read_text())["reply"]["text"] == "hello"
+        entry = json.loads(path.read_text())
+        # as cached before a null completion became a failed call
+        null_text = {**entry, "reply": {**entry["reply"], "text": None}}
+        for corrupt in ("{not json", json.dumps(null_text)):
+            path.write_text(corrupt)
+            reply = backend.invoke(request)
+            assert reply.text == "hello"
+            assert json.loads(path.read_text())["reply"]["text"] == "hello"
+        assert inner.calls == 3
+        assert (backend.misses, backend.hits) == (3, 0)
 
-    def test_call_log_records_hits_and_misses(self, tmp_path):
-        log_path = tmp_path / "calls.jsonl"
-        backend = CachingBackend(CountingBackend(), tmp_path / "cache", log_path)
+    def test_counts_hits_and_misses(self, tmp_path):
+        inner = CountingBackend()
+        backend = CachingBackend(inner, tmp_path / "cache")
         backend.invoke(make_request())
         backend.invoke(make_request())
-        lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        assert [line["cached"] for line in lines] == [False, True]
+        assert (backend.misses, backend.hits) == (1, 1)
+        assert inner.calls == 1
 
-    def test_no_log_by_default(self, tmp_path):
-        backend = CachingBackend(CountingBackend(), tmp_path / "cache")
-        backend.invoke(make_request())
-        assert not (tmp_path / "calls.jsonl").exists()
+    def test_counts_are_exact_under_threads(self, tmp_path):
+        inner = MockBackend(answers={"q1": {"sample": ["a"] * 4}})
+        backend = CachingBackend(inner, tmp_path / "cache")
+
+        def invoke_many():
+            for ordinal in range(100):
+                backend.invoke(make_request(ordinal=ordinal % 4))
+
+        run_in_threads(invoke_many)
+        assert backend.hits + backend.misses == 800
+        assert backend.misses == inner.call_count
 
 
 class TestCacheKey:
