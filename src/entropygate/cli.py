@@ -55,6 +55,8 @@ from .errors import (  # the EXIT_* names are the CLI's public exit statuses
     EntropyGateError,
     IncompleteRecordsError,
     UsageError,
+    read_record,
+    write_record,
     write_text_atomic,
 )
 
@@ -148,13 +150,14 @@ class RunConfig:
     def corpus_path(self) -> Path:
         return self.out_dir / "corpus.jsonl"
 
-    @property
-    def samples_dir(self) -> Path:
-        return self.out_dir / "samples"
+    # Cached: a stage joins one record path per question onto these.
+    @functools.cached_property
+    def samples_dir(self) -> str:
+        return str(self.out_dir / "samples")
 
-    @property
-    def clusters_dir(self) -> Path:
-        return self.out_dir / "clusters"
+    @functools.cached_property
+    def clusters_dir(self) -> str:
+        return str(self.out_dir / "clusters")
 
     @property
     def grades_path(self) -> Path:
@@ -336,14 +339,14 @@ def _require(items, load: Callable, stage: str) -> dict[str, dict]:
 # sample
 # ---------------------------------------------------------------------------
 
-def _samples_path(config: RunConfig, item) -> Path:
-    return config.samples_dir / f"{question_file_name(item.id)}.json"
+def _samples_path(config: RunConfig, item) -> str:
+    return f"{config.samples_dir}/{question_file_name(item.id)}.json"
 
 
 def _load_samples(config: RunConfig, item) -> dict | None:
     """The item's sample record if it is complete for ``config``, else None."""
     try:
-        record = json.loads(_samples_path(config, item).read_text(encoding="utf-8"))
+        record = read_record(_samples_path(config, item))
         complete = (
             _current(
                 record,
@@ -402,7 +405,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
         def done(drawn):
             [baseline] = drawn[gateway.ROLE_BASELINE]
-            _write_json(
+            write_record(
                 _samples_path(config, item),
                 {
                     "id": item.id,
@@ -423,8 +426,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
-def _clusters_path(config: RunConfig, item) -> Path:
-    return config.clusters_dir / f"{question_file_name(item.id)}.json"
+def _clusters_path(config: RunConfig, item) -> str:
+    return f"{config.clusters_dir}/{question_file_name(item.id)}.json"
 
 
 def _texts(sample_record: dict) -> list[str]:

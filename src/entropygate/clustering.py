@@ -23,13 +23,12 @@ The chosen policy is recorded on the result so runs are auditable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 from . import scheduler
-from .errors import IncompleteMatrixError, JudgingError
+from .errors import IncompleteMatrixError, JudgingError, read_record, write_record
 
 LABEL_ENTAILS = "entails"
 LABEL_NOT_ENTAILS = "does-not-entail"
@@ -232,13 +231,13 @@ def judging_job(
     def finish(results: dict, errors: dict) -> None:
         if errors:
             raise JudgingError(list(errors))
-        matrix = EntailmentMatrix(
-            k=len(samples),
-            verdicts={
-                (i, j): replace(verdict, premise_index=i, hypothesis_index=j)
-                for (i, j), verdict in results.items()
-            },
-        )
+        verdicts = {
+            (i, j): EntailmentVerdict(
+                i, j, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms
+            )
+            for (i, j), v in results.items()
+        }
+        matrix = EntailmentMatrix(k=len(samples), verdicts=verdicts)
         done(assemble_clusters(mutual_entailment_graph(matrix), policy), matrix)
 
     slots = {(i, j): (samples[i], samples[j]) for i, j in required_checks(len(samples))}
@@ -354,13 +353,10 @@ def judge_calls(data: dict) -> list[EntailmentVerdict]:
 
 
 def write_audit_record(path: str | Path, record: dict) -> None:
-    # In place, not via ``write_text_atomic``: a torn record does not parse, so
-    # the CLI redoes it; a temp file per record slowed a 706-question stage 30%.
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(record, sort_keys=True, ensure_ascii=False, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    """Write an audit record through ``errors.write_record``: one compact
+    JSON object, in place, and only if its content changed."""
+    write_record(path, record)
 
 
 def read_audit_record(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return read_record(path)

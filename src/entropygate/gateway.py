@@ -29,13 +29,20 @@ import os
 import random
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from . import scheduler
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
-from .errors import BackendError, CorpusFormatError, SamplingIncompleteError, write_text_atomic
+from .errors import (
+    BackendError,
+    CorpusFormatError,
+    SamplingIncompleteError,
+    compact_json,
+    read_bytes,
+    write_text_atomic,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import ImageQuestion
@@ -142,8 +149,7 @@ class AnswerSample:
 
 def cache_key(model_name: str, request: ModelRequest) -> str:
     """Content digest (sha256 hex) identifying one logical model call."""
-    payload = {"model": model_name, "request": asdict(request)}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    canonical = compact_json({"model": model_name, "request": vars(request)})
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -575,13 +581,15 @@ class MockBackend(Backend):
 class CachingBackend(Backend):
     """Content-addressed record/replay cache around another backend.
 
-    One JSON file per cache key under ``store_path/<2-hex>/<digest>.json``,
-    holding the canonicalized request and the verbatim reply: the record of
-    one call.  Writes go through a temp file and ``os.replace`` so
-    concurrent writers can never leave a torn entry; a corrupt entry
-    (unparseable, or a reply without text) is treated as a miss and
-    replaced.  ``hits`` counts the replies replayed and ``misses`` the
-    replies fetched from ``inner`` and recorded.
+    One file per cache key, ``store_path/<2-hex>/<digest>.json``, holding
+    one compact JSON object: the canonicalized request and the verbatim
+    reply, the record of one call.  A hit is one read of that file.  A miss
+    asks ``inner`` and writes the entry through a temp file and
+    ``os.replace``, so concurrent writers can never leave a torn entry.  A
+    corrupt entry (unparseable, or a reply without text) is treated as a
+    miss and replaced.  Entries written in the older indented layout are
+    read as they are.  ``hits`` counts the replies replayed and ``misses``
+    the replies fetched from ``inner`` and recorded.
 
     Note: cache keys cover the logical request (the image *reference*,
     not its bytes); editing an image in place under the same path will
@@ -590,8 +598,8 @@ class CachingBackend(Backend):
 
     def __init__(self, inner: Backend, store_path: str | Path):
         self.inner = inner
-        self.store = Path(store_path)
-        self.store.mkdir(parents=True, exist_ok=True)
+        self.store = os.fspath(store_path)
+        os.makedirs(self.store, exist_ok=True)
         self.model_name = inner.model_name
         self.hits = 0
         self.misses = 0
@@ -600,14 +608,11 @@ class CachingBackend(Backend):
     def close(self) -> None:
         self.inner.close()
 
-    def _entry_path(self, key: str) -> Path:
-        return self.store / key[:2] / f"{key}.json"
-
     def invoke(self, request: ModelRequest) -> ModelReply:
         key = cache_key(self.inner.model_name, request)
-        path = self._entry_path(key)
+        path = f"{self.store}/{key[:2]}/{key}.json"
         try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
+            entry = json.loads(read_bytes(path))
             reply = ModelReply(**entry["reply"])
             if not isinstance(reply.text, str):
                 raise TypeError(f"reply text is {reply.text!r}")
@@ -620,19 +625,16 @@ class CachingBackend(Backend):
                 self.hits += 1
             return reply
         reply = self.inner.invoke(request)
-        self._write_entry(path, key, request, reply)
-        with self._count_lock:
-            self.misses += 1
-        return reply
-
-    def _write_entry(self, path: Path, key: str, request: ModelRequest, reply: ModelReply):
         entry = {
             "key": key,
             "model": self.inner.model_name,
-            "request": asdict(request),
-            "reply": asdict(reply),
+            "request": vars(request),
+            "reply": vars(reply),
         }
-        write_text_atomic(path, json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2))
+        write_text_atomic(path, compact_json(entry) + "\n")
+        with self._count_lock:
+            self.misses += 1
+        return reply
 
 
 # ---------------------------------------------------------------------------

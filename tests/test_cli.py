@@ -179,13 +179,21 @@ class TestPipeline:
         out = workdir["out"]
         assert (out / "config.json").exists()
         assert (out / "corpus.jsonl").exists()
-        assert len(list((out / "samples").glob("*.json"))) == 10
-        assert len(list((out / "clusters").glob("*.json"))) == 10
+        for name in ("samples", "clusters"):  # one compact JSON object per record
+            records = list((out / name).glob("*.json"))
+            assert len(records) == 10
+            for path in records:
+                text = path.read_text(encoding="utf-8")
+                assert text == json.dumps(
+                    json.loads(text), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+                ) + "\n"
         assert (out / "grades" / "grades.jsonl").exists()
         reports = out / "reports"
         for name in ("report.json", "cost.json", "outcomes.jsonl", "curve.csv",
                      "summary.txt", "sankey-0.6.csv", "sankey-0.3.csv"):
             assert (reports / name).exists(), name
+        for path in (out / "config.json", reports / "report.json", reports / "cost.json"):
+            assert path.read_text().startswith("{\n  "), path  # indented for reading
 
     def test_report_numbers_and_echo(self, workdir, capsys):
         run_pipeline(workdir)
@@ -419,6 +427,53 @@ class TestResumability:
         assert main(["cluster", *base_args(workdir)]) == EXIT_OK
         assert "(1 new, 9 already complete)" in capsys.readouterr().out
         assert path.read_bytes() == whole
+
+    def test_replay_rewrites_nothing(self, workdir):
+        run_pipeline(workdir)
+        files = sorted(path for path in workdir["out"].rglob("*") if path.is_file())
+        for path in files:  # an old time, so that any rewrite shows
+            os.utime(path, ns=(10**18, 10**18))
+        for stage in ("sample", "cluster", "grade"):
+            assert main([stage, "--force", *base_args(workdir)]) == EXIT_OK
+        assert main(["report", *base_args(workdir)]) == EXIT_OK
+        assert sorted(path for path in workdir["out"].rglob("*") if path.is_file()) == files
+        rewritten = [str(path) for path in files if path.stat().st_mtime_ns != 10**18]
+        assert rewritten == []
+
+    def test_torn_sample_record_is_named_and_redone(self, workdir, capsys):
+        run_pipeline(workdir)
+        path = workdir["out"] / "samples" / "q-q03.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        capsys.readouterr()
+        assert main(["report", *base_args(workdir)]) == EXIT_INCOMPLETE
+        assert "stale samples for 1 question(s): q03;" in capsys.readouterr().err
+        assert main(["sample", *base_args(workdir)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "(1 new, 9 already complete) into "
+            f"{workdir['out'] / 'samples'}; 0 model call(s) sent, 16 replayed from the cache\n"
+        )
+        assert path.read_bytes() == whole
+
+    def test_records_and_entries_in_the_indented_layout_still_load(self, workdir, capsys):
+        # the layout records and cache entries were written in before they became compact
+        run_pipeline(workdir)
+        out = workdir["out"]
+        for name in ("samples", "clusters", "cache"):
+            for path in (out / name).rglob("*.json"):
+                value = json.loads(path.read_text(encoding="utf-8"))
+                text = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
+                path.write_text(text + ("\n" if name != "cache" else ""), encoding="utf-8")
+        before = stage_files(out)
+        capsys.readouterr()
+        assert main(["sample", *base_args(workdir)]) == EXIT_OK
+        assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert all("(0 new, 10 already complete)" in line for line in lines), lines
+        assert stage_files(out) == before
+        assert main(["cluster", "--force", *base_args(workdir)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 661 replayed from the cache\n")
+        assert main(["report", *base_args(workdir)]) == EXIT_OK
 
     def test_config_merge_prefers_stored_over_default(self, workdir):
         args = base_args(workdir)

@@ -25,6 +25,9 @@ from entropygate.errors import (
     CorpusFormatError,
     GradingError,
     UnknownQuestionIdsError,
+    read_bytes,
+    read_record,
+    write_record,
     write_text_atomic,
 )
 from entropygate.gateway import MockBackend
@@ -115,6 +118,43 @@ class TestWriteTextAtomic:
         with pytest.raises(OSError, match="disk full"):
             write_text_atomic(tmp_path / "a.json", "{}")
         assert list(tmp_path.iterdir()) == []
+
+    def test_unchanged_content_is_not_rewritten(self, tmp_path):
+        path = tmp_path / "sub" / "a.json"
+        write_text_atomic(path, "{}\n")
+        os.utime(path, ns=(10**18, 10**18))
+        write_text_atomic(path, "{}\n")
+        assert path.stat().st_mtime_ns == 10**18
+        write_text_atomic(path, "{}")  # a prefix of the content is a change
+        assert path.read_bytes() == b"{}"
+        assert [p.name for p in path.parent.iterdir()] == ["a.json"]
+
+
+class TestRecords:
+    def test_compact_in_place_and_unchanged_not_rewritten(self, tmp_path):
+        path = tmp_path / "samples" / "q-1.json"
+        record = {"text": "é", "b": [1.5, None], "a": 1}
+        write_record(path, record)
+        assert path.read_text(encoding="utf-8") == '{"a":1,"b":[1.5,null],"text":"é"}\n'
+        assert read_record(path) == record
+        os.utime(path, ns=(10**18, 10**18))
+        write_record(path, record)
+        assert path.stat().st_mtime_ns == 10**18
+        write_record(path, {**record, "a": 2})
+        assert read_record(path)["a"] == 2
+        assert [p.name for p in path.parent.iterdir()] == ["q-1.json"]
+
+    def test_indented_record_still_reads(self, tmp_path):
+        path = tmp_path / "q-1.json"
+        path.write_text(json.dumps({"k": 15, "samples": ["ct"]}, indent=2) + "\n")
+        assert read_record(path) == {"k": 15, "samples": ["ct"]}
+
+    @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16])
+    def test_read_bytes_reads_the_whole_file(self, tmp_path, size):
+        path = tmp_path / "blob"
+        data = os.urandom(size)
+        path.write_bytes(data)
+        assert read_bytes(path) == data
 
 
 class TestVqaMedAdapter:

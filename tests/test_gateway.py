@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -386,9 +386,30 @@ class TestCachingBackend:
         key = cache_key("counting", request)
         path = tmp_path / "cache" / key[:2] / f"{key}.json"
         assert path.exists()
-        entry = json.loads(path.read_text())
+        text = path.read_text()
+        entry = json.loads(text)
         assert entry["key"] == key
         assert entry["reply"]["text"] == "hello"
+        # one compact JSON object with sorted keys, on one line
+        assert text == json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_indented_entry_is_a_hit(self, tmp_path):
+        # the layout entries were written in before they became compact
+        request = make_request(image_ref="images/x.png")
+        reply = ModelReply(text="ct ü", tokens_in=5, tokens_out=2, latency_ms=1.5,
+                           fingerprint="counting", estimated_tokens=True)
+        key = cache_key("counting", request)
+        entry = {"key": key, "model": "counting", "request": asdict(request),
+                 "reply": asdict(reply)}
+        path = tmp_path / "cache" / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True)
+        indented = json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2)
+        path.write_text(indented, encoding="utf-8")
+        inner = CountingBackend()
+        backend = CachingBackend(inner, tmp_path / "cache")
+        assert backend.invoke(request) == reply
+        assert (inner.calls, backend.misses, backend.hits) == (0, 0, 1)
+        assert path.read_text(encoding="utf-8") == indented
 
     def test_corrupt_entry_refetched_and_replaced(self, tmp_path):
         inner = CountingBackend()
@@ -430,6 +451,38 @@ class TestCachingBackend:
 
 
 class TestCacheKey:
+    # sha256 digests of the canonical requests, pinned so that every
+    # existing cache keeps replaying: a change here makes each entry miss.
+    @pytest.mark.parametrize(
+        "request_fields,digest",
+        [
+            (
+                dict(question_id="q-ü 7", role=ROLE_SAMPLE, ordinal=14, temperature=1.0,
+                     question="What imaging modality is shown? «CT»",
+                     image_ref="images/synpic 100.png"),
+                "736a6a8a9c596bfc7bd3a3a44d6c41b6a8b18198a7dc3d87adca9730b69d23bc",
+            ),
+            (
+                dict(question_id="q07", role=ROLE_BASELINE, ordinal=0, temperature=0.1,
+                     question="Which plane is this image taken in?"),
+                "bacc6f30a0eccb3e871e5c915cac5861d77c7109f783b42fb422c8daf19793d4",
+            ),
+            (
+                dict(question_id="q07", role=ROLE_JUDGE, ordinal=2, temperature=0.0,
+                     context="Which plane?", premise="axial CT with contrast", hypothesis="CT"),
+                "d1215038d18705ab5b73ecf17709c915e1a567d1e09ff173f986a776da7d40c8",
+            ),
+            (
+                dict(question_id="q07", role=ROLE_GRADE, ordinal=0, temperature=0.0,
+                     question="Which plane?", premise="axial", hypothesis="Axial plane."),
+                "302f80f9a47df8aa2d34dcb4337492a2f36c44c10da73c0ee611fe92a2cf154c",
+            ),
+        ],
+        ids=[ROLE_SAMPLE, ROLE_BASELINE, ROLE_JUDGE, ROLE_GRADE],
+    )
+    def test_digest_is_pinned(self, request_fields, digest):
+        assert cache_key("gpt-4o", ModelRequest(**request_fields)) == digest
+
     def test_stable_and_sensitive(self):
         a = cache_key("m", make_request())
         b = cache_key("m", make_request())
