@@ -26,10 +26,10 @@ model call of the questions with no current record (all of them under
 calls are done, so interrupting a stage keeps every finished question;
 behind the record/replay cache, the calls of unfinished ones that
 completed are not paid for again.  ``grade`` writes ``grades.jsonl`` when
-it ends, finished or interrupted, with its ``--import`` overrides applied;
-an earlier override stays until its question is regraded (``--force``, or
-a new baseline answer).  Exit codes: 0 success, else the ``exit_code`` of
-the error that stopped the stage (``errors.EXIT_*``).
+it ends, finished or interrupted.  An ``--import`` line is its question's
+grade, with no call, until the question is regraded (by ``--force``
+without that line, or for a new baseline answer).  Exit codes: 0 success,
+else the ``exit_code`` of the error that stopped the stage (``errors.EXIT_*``).
 """
 
 from __future__ import annotations
@@ -495,14 +495,20 @@ def cmd_grade(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    overrides = {}
+    imported = {}
     if args.import_file:  # read before any grading call, so a bad file costs nothing
-        ids = [item.id for item in items]
-        overrides = _read_input(
-            "grade file", args.import_file, lambda p: corpus.import_grades(p, ids)
-        )
+        read = functools.partial(corpus.import_grades, known_ids=[item.id for item in items])
+        imported = _read_input("grade file", args.import_file, read)
     grades = _load_grades(config, sample_records)
+    for item in items:
+        if item.id in imported:  # a grade of the current baseline answer
+            answer = sample_records[item.id]["baseline"]["text"]
+            grade = corpus.GradedAnswer(
+                item.id, answer, item.reference, imported[item.id], corpus.GRADER_IMPORTED
+            )
+            grades[item.id] = asdict(grade)
     todo = _todo(args, items, lambda item: grades.get(item.id))
+    todo = [item for item in todo if item.id not in imported]
     backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -520,8 +526,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
     try:
         return _run_stage(config, "grade", items, todo, job, backend)
     finally:  # also on Ctrl-C, so every finished grade is kept
-        for qid in overrides.keys() & grades.keys():
-            grades[qid] |= {"correct": overrides[qid], "grader": corpus.GRADER_IMPORTED}
         lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
         write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
 
@@ -797,6 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # built once, a parent of each subcommand
+    _add_common(common)
 
     specs = [
         ("sample", cmd_sample, "draw k sampled answers plus the served baseline answer"),
@@ -807,8 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cost", cmd_cost, "recompute the token cost and latency estimate"),
     ]
     for name, func, help_text in specs:
-        sub = commands.add_parser(name, help=help_text)
-        _add_common(sub)
+        sub = commands.add_parser(name, help=help_text, parents=[common])
         if name in ("sample", "cluster", "grade"):
             sub.add_argument("--force", action="store_true",
                             help="recompute even where outputs already exist")

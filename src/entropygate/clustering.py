@@ -221,8 +221,8 @@ def judging_job(
     Each pair (i, j) of ``required_checks`` is keyed by its two texts, so
     pairs with identical texts share one judge call.  The verdicts, with
     the pair's indices, give the matrix and the partition under ``policy``
-    for ``done(partition, matrix)``.  Raises ``JudgingError`` listing the
-    pairs whose call failed after the backend's retries.
+    for ``done(partition, matrix)``.  Raises ``JudgingError`` with the pairs
+    whose call failed after the backend's retries, and their first error.
     """
 
     def call(texts: tuple[str, str]) -> EntailmentVerdict:
@@ -230,7 +230,7 @@ def judging_job(
 
     def finish(results: dict, errors: dict) -> None:
         if errors:
-            raise JudgingError(list(errors))
+            raise JudgingError(list(errors), next(iter(errors.values())))
         verdicts = {
             (i, j): EntailmentVerdict(
                 i, j, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_text_atomic
-from .gateway import ROLE_GRADE, Backend, BackendError, ModelRequest, parse_yes_no_reply
+from .gateway import ROLE_GRADE, Backend, BackendError, ask, parse_yes_no_reply
 
 log = logging.getLogger(__name__)
 
@@ -342,8 +342,10 @@ def grade(
     ``normalized-exact`` requires the normalized strings to match;
     ``normalized-containment`` also accepts the normalized reference
     appearing inside the normalized answer (or the reverse); and
-    ``model-judge`` asks a yes/no question of the given backend, raising
-    ``GradingError`` on backend failure or an unparseable reply.
+    ``model-judge`` asks a yes/no question of the given backend through
+    ``gateway.ask`` (an unparseable reply is asked again, as the judge's
+    is), raising ``GradingError`` on backend failure or when no reply
+    parses.
     """
     if grader == GRADER_EXACT:
         correct = normalize_text(answer) == normalize_text(item.reference)
@@ -354,25 +356,17 @@ def grade(
     elif grader == GRADER_MODEL:
         if backend is None:
             raise ValueError("model-judge grading requires a backend")
-        request = ModelRequest(
-            question_id=item.id,
-            role=ROLE_GRADE,
-            ordinal=0,
-            temperature=0.0,
-            question=item.question,
-            premise=item.reference,
-            hypothesis=answer,
-        )
         try:
-            reply = backend.invoke(request)
+            correct, reply, *_ = ask(
+                backend, parse_yes_no_reply, question_id=item.id, role=ROLE_GRADE,
+                temperature=0.0, question=item.question, premise=item.reference, hypothesis=answer,
+            )
         except BackendError as exc:
             raise GradingError(f"grading failed for question {item.id!r}: {exc}") from exc
-        verdict = parse_yes_no_reply(reply.text)
-        if verdict is None:
+        if correct is None:
             raise GradingError(
                 f"grading failed for question {item.id!r}: unparseable reply {reply.text!r}"
             )
-        correct = verdict
     else:
         raise ValueError(f"unknown grader {grader!r}")
     return GradedAnswer(

@@ -42,26 +42,30 @@ class BackendError(EntropyGateError):
     exit_code = EXIT_BACKEND
 
 
+def _first_error(error) -> str:  # the first failed call's error, if given
+    return f"; first error: {error}" if error is not None else ""
+
+
 class SamplingIncompleteError(BackendError):
     """Some of the requested answer samples could not be obtained."""
 
-    def __init__(self, question_id, missing_ordinals):
+    def __init__(self, question_id, missing_ordinals, error=None):
         self.question_id = question_id
         self.missing_ordinals = sorted(missing_ordinals)
         super().__init__(
             f"sampling incomplete for question {question_id!r}: "
-            f"missing ordinals {self.missing_ordinals}"
+            f"missing ordinals {self.missing_ordinals}{_first_error(error)}"
         )
 
 
 class JudgingError(BackendError):
     """Entailment judging failed for one or more pairs."""
 
-    def __init__(self, failed_pairs):
+    def __init__(self, failed_pairs, error=None):
         self.failed_pairs = sorted(failed_pairs)
         super().__init__(
             f"entailment judging failed for {len(self.failed_pairs)} pair(s): "
-            f"{self.failed_pairs[:10]}"
+            f"{self.failed_pairs[:10]}{_first_error(error)}"
         )
 
 

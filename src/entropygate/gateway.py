@@ -60,8 +60,8 @@ ROLE_GRADE = "grade"
 _CHARS_PER_TOKEN = 4
 _TOKENS_PER_IMAGE = 765
 
-# Unparseable judge replies are asked again this many times.
-_JUDGE_PARSE_RETRIES = 2
+# Unparseable judge and grade replies are asked again this many times.
+_PARSE_RETRIES = 2
 
 # HTTP retry policy: attempts, full-jitter backoff bounds, per-attempt timeout.
 _HTTP_ATTEMPTS = 5
@@ -187,17 +187,22 @@ _NO_ENTAIL_TOKENS = {
 }
 
 
+def _reply_token(text: str) -> str:
+    """``text`` trimmed of whitespace and terminal punctuation, casefolded,
+    with inner whitespace runs as single hyphens."""
+    token = text.strip().strip(".,;:!?\"'").casefold()
+    return "-".join(token.split())
+
+
 def parse_entailment_reply(text: str) -> str | None:
     """Deterministic parse of a judge reply into an entailment label.
 
-    Rule: strip whitespace and terminal punctuation, casefold, collapse
-    internal whitespace to single hyphens, then look the token up in a
-    closed set.  Returns ``None`` when the reply is not parseable; callers
+    Rule: normalize the reply (``_reply_token``), then look the token up in
+    a closed set.  Returns ``None`` when the reply is not parseable; callers
     retry and finally fall back to "does-not-entail" (conservative: splits
     rather than merges clusters, raising entropy and favoring rejection).
     """
-    token = text.strip().strip(".,;:!?\"'").casefold()
-    token = "-".join(token.split())
+    token = _reply_token(text)
     if token in _ENTAIL_TOKENS:
         return LABEL_ENTAILS
     if token in _NO_ENTAIL_TOKENS:
@@ -215,18 +220,34 @@ def parse_yes_no_reply(text: str) -> bool | None:
     The whole reply is matched first so that "not equivalent" reads as no;
     failing that, a leading yes/no is honored ("Yes, the answers match.").
     """
-    token = text.strip().strip(".,;:!?\"'").casefold()
-    token = "-".join(token.split())
-    if token in _YES_TOKENS:
-        return True
-    if token in _NO_TOKENS:
-        return False
-    words = [part.strip(".,;:!?\"'") for part in token.split("-")]
-    if words and words[0] in _YES_TOKENS:
-        return True
-    if words and words[0] in _NO_TOKENS:
-        return False
+    token = _reply_token(text)
+    for word in (token, token.split("-")[0].strip(".,;:!?\"'")):
+        if word in _YES_TOKENS:
+            return True
+        if word in _NO_TOKENS:
+            return False
     return None
+
+
+def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
+    """Send ``ModelRequest(ordinal=n, **request_fields)`` for n = 0, 1, ...,
+    ``_PARSE_RETRIES`` until ``parse`` reads a reply as other than None: a
+    bumped ordinal is a new request, which a cache does not answer with the
+    bad reply.  Returns (the parsed value or None, the last reply, and the
+    tokens in, tokens out and latency summed over the calls, a missing
+    count as 0).  A failed call propagates as ``BackendError``.
+    """
+    tokens_in = tokens_out = 0
+    latency_ms = 0.0
+    for ordinal in range(_PARSE_RETRIES + 1):
+        reply = backend.invoke(ModelRequest(ordinal=ordinal, **request_fields))
+        tokens_in += reply.tokens_in or 0
+        tokens_out += reply.tokens_out or 0
+        latency_ms += reply.latency_ms
+        value = parse(reply.text)
+        if value is not None:
+            break
+    return value, reply, tokens_in, tokens_out, latency_ms
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +673,8 @@ def sampling_job(
     ``draws`` maps each role to (count, temperature); ordinals 0..count-1
     are the repeat nonce that keeps draws apart in the cache.  ``done``
     gets each role's answers in ordinal order.  If a call failed after the
-    backend's retries, raises ``SamplingIncompleteError`` listing the
-    failed ordinals of the first role in ``draws`` that has any.
+    backend's retries, raises ``SamplingIncompleteError`` with the failed
+    ordinals of the first role in ``draws`` that has any, and their first error.
     """
 
     def call(slot: tuple[str, int]) -> AnswerSample:
@@ -684,7 +705,7 @@ def sampling_job(
         for role in draws:
             missing = [ordinal for r, ordinal in errors if r == role]
             if missing:
-                raise SamplingIncompleteError(item.id, missing)
+                raise SamplingIncompleteError(item.id, missing, errors[role, missing[0]])
         done({
             role: [results[(role, ordinal)] for ordinal in range(count)]
             for role, (count, _) in draws.items()
@@ -732,51 +753,24 @@ def judge_entailment(
 
     Judging runs at temperature 0 (the lowest the API supports) for
     determinism, on the texts alone; an empty answer is judged like any
-    other text.  An unparseable reply is retried with a bumped ordinal
-    nonce (so caches don't replay the same bad reply) up to
-    ``_JUDGE_PARSE_RETRIES`` times, then conservatively mapped to
-    "does-not-entail" with a warning.  Transport failure after the
-    backend's retries propagates as ``BackendError``.  The verdict's
-    indices are placeholders (0, 1); ``clustering.judging_job`` sets the
-    pair's.
+    other text.  Asked through ``ask``: an unparseable reply is asked
+    again, then conservatively mapped to "does-not-entail" with a warning.
+    Transport failure after the backend's retries propagates as
+    ``BackendError``.  The verdict's indices are placeholders (0, 1);
+    ``clustering.judging_job`` sets the pair's.
     """
-    reply = None
-    tokens_in = 0
-    tokens_out = 0
-    latency_total = 0.0
-    for attempt in range(_JUDGE_PARSE_RETRIES + 1):
-        request = ModelRequest(
-            question_id=question_id,
-            role=ROLE_JUDGE,
-            ordinal=attempt,
-            temperature=0.0,
-            context=context,
-            premise=premise,
-            hypothesis=hypothesis,
-        )
-        reply = backend.invoke(request)
-        tokens_in += reply.tokens_in or 0
-        tokens_out += reply.tokens_out or 0
-        latency_total += reply.latency_ms
-        label = parse_entailment_reply(reply.text)
-        if label is not None:
-            break
-    else:
+    label, reply, tokens_in, tokens_out, latency_ms = ask(
+        backend, parse_entailment_reply, question_id=question_id, role=ROLE_JUDGE,
+        temperature=0.0, context=context, premise=premise, hypothesis=hypothesis,
+    )
+    if label is None:
         log.warning(
             "unparseable judge reply %r after %d attempt(s); recording does-not-entail",
-            reply.text if reply else "",
-            _JUDGE_PARSE_RETRIES + 1,
+            reply.text,
+            _PARSE_RETRIES + 1,
         )
         label = LABEL_NOT_ENTAILS
-    return EntailmentVerdict(
-        premise_index=0,
-        hypothesis_index=1,
-        label=label,
-        raw_judge_output=reply.text if reply else "",
-        tokens_in=tokens_in,
-        tokens_out=tokens_out,
-        latency_ms=latency_total,
-    )
+    return EntailmentVerdict(0, 1, label, reply.text, tokens_in, tokens_out, latency_ms)
 
 
 def entailment_judge(backend: Backend, question_id: str = ""):

@@ -352,6 +352,47 @@ class TestGradeImport:
             ("zzz", False, "normalized-exact")
         ] * 3
 
+    def test_import_settles_a_grade_the_model_cannot_give(self, tmp_path, capsys):
+        args = sampled_run(tmp_path, 3, "--grader", "model-judge")
+        script_path = tmp_path / "mock.json"
+        script = json.loads(script_path.read_text())
+        script["grades"]["q01"] = "maybe"
+        script_path.write_text(json.dumps(script))
+        assert main(["grade", *args]) == EXIT_BACKEND
+        assert "q01: grading failed for question 'q01': unparseable reply 'maybe'" in (
+            capsys.readouterr().err
+        )
+        script["grades"]["q01"] = "yes"  # the cache still replays the three replies
+        script_path.write_text(json.dumps(script))
+        assert main(["grade", *args]) == EXIT_BACKEND
+        assert "unparseable reply 'maybe'" in capsys.readouterr().err
+
+        settled = tmp_path / "settled.txt"
+        settled.write_text("q01 yes\n")
+        assert main(["grade", "--import", str(settled), *args]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(
+            "(0 new, 3 already complete) into "
+            f"{tmp_path / 'out' / 'grades' / 'grades.jsonl'}; "
+            "0 model call(s) sent, 0 replayed from the cache\n"
+        )
+        grades = read_grades(tmp_path)
+        assert [g["grader"] for g in grades] == ["model-judge", "imported", "model-judge"]
+        assert grades[1]["correct"] is True
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_imported_questions_get_no_grading_call(self, tmp_path, mock_calls, capsys, force):
+        args = sampled_run(tmp_path, 3, "--grader", "model-judge", "--no-cache")
+        overrides = tmp_path / "overrides.txt"
+        overrides.write_text("q00 no\nq02 no\n")
+        stage = ["grade", "--force"] if force else ["grade"]
+        assert main([*stage, "--import", str(overrides), *args]) == EXIT_OK
+        assert mock_calls["roles"][gateway.ROLE_GRADE] == 1
+        assert "graded 3 question(s) (1 new, 2 already complete)" in capsys.readouterr().out
+        grades = [(g["question_id"], g["grader"], g["correct"]) for g in read_grades(tmp_path)]
+        assert grades == [
+            ("q00", "imported", False), ("q01", "model-judge", True), ("q02", "imported", False)
+        ]
+
 
 class TestResumability:
     def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir, capsys):
@@ -735,6 +776,18 @@ def http_args(server, corpus_path, out, *extra):
             "--model", "m", "--api-key-env", "", *extra]
 
 
+def corpus_with_images(tmp_path, count) -> Path:
+    """A mock corpus whose questions name image files that exist."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    rows = make_mock_corpus(corpus_path, count=count)
+    with open(corpus_path, "w") as handle:
+        for index, row in enumerate(rows):
+            image = tmp_path / f"{index}.png"
+            image.write_bytes(b"\x89PNG\r\n\x1a\n")
+            handle.write(json.dumps({**row, "image": str(image)}) + "\n")
+    return corpus_path
+
+
 class TestHttpStage:
     def test_connections_are_kept_alive(self, tmp_path, completion_server, caplog, monkeypatch):
         caplog.set_level(logging.WARNING, logger="urllib3")
@@ -742,19 +795,26 @@ class TestHttpStage:
         close = gateway.HttpBackend.close
         monkeypatch.setattr(gateway.HttpBackend, "close",
                             lambda backend: closed.append(True) or close(backend))
-        corpus_path = tmp_path / "corpus.jsonl"
-        rows = make_mock_corpus(corpus_path, count=20)
-        with open(corpus_path, "w") as handle:
-            for index, row in enumerate(rows):
-                image = tmp_path / f"{index}.png"
-                image.write_bytes(b"\x89PNG\r\n\x1a\n")
-                handle.write(json.dumps({**row, "image": str(image)}) + "\n")
+        corpus_path = corpus_with_images(tmp_path, 20)
         args = http_args(completion_server, corpus_path, tmp_path / "out", "--concurrency", "12")
         assert main(args) == EXIT_OK
         assert completion_server.requests == 20 * 16
         assert completion_server.connections <= 12
         assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
         assert closed == [True]
+
+    def test_failure_lines_name_the_call_error(self, tmp_path, completion_server, monkeypatch,
+                                               capsys):
+        monkeypatch.delenv("NOPE_KEY", raising=False)
+        corpus_path = corpus_with_images(tmp_path, 2)
+        args = http_args(completion_server, corpus_path, tmp_path / "out", "--k", "1",
+                         "--api-key-env", "NOPE_KEY")
+        assert main(args) == EXIT_BACKEND
+        err = capsys.readouterr().err
+        for qid in ("q00", "q01"):
+            assert (f"  {qid}: sampling incomplete for question '{qid}': missing ordinals [0]; "
+                    "first error: API key environment variable 'NOPE_KEY' is not set") in err
+        assert completion_server.requests == 0
 
     def test_every_missing_image_is_named_before_any_call(self, tmp_path, completion_server, capsys):
         corpus_path = tmp_path / "corpus.jsonl"

@@ -215,6 +215,7 @@ class TestClusterAnswers:
 
         with pytest.raises(JudgingError, match="entailment judging failed") as excinfo:
             cluster_answers(samples, flaky, context="q")
+        assert str(excinfo.value).endswith("[(1, 2), (2, 0)]; first error: down")
         assert excinfo.value.failed_pairs == sorted(fail_on)
 
     def test_rerun_over_cache_repeats_only_the_failed_pair(self, tmp_path):

@@ -30,7 +30,23 @@ from entropygate.errors import (
     write_record,
     write_text_atomic,
 )
-from entropygate.gateway import MockBackend
+from entropygate.gateway import ROLE_GRADE, Backend, MockBackend, ModelReply
+
+
+class ScriptedGrader(Backend):
+    """Replies ``replies[ordinal]`` to grade requests (the last one past
+    its end) and records the ordinals asked."""
+
+    def __init__(self, *replies):
+        super().__init__()
+        self.replies = replies
+        self.ordinals = []
+
+    def invoke(self, request):
+        assert request.role == ROLE_GRADE and request.temperature == 0.0
+        self.ordinals.append(request.ordinal)
+        text = self.replies[min(request.ordinal, len(self.replies) - 1)]
+        return ModelReply(text=text, tokens_in=5, tokens_out=1, latency_ms=2.0, fingerprint="g")
 
 
 def make_item(**overrides) -> ImageQuestion:
@@ -306,6 +322,19 @@ class TestGrade:
         backend = MockBackend(grade_replies={"q1": "hmm"})
         with pytest.raises(GradingError):
             grade(make_item(), "x", GRADER_MODEL, backend=backend)
+
+    def test_model_judge_asks_again_after_an_unparseable_reply(self):
+        backend = ScriptedGrader("maybe", "No.")
+        result = grade(make_item(), "mri", GRADER_MODEL, backend=backend)
+        assert backend.ordinals == [0, 1]
+        assert result.correct is False
+        assert result.grader == GRADER_MODEL
+
+    def test_model_judge_asks_three_times_then_raises(self):
+        backend = ScriptedGrader("maybe")
+        with pytest.raises(GradingError, match="unparseable reply 'maybe'"):
+            grade(make_item(), "x", GRADER_MODEL, backend=backend)
+        assert backend.ordinals == [0, 1, 2]
 
     def test_unknown_grader(self):
         with pytest.raises(ValueError, match="unknown grader"):
