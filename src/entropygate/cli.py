@@ -40,6 +40,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -258,6 +259,8 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
             "mock script", config.mock_script, gateway.MockBackend.from_script
         )
     elif config.endpoint_url and config.model:
+        if config.api_key_env and config.api_key_env not in os.environ:
+            raise UsageError(f"API key environment variable {config.api_key_env!r} is not set")
         backend = gateway.HttpBackend(
             gateway.BackendConfig(
                 endpoint_url=config.endpoint_url,

@@ -156,8 +156,11 @@ def cache_key(model_name: str, request: ModelRequest) -> str:
 class Backend:
     """Minimal backend interface: one synchronous ``invoke`` per request.
 
-    Implementations must be safe to share across threads.  ``close``
-    releases held connections; the backend is not used afterwards.
+    Implementations must be safe to share across threads.  The scheduler
+    runs ``invoke`` under its run lock, one worker at a time, so a backend
+    that blocks on I/O wraps the wait in ``scheduler.waiting()`` to let the
+    other calls proceed.  ``close`` releases held connections; the backend
+    is not used afterwards.
     """
 
     model_name: str = "backend"
@@ -323,16 +326,19 @@ class HttpBackend(Backend):
 
         for attempt in range(_HTTP_ATTEMPTS):
             if attempt:
-                self._sleep(self._backoff(attempt))
-            started = time.perf_counter()
+                pause = self._backoff(attempt)
+                with scheduler.waiting():
+                    self._sleep(pause)
             try:
-                status, body = self._transport(
-                    self.config.endpoint_url, headers, payload, _REQUEST_TIMEOUT_S
-                )
+                with scheduler.waiting():
+                    started = time.perf_counter()
+                    status, body = self._transport(
+                        self.config.endpoint_url, headers, payload, _REQUEST_TIMEOUT_S
+                    )
+                    latency_ms = (time.perf_counter() - started) * 1000.0
             except (ConnectionError, TimeoutError, OSError) as exc:
                 last_error = f"transport error: {exc}"
                 continue
-            latency_ms = (time.perf_counter() - started) * 1000.0
             if status in _RETRYABLE_STATUS:
                 last_error = f"HTTP {status}"
                 continue

@@ -551,7 +551,8 @@ class TestResumability:
 @pytest.fixture
 def mock_calls(monkeypatch):
     """Counts MockBackend calls by role and the most in flight at once;
-    set ``delay_s`` to hold each call open."""
+    set ``delay_s`` to hold each call open, as a backend that waits on the
+    network would (inside ``scheduler.waiting()``)."""
     lock = threading.Lock()
     stats = {"delay_s": 0.0, "in_flight": 0, "peak": 0, "roles": {}}
     original = gateway.MockBackend.invoke
@@ -562,7 +563,8 @@ def mock_calls(monkeypatch):
             stats["peak"] = max(stats["peak"], stats["in_flight"])
             stats["roles"][request.role] = stats["roles"].get(request.role, 0) + 1
         try:
-            time.sleep(stats["delay_s"])
+            with scheduler.waiting():
+                time.sleep(stats["delay_s"])
             return original(backend, request)
         finally:
             with lock:
@@ -626,8 +628,11 @@ class TestScheduler:
             def finish(results, errors):
                 finished.append((q, results, errors))
 
-            return Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, lambda key: 2 * key,
-                       finish)
+            return Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, call, finish)
+
+        def call(key):
+            with scheduler.waiting():  # hands the run lock to another worker
+                return 2 * key
 
         def run():
             outcome["value"] = run_jobs(8, map(job, range(300)))
@@ -645,6 +650,61 @@ class TestScheduler:
         assert sorted(q for q, _, _ in finished) == list(range(300))
         want = {slot: 2 * (slot % 7) for slot in range(30)}
         assert all(results == want and not errors for _, results, errors in finished)
+
+    def test_errors_raised_while_waiting_fail_only_their_jobs(self):
+        def call(key):
+            with scheduler.waiting():
+                time.sleep(0.001)
+                if key % 3 == 0:
+                    raise BackendError(f"call {key} failed")
+            return key
+
+        def finish(results, errors):
+            if errors:
+                raise errors[0]
+
+        outcome = {}
+        jobs = [Job(f"q{q:02d}", {0: q}, call, finish) for q in range(20)]
+        runner = threading.Thread(target=lambda: outcome.update(value=run_jobs(4, jobs)),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        done, failures = outcome["value"]
+        assert done == 20 - 7
+        assert [(qid, str(exc)) for qid, exc in failures] == [
+            (f"q{q:02d}", f"call {q} failed") for q in range(0, 20, 3)
+        ]
+
+    def test_waiting_is_a_no_op_outside_the_pool_and_when_nested(self):
+        with scheduler.waiting():
+            pass
+
+        def call(key):
+            with scheduler.waiting():
+                with scheduler.waiting():
+                    return key
+
+        assert run_jobs(1, [Job("q00", {0: 0}, call, lambda results, errors: None)]) == (1, [])
+
+    def test_warm_replay_costs_no_more_cpu_at_more_workers(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        make_mock_script(script_path, make_mock_corpus(corpus_path, count=40))
+        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path)]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        assert main(["cluster", *args]) == EXIT_OK
+
+        # Back-to-back runs in alternating order: the load of a shared host
+        # moves both settings alike, and the totals even out single runs.
+        for stage, pairs in (("sample", 9), ("cluster", 5)):
+            cpu = {"1": 0.0, "4": 0.0}
+            for pair in range(pairs):
+                for concurrency in ("1", "4") if pair % 2 else ("4", "1"):
+                    started = time.process_time()
+                    assert main([stage, "--force", "--concurrency", concurrency, *args]) == EXIT_OK
+                    cpu[concurrency] += time.process_time() - started
+            assert cpu["4"] <= 1.25 * cpu["1"], (stage, cpu)
 
     def test_calls_in_flight_reach_concurrency_and_never_exceed_it(self, workdir, mock_calls):
         mock_calls["delay_s"] = 0.005
@@ -727,7 +787,9 @@ class TestScheduler:
 
 
 class _CompletionHandler(BaseHTTPRequestHandler):
-    """Answers every chat completion with "ct"; counts connections and requests."""
+    """Holds each chat completion ``server.delay_s``, then answers "ct", or
+    an error body under ``server.status`` if that is not 200; counts
+    connections, requests and the most requests open at once."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -741,14 +803,24 @@ class _CompletionHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         self.rfile.read(int(self.headers["Content-Length"]))
-        with self.server.lock:
-            self.server.requests += 1
-        body = json.dumps({
-            "model": "m",
-            "choices": [{"message": {"role": "assistant", "content": "ct"}}],
-            "usage": {"prompt_tokens": 5, "completion_tokens": 1},
-        }).encode()
-        self.send_response(200)
+        server = self.server
+        with server.lock:
+            server.requests += 1
+            server.open += 1
+            server.peak_open = max(server.peak_open, server.open)
+        time.sleep(server.delay_s)
+        with server.lock:
+            server.open -= 1  # before the reply, so the client cannot send ahead of it
+        if server.status == 200:
+            reply = {
+                "model": "m",
+                "choices": [{"message": {"role": "assistant", "content": "ct"}}],
+                "usage": {"prompt_tokens": 5, "completion_tokens": 1},
+            }
+        else:
+            reply = {"error": {"message": "image too large"}}
+        body = json.dumps(reply).encode()
+        self.send_response(server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -760,8 +832,9 @@ def completion_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CompletionHandler)
     server.daemon_threads = True
     server.lock = threading.Lock()
-    server.connections = 0
-    server.requests = 0
+    server.status = 200
+    server.delay_s = 0.0
+    server.connections = server.requests = server.open = server.peak_open = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     server.url = f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
@@ -803,17 +876,37 @@ class TestHttpStage:
         assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
         assert closed == [True]
 
-    def test_failure_lines_name_the_call_error(self, tmp_path, completion_server, monkeypatch,
-                                               capsys):
-        monkeypatch.delenv("NOPE_KEY", raising=False)
+    def test_requests_open_reach_concurrency_and_never_exceed_it(self, tmp_path,
+                                                                 completion_server):
+        completion_server.delay_s = 0.02
+        corpus_path = corpus_with_images(tmp_path, 6)
+        args = http_args(completion_server, corpus_path, tmp_path / "out", "--k", "4",
+                         "--concurrency", "4")
+        assert main(args) == EXIT_OK
+        assert completion_server.requests == 6 * 5
+        assert completion_server.peak_open == 4
+
+    def test_failure_lines_name_the_call_error(self, tmp_path, completion_server, capsys):
+        completion_server.status = 400
         corpus_path = corpus_with_images(tmp_path, 2)
-        args = http_args(completion_server, corpus_path, tmp_path / "out", "--k", "1",
-                         "--api-key-env", "NOPE_KEY")
+        args = http_args(completion_server, corpus_path, tmp_path / "out", "--k", "1")
         assert main(args) == EXIT_BACKEND
         err = capsys.readouterr().err
         for qid in ("q00", "q01"):
             assert (f"  {qid}: sampling incomplete for question '{qid}': missing ordinals [0]; "
-                    "first error: API key environment variable 'NOPE_KEY' is not set") in err
+                    f"first error: HTTP 400 from {completion_server.url}: ") in err
+        assert "image too large" in err
+        assert completion_server.requests == 2 * 2  # a 400 is not retried
+
+    def test_unset_api_key_variable_is_usage_error_before_any_call(
+        self, tmp_path, completion_server, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("NOPE_KEY", raising=False)
+        corpus_path = corpus_with_images(tmp_path, 2)
+        args = http_args(completion_server, corpus_path, tmp_path / "out",
+                         "--api-key-env", "NOPE_KEY")
+        assert main(args) == EXIT_USAGE
+        assert "API key environment variable 'NOPE_KEY' is not set" in capsys.readouterr().err
         assert completion_server.requests == 0
 
     def test_every_missing_image_is_named_before_any_call(self, tmp_path, completion_server, capsys):
