@@ -15,6 +15,8 @@ entailment through a backend (``gateway``), assemble clusters
 pipeline with resumable on-disk stages.
 """
 
+__version__ = "0.1.0"  # before the imports: ``gateway`` sends it as its User-Agent
+
 from .entropy import (
     ClusterDistribution,
     EntropyValue,
@@ -91,8 +93,6 @@ from .errors import (
     SamplingIncompleteError,
     UnknownQuestionIdsError,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ClusterDistribution",

@@ -267,7 +267,6 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
                 model_name=config.model,
                 api_key_env=config.api_key_env,
             ),
-            max_connections=config.concurrency,
         )
     else:
         raise UsageError("no backend configured: pass --mock-script, or --endpoint plus --model")
@@ -302,7 +301,8 @@ _STAGES = {
 def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backend) -> int:
     """Run ``job(item)`` for every item of ``todo`` on one pool of
     ``--concurrency`` calls and close ``backend``; then exit 3 naming the
-    questions that failed, or print one summary line with the cache's counts."""
+    questions that failed, or print one summary line with the cache's
+    counts and any HTTP retries."""
     failed, verb, where = _STAGES[stage]
     try:
         done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
@@ -318,6 +318,10 @@ def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backen
     calls = ""
     if isinstance(backend, gateway.CachingBackend):
         calls = f"; {backend.misses} model call(s) sent, {backend.hits} replayed from the cache"
+    http = getattr(backend, "inner", backend)
+    if isinstance(http, gateway.HttpBackend) and http.retries:
+        retries = "retry" if http.retries == 1 else "retries"
+        calls += f"; {http.retries} HTTP {retries}, {http.backoff_s:.1f} s of backoff"
     print(
         f"{verb} {len(items)} question(s) ({done} new, "
         f"{len(items) - len(todo)} already complete) into {getattr(config, where)}{calls}"

@@ -2,10 +2,11 @@
 
 Three interchangeable backends sit behind one ``invoke`` interface:
 
-* ``HttpBackend``: a live chat-completions-style HTTP endpoint, with the
-  image embedded as a base64 data URL, five attempts with exponential
-  backoff + jitter, and the API key read from a named environment
-  variable (never from flags or files).
+* ``HttpBackend``: a live chat-completions-style HTTP endpoint over
+  keep-alive standard-library connections, with the image embedded as a
+  base64 data URL, five attempts with exponential backoff + jitter, and
+  the API key read from a named environment variable (never from flags
+  or files).
 * ``MockBackend``: scripted answers keyed by (question_id, role, ordinal)
   plus rule-based entailment judges (equality, equivalence classes,
   seeded random); drives every offline test.
@@ -21,6 +22,7 @@ digest over the canonical request rather than over transport bytes.
 from __future__ import annotations
 
 import base64
+import contextlib
 import functools
 import json
 import hashlib
@@ -29,16 +31,17 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from . import scheduler
+from . import __version__, scheduler
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
 from .errors import (
     BackendError,
     CorpusFormatError,
     SamplingIncompleteError,
+    UsageError,
     compact_json,
     read_bytes,
     write_text_atomic,
@@ -68,6 +71,7 @@ _HTTP_ATTEMPTS = 5
 _BACKOFF_BASE_S = 0.5
 _BACKOFF_CAP_S = 30.0
 _REQUEST_TIMEOUT_S = 120.0
+_USER_AGENT = f"entropygate/{__version__}"
 
 # Prompts rendered by the HTTP backend: this package's own, not a
 # reproduction of any particular deployment's prompts.
@@ -159,14 +163,18 @@ class Backend:
     Implementations must be safe to share across threads.  The scheduler
     runs ``invoke`` under its run lock, one worker at a time, so a backend
     that blocks on I/O wraps the wait in ``scheduler.waiting()`` to let the
-    other calls proceed.  ``close`` releases held connections; the backend
-    is not used afterwards.
+    other calls proceed.  ``forget`` drops any record kept of a request's
+    reply, which its caller could not use.  ``close`` releases held
+    connections; the backend is not used afterwards.
     """
 
     model_name: str = "backend"
 
     def invoke(self, request: ModelRequest) -> ModelReply:  # pragma: no cover
         raise NotImplementedError
+
+    def forget(self, request: ModelRequest) -> None:
+        pass
 
     def close(self) -> None:
         pass
@@ -236,20 +244,23 @@ def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
     """Send ``ModelRequest(ordinal=n, **request_fields)`` for n = 0, 1, ...,
     ``_PARSE_RETRIES`` until ``parse`` reads a reply as other than None: a
     bumped ordinal is a new request, which a cache does not answer with the
-    bad reply.  Returns (the parsed value or None, the last reply, and the
+    bad reply.  Each rejected reply is ``forget``-ed, so a rerun asks for it
+    again.  Returns (the parsed value or None, the last reply, and the
     tokens in, tokens out and latency summed over the calls, a missing
     count as 0).  A failed call propagates as ``BackendError``.
     """
     tokens_in = tokens_out = 0
     latency_ms = 0.0
     for ordinal in range(_PARSE_RETRIES + 1):
-        reply = backend.invoke(ModelRequest(ordinal=ordinal, **request_fields))
+        request = ModelRequest(ordinal=ordinal, **request_fields)
+        reply = backend.invoke(request)
         tokens_in += reply.tokens_in or 0
         tokens_out += reply.tokens_out or 0
         latency_ms += reply.latency_ms
         value = parse(reply.text)
         if value is not None:
             break
+        backend.forget(request)
     return value, reply, tokens_in, tokens_out, latency_ms
 
 
@@ -257,43 +268,132 @@ def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
 # Live HTTP backend
 # ---------------------------------------------------------------------------
 
-# transport(url, headers, payload, timeout) -> (status_code, parsed_json | text)
-Transport = Callable[[str, dict, dict, float], tuple[int, object]]
+# transport(url, headers, body, timeout) -> (status_code, parsed_json | text);
+# a failure to reach the endpoint raises ``ConnectionError``.
+Transport = Callable[[str, dict, bytes, float], tuple[int, object]]
 
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
 
-def _requests_session(max_connections: int):
-    """A keep-alive session whose pool holds ``max_connections`` per host."""
-    import requests
+class _ConnectionPool:
+    """The default ``Transport``: keep-alive ``http.client`` connections to
+    one endpoint, the ``url`` it is built for.
 
-    session = requests.Session()
-    adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_connections)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
+    A call takes an idle connection or opens one, and puts it back only
+    after it has read the whole response; a connection that raised is
+    closed.  So no more connections are open than calls in flight.  If a
+    reused connection fails before the response, the peer dropped it while
+    it was idle, and the request goes once more on a new connection.  A
+    connection opened by a call waits at most that call's ``timeout`` on
+    each socket operation.
 
+    The proxy, the TLS context and the request target are settled once,
+    here.  The proxy is ``urllib.request.getproxies()``' entry for the
+    URL's scheme, else ``all``, unless ``proxy_bypass`` (``NO_PROXY``)
+    exempts the host.  An http endpoint behind it gets an absolute-URI
+    request; an https endpoint is reached through a CONNECT tunnel.  TLS
+    verifies against the system trust store (OpenSSL reads
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``), or only against the bundle that
+    ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names.
+    """
 
-def _requests_transport(session, url: str, headers: dict, payload: dict, timeout: float):
-    import requests
+    def __init__(self, url: str):
+        import http.client
+        import ssl
+        import urllib.parse
+        import urllib.request
 
-    try:
-        response = session.post(url, headers=headers, json=payload, timeout=timeout)
-    except requests.RequestException as exc:
-        raise ConnectionError(str(exc)) from exc
-    try:
-        body = response.json()
-    except ValueError:
-        body = response.text
-    return response.status_code, body
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise UsageError(f"endpoint {url!r} is not an http:// or https:// URL")
+        https = parts.scheme == "https"
+        address = (parts.hostname, parts.port or (443 if https else 80))
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        self._proxy_headers: dict = {}  # sent with each request
+        self._tunnel = None  # set_tunnel's arguments
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if proxy and not urllib.request.proxy_bypass(parts.hostname):
+            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+                raise UsageError(f"proxy {proxy!r} is not an http:// URL")
+            headers = {}
+            if proxy_parts.username is not None:
+                credentials = ":".join(
+                    urllib.parse.unquote(part or "")
+                    for part in (proxy_parts.username, proxy_parts.password)
+                )
+                token = base64.b64encode(credentials.encode()).decode("ascii")
+                headers["Proxy-Authorization"] = f"Basic {token}"
+            if https:
+                self._tunnel = (*address, headers)
+            else:
+                self._target = parts._replace(fragment="").geturl()
+                self._proxy_headers = headers
+            address = (proxy_parts.hostname, proxy_parts.port or 80)
+        self._address = address
+        if https:
+            cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            context = ssl.create_default_context(cafile=cafile or None)
+            self._connection = functools.partial(http.client.HTTPSConnection, context=context)
+        else:
+            self._connection = http.client.HTTPConnection
+        self._errors = (OSError, http.client.HTTPException)
+        self._idle: list = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url: str, headers: dict, body: bytes, timeout: float):
+        if self._proxy_headers:
+            headers = {**headers, **self._proxy_headers}
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        try:
+            if connection is not None:
+                try:
+                    response = self._send(connection, headers, body)
+                except ConnectionError:  # dropped while idle; the retry costs no attempt
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = self._connection(*self._address, timeout=timeout)
+                if self._tunnel:
+                    connection.set_tunnel(*self._tunnel)
+                response = self._send(connection, headers, body)
+            data = response.read()
+        except BaseException as exc:
+            if connection is not None:
+                connection.close()
+            if isinstance(exc, self._errors):
+                raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+            raise
+        if not response.will_close:
+            with self._lock:
+                self._idle.append(connection)
+        try:
+            return response.status, json.loads(data)
+        except ValueError:
+            return response.status, data.decode("utf-8", "replace")
+
+    def _send(self, connection, headers: dict, body: bytes):
+        connection.request("POST", self._target, body, headers)
+        return connection.getresponse()
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 class HttpBackend(Backend):
     """Chat-completions HTTP client with retries and image inlining.
 
-    Without an injected ``transport`` it sends through one keep-alive
-    ``requests.Session`` whose pool holds ``max_connections`` connections:
-    at least as many as the calls the caller runs at once.
+    Without an injected ``transport`` it sends through a ``_ConnectionPool``
+    of keep-alive connections.  ``attempts`` counts the requests sent,
+    ``retries`` those after a call's first, and ``backoff_s`` the seconds
+    slept before them.
     """
 
     def __init__(
@@ -301,32 +401,38 @@ class HttpBackend(Backend):
         config: BackendConfig,
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
-        max_connections: int = 10,
     ):
         self.config = config
         self.model_name = config.model_name
-        self._session = None
+        self._pool = None
         if transport is None:
-            self._session = _requests_session(max_connections)
-            transport = functools.partial(_requests_transport, self._session)
+            transport = self._pool = _ConnectionPool(config.endpoint_url)
         self._transport = transport
         self._sleep = sleep
         self._jitter = random.Random()
+        self._last_body: tuple[ModelRequest | None, bytes] = (None, b"")
+        self._count_lock = threading.Lock()
+        self.attempts = self.retries = 0
+        self.backoff_s = 0.0
 
     def close(self) -> None:
-        if self._session is not None:
-            self._session.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         payload = self.build_payload(request)
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         api_key = self._api_key()
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
         for attempt in range(_HTTP_ATTEMPTS):
+            pause = self._backoff(attempt) if attempt else 0.0
+            with self._count_lock:
+                self.attempts += 1
+                self.retries += bool(attempt)
+                self.backoff_s += pause
             if attempt:
-                pause = self._backoff(attempt)
                 with scheduler.waiting():
                     self._sleep(pause)
             try:
@@ -363,7 +469,20 @@ class HttpBackend(Backend):
         ceiling = min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2 ** (attempt - 1))
         return self._jitter.uniform(0, ceiling)
 
-    def build_payload(self, request: ModelRequest) -> dict:
+    def build_payload(self, request: ModelRequest) -> bytes:
+        """The request's wire body: its chat-completions JSON, encoded.
+
+        Neither the question id nor the ordinal is on the wire, so the last
+        body rendered is kept, keyed by the request without them, and sent
+        again for the next request with that key.  The scheduler renders a
+        question's draws one after another, so each of its bodies (the
+        samples', with the image inlined, and the baseline's) is rendered
+        once.  One body, not more: each can hold a whole image.
+        """
+        key = replace(request, question_id="", ordinal=0)
+        last_key, body = self._last_body
+        if key == last_key:
+            return body
         if request.role in (ROLE_SAMPLE, ROLE_BASELINE):
             content: list | str
             text = _ANSWER_PROMPT.format(question=request.question)
@@ -384,7 +503,7 @@ class HttpBackend(Backend):
             )
         else:
             raise ValueError(f"unknown request role {request.role!r}")
-        return {
+        payload = {
             "model": self.config.model_name,
             "messages": [
                 {"role": "system", "content": _SYSTEM_PROMPT},
@@ -392,6 +511,9 @@ class HttpBackend(Backend):
             ],
             "temperature": request.temperature,
         }
+        body = json.dumps(payload, allow_nan=False).encode()
+        self._last_body = (key, body)
+        return body
 
     def _parse_reply(self, body, request: ModelRequest, latency_ms: float) -> ModelReply:
         try:
@@ -615,8 +737,9 @@ class CachingBackend(Backend):
     ``os.replace``, so concurrent writers can never leave a torn entry.  A
     corrupt entry (unparseable, or a reply without text) is treated as a
     miss and replaced.  Entries written in the older indented layout are
-    read as they are.  ``hits`` counts the replies replayed and ``misses``
-    the replies fetched from ``inner`` and recorded.
+    read as they are.  ``forget`` deletes an entry whose reply its caller
+    rejected, so that a rerun asks again.  ``hits`` counts the replies
+    replayed and ``misses`` the replies fetched from ``inner`` and recorded.
 
     Note: cache keys cover the logical request (the image *reference*,
     not its bytes); editing an image in place under the same path will
@@ -635,9 +758,16 @@ class CachingBackend(Backend):
     def close(self) -> None:
         self.inner.close()
 
+    def _path(self, key: str) -> str:
+        return f"{self.store}/{key[:2]}/{key}.json"
+
+    def forget(self, request: ModelRequest) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self._path(cache_key(self.inner.model_name, request)))
+
     def invoke(self, request: ModelRequest) -> ModelReply:
         key = cache_key(self.inner.model_name, request)
-        path = f"{self.store}/{key[:2]}/{key}.json"
+        path = self._path(key)
         try:
             entry = json.loads(read_bytes(path))
             reply = ModelReply(**entry["reply"])

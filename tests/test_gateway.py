@@ -201,14 +201,15 @@ class TestJudgeRules:
 
 
 class FakeTransport:
-    """Scripted (status, body) responses; records every request payload."""
+    """Scripted (status, body) responses; records every request, its JSON
+    body decoded as ``payload``."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
 
-    def __call__(self, url, headers, payload, timeout):
-        self.calls.append({"url": url, "headers": headers, "payload": payload})
+    def __call__(self, url, headers, body, timeout):
+        self.calls.append({"url": url, "headers": headers, "payload": json.loads(body)})
         response = self.responses.pop(0)
         if isinstance(response, Exception):
             raise response
@@ -360,7 +361,7 @@ class TestCachingBackend:
     def test_close_reaches_the_http_session(self, tmp_path):
         inner = HttpBackend(BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
         closed = []
-        inner._session.close = lambda: closed.append(True)
+        inner._pool.close = lambda: closed.append(True)
         CachingBackend(inner, tmp_path / "cache").close()
         assert closed == [True]
 
