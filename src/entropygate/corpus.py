@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_text_atomic
-from .gateway import ROLE_GRADE, Backend, BackendError, ask, parse_yes_no_reply
+from .gateway import ROLE_GRADE, Backend, BackendError, ask, forget_asked, parse_yes_no_reply
 
 log = logging.getLogger(__name__)
 
@@ -345,7 +345,8 @@ def grade(
     ``model-judge`` asks a yes/no question of the given backend through
     ``gateway.ask`` (an unparseable reply is asked again, as the judge's
     is), raising ``GradingError`` on backend failure or when no reply
-    parses.
+    parses; the replies it rejected are then ``forget``-ed, so that a rerun
+    asks the model again.
     """
     if grader == GRADER_EXACT:
         correct = normalize_text(answer) == normalize_text(item.reference)
@@ -356,14 +357,16 @@ def grade(
     elif grader == GRADER_MODEL:
         if backend is None:
             raise ValueError("model-judge grading requires a backend")
+        fields = dict(
+            question_id=item.id, role=ROLE_GRADE, temperature=0.0,
+            question=item.question, premise=item.reference, hypothesis=answer,
+        )
         try:
-            correct, reply, *_ = ask(
-                backend, parse_yes_no_reply, question_id=item.id, role=ROLE_GRADE,
-                temperature=0.0, question=item.question, premise=item.reference, hypothesis=answer,
-            )
+            correct, reply, *_ = ask(backend, parse_yes_no_reply, **fields)
         except BackendError as exc:
             raise GradingError(f"grading failed for question {item.id!r}: {exc}") from exc
         if correct is None:
+            forget_asked(backend, **fields)
             raise GradingError(
                 f"grading failed for question {item.id!r}: unparseable reply {reply.text!r}"
             )

@@ -244,8 +244,7 @@ def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
     """Send ``ModelRequest(ordinal=n, **request_fields)`` for n = 0, 1, ...,
     ``_PARSE_RETRIES`` until ``parse`` reads a reply as other than None: a
     bumped ordinal is a new request, which a cache does not answer with the
-    bad reply.  Each rejected reply is ``forget``-ed, so a rerun asks for it
-    again.  Returns (the parsed value or None, the last reply, and the
+    bad reply.  Returns (the parsed value or None, the last reply, and the
     tokens in, tokens out and latency summed over the calls, a missing
     count as 0).  A failed call propagates as ``BackendError``.
     """
@@ -260,8 +259,18 @@ def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
         value = parse(reply.text)
         if value is not None:
             break
-        backend.forget(request)
     return value, reply, tokens_in, tokens_out, latency_ms
+
+
+def forget_asked(backend: Backend, **request_fields) -> None:
+    """``forget`` every request that ``ask`` sends for ``request_fields``.
+
+    A caller that fails when ``ask`` returns None calls this, so that a
+    rerun asks the model again instead of replaying the rejected replies.
+    A caller that records a fallback keeps them: its run replays as it was.
+    """
+    for ordinal in range(_PARSE_RETRIES + 1):
+        backend.forget(ModelRequest(ordinal=ordinal, **request_fields))
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +301,11 @@ class _ConnectionPool:
     URL's scheme, else ``all``, unless ``proxy_bypass`` (``NO_PROXY``)
     exempts the host.  An http endpoint behind it gets an absolute-URI
     request; an https endpoint is reached through a CONNECT tunnel.  TLS
-    verifies against the system trust store (OpenSSL reads
-    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``), or only against the bundle that
-    ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names.
+    uses ``_tls_context()``.
     """
 
     def __init__(self, url: str):
         import http.client
-        import ssl
         import urllib.parse
         import urllib.request
 
@@ -335,9 +341,9 @@ class _ConnectionPool:
             address = (proxy_parts.hostname, proxy_parts.port or 80)
         self._address = address
         if https:
-            cafile = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-            context = ssl.create_default_context(cafile=cafile or None)
-            self._connection = functools.partial(http.client.HTTPSConnection, context=context)
+            self._connection = functools.partial(
+                http.client.HTTPSConnection, context=_tls_context()
+            )
         else:
             self._connection = http.client.HTTPConnection
         self._errors = (OSError, http.client.HTTPException)
@@ -387,13 +393,41 @@ class _ConnectionPool:
             connection.close()
 
 
+def _tls_context():
+    """The ``ssl`` context that verifies an https endpoint.
+
+    It trusts only the bundle that ``REQUESTS_CA_BUNDLE`` or
+    ``CURL_CA_BUNDLE`` names, a file or a hashed certificate directory, when
+    either is set; else the system trust store, which OpenSSL takes from
+    ``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` when they are set.  An unusable
+    bundle, or a store with no certificate to verify against, is a
+    ``UsageError``: no retry could succeed.
+    """
+    import ssl
+
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        bundle = os.environ.get(name)
+        if bundle:
+            where = {"capath" if os.path.isdir(bundle) else "cafile": bundle}
+            try:
+                return ssl.create_default_context(**where)
+            except OSError as exc:  # ssl.SSLError included
+                raise UsageError(f"{name}={bundle!r} is not a usable CA bundle: {exc}") from None
+    context = ssl.create_default_context()
+    if not context.cert_store_stats()["x509_ca"] and ssl.get_default_verify_paths().capath is None:
+        raise UsageError(
+            "no CA certificates to verify https endpoints against: "
+            "set SSL_CERT_FILE (or REQUESTS_CA_BUNDLE) to a CA bundle"
+        )
+    return context
+
+
 class HttpBackend(Backend):
     """Chat-completions HTTP client with retries and image inlining.
 
     Without an injected ``transport`` it sends through a ``_ConnectionPool``
-    of keep-alive connections.  ``attempts`` counts the requests sent,
-    ``retries`` those after a call's first, and ``backoff_s`` the seconds
-    slept before them.
+    of keep-alive connections.  ``retries`` counts the requests sent after
+    a call's first, and ``backoff_s`` the seconds slept before them.
     """
 
     def __init__(
@@ -412,7 +446,7 @@ class HttpBackend(Backend):
         self._jitter = random.Random()
         self._last_body: tuple[ModelRequest | None, bytes] = (None, b"")
         self._count_lock = threading.Lock()
-        self.attempts = self.retries = 0
+        self.retries = 0
         self.backoff_s = 0.0
 
     def close(self) -> None:
@@ -427,12 +461,11 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {api_key}"
 
         for attempt in range(_HTTP_ATTEMPTS):
-            pause = self._backoff(attempt) if attempt else 0.0
-            with self._count_lock:
-                self.attempts += 1
-                self.retries += bool(attempt)
-                self.backoff_s += pause
             if attempt:
+                pause = self._backoff(attempt)
+                with self._count_lock:
+                    self.retries += 1
+                    self.backoff_s += pause
                 with scheduler.waiting():
                     self._sleep(pause)
             try:
