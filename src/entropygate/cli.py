@@ -5,7 +5,7 @@ Stages persist everything under one output directory::
     out/
       config.json     resolved settings, merged across invocations
       corpus.jsonl    canonical question corpus
-      cache/          record/replay store for model calls
+      cache/          record/replay store for model calls (replies.sqlite)
       samples/        per-question sampled + baseline answers
       clusters/       per-question entailment audit records with entropy
       grades/         grades.jsonl, one verdict per question

@@ -11,8 +11,12 @@ Three interchangeable backends sit behind one ``invoke`` interface:
   plus rule-based entailment judges (equality, equivalence classes,
   seeded random); drives every offline test.
 * ``CachingBackend``: content-addressed record/replay store wrapped
-  around any backend: a hit returns the recorded reply
-  byte-identically, a miss delegates and persists atomically.
+  around any backend: one SQLite file, ``<cache>/replies.sqlite`` (its
+  ``-wal``/``-shm`` side files exist only while a stage runs), with one
+  row per call (``SELECT entry FROM replies WHERE key = ?``).  A hit
+  returns the recorded reply byte-identically; a miss delegates and
+  records the reply in one committed insert.  A cache in the older
+  one-file-per-call layout is imported once, when the store opens.
 
 Requests are semantic (question text + image reference, or an entailment
 pair), so each backend renders its own wire format and the cache key is a
@@ -29,6 +33,7 @@ import hashlib
 import logging
 import os
 import random
+import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -44,7 +49,6 @@ from .errors import (
     UsageError,
     compact_json,
     read_bytes,
-    write_text_atomic,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,6 +76,9 @@ _BACKOFF_BASE_S = 0.5
 _BACKOFF_CAP_S = 30.0
 _REQUEST_TIMEOUT_S = 120.0
 _USER_AGENT = f"entropygate/{__version__}"
+
+# How long a cache write waits for another process's write to the store.
+_CACHE_BUSY_TIMEOUT_S = 60.0
 
 # Prompts rendered by the HTTP backend: this package's own, not a
 # reproduction of any particular deployment's prompts.
@@ -763,16 +770,22 @@ class MockBackend(Backend):
 class CachingBackend(Backend):
     """Content-addressed record/replay cache around another backend.
 
-    One file per cache key, ``store_path/<2-hex>/<digest>.json``, holding
-    one compact JSON object: the canonicalized request and the verbatim
-    reply, the record of one call.  A hit is one read of that file.  A miss
-    asks ``inner`` and writes the entry through a temp file and
-    ``os.replace``, so concurrent writers can never leave a torn entry.  A
-    corrupt entry (unparseable, or a reply without text) is treated as a
-    miss and replaced.  Entries written in the older indented layout are
-    read as they are.  ``forget`` deletes an entry whose reply its caller
-    rejected, so that a rerun asks again.  ``hits`` counts the replies
-    replayed and ``misses`` the replies fetched from ``inner`` and recorded.
+    One SQLite file, ``store_path/replies.sqlite``, with a row per call in
+    the ``WITHOUT ROWID`` table ``replies (key, entry)``: the ``cache_key``
+    digest and the compact JSON of the canonicalized request and verbatim
+    reply (``SELECT entry FROM replies WHERE key = ?``).  A hit is that one
+    indexed read; a miss asks ``inner`` and records the reply in one
+    autocommitted ``INSERT OR REPLACE``, which outlives a killed process.
+    A corrupt entry (unparseable, or a reply without text) is a miss and is
+    replaced.  ``forget`` deletes an entry whose reply its caller rejected,
+    so that a rerun asks again.  ``hits`` and ``misses`` count the replies
+    replayed and the replies fetched from ``inner`` and recorded.  In WAL
+    mode, threads and processes share the store (a writer waits up to
+    ``_CACHE_BUSY_TIMEOUT_S``), and the ``-wal``/``-shm`` files exist only
+    while it is open.  ``close`` runs ``VACUUM`` after any change, so the
+    bytes do not depend on the order calls finished in; only the header's
+    change counter follows the store's history.  Entries of the older
+    one-file-per-call layout, ``<2-hex>/<key>.json``, are imported on open.
 
     Note: cache keys cover the logical request (the image *reference*,
     not its bytes); editing an image in place under the same path will
@@ -780,49 +793,85 @@ class CachingBackend(Backend):
     """
 
     def __init__(self, inner: Backend, store_path: str | Path):
+        import sqlite3
+
         self.inner = inner
-        self.store = os.fspath(store_path)
-        os.makedirs(self.store, exist_ok=True)
         self.model_name = inner.model_name
         self.hits = 0
         self.misses = 0
-        self._count_lock = threading.Lock()
+        self._lock = threading.Lock()
+        os.makedirs(store_path, exist_ok=True)
+        path = os.path.join(store_path, "replies.sqlite")
+        try:
+            self._db = sqlite3.connect(path, _CACHE_BUSY_TIMEOUT_S, isolation_level=None,
+                                       check_same_thread=False)
+            # WAL mode persists in the file; the switch fails at once, without
+            # waiting, only while another connection makes the same switch
+            with contextlib.suppress(sqlite3.OperationalError):
+                self._db.execute("PRAGMA journal_mode=WAL")
+            self._db.executescript("PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS replies"
+                                   " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
+        except sqlite3.DatabaseError as exc:
+            raise UsageError(f"cannot open the cache {path}: {exc}") from exc
+        self._cursor = self._db.cursor()  # one for all: a new one per call doubles a read's cost
+        self._import_files(store_path)
+
+    def _import_files(self, store: str | Path) -> None:
+        """Move the entries of the one-file-per-call layout into the table,
+        one folder at a time (a key the table holds keeps its row), then
+        remove their files, any temp file a killed write left, and each
+        emptied folder."""
+        for folder in [entry.path for entry in os.scandir(store)
+                       if entry.is_dir() and re.fullmatch("[0-9a-f]{2}", entry.name)]:
+            rows, files = [], []
+            for name in os.listdir(folder):
+                match = re.fullmatch(r"([0-9a-f]{64})\.json|\.[0-9a-f]{64}\.json\..+\.tmp", name)
+                if match is None:
+                    continue
+                files.append(os.path.join(folder, name))
+                if match[1]:  # an entry, not a temp file
+                    with contextlib.suppress(ValueError):  # a corrupt entry is a miss
+                        rows.append((match[1], compact_json(json.loads(read_bytes(files[-1])))))
+            with self._db:
+                self._db.execute("BEGIN")
+                self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", rows)
+            for path in files:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
+            with contextlib.suppress(OSError):  # a folder that holds other files stays
+                os.rmdir(folder)
 
     def close(self) -> None:
+        with self._lock:
+            if self._db.total_changes:  # rows written or deleted
+                self._db.execute("VACUUM")
+            self._db.close()
         self.inner.close()
 
-    def _path(self, key: str) -> str:
-        return f"{self.store}/{key[:2]}/{key}.json"
-
     def forget(self, request: ModelRequest) -> None:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(self._path(cache_key(self.inner.model_name, request)))
+        key = cache_key(self.inner.model_name, request)
+        with self._lock:
+            self._cursor.execute("DELETE FROM replies WHERE key = ?", (key,))
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         key = cache_key(self.inner.model_name, request)
-        path = self._path(key)
-        try:
-            entry = json.loads(read_bytes(path))
-            reply = ModelReply(**entry["reply"])
-            if not isinstance(reply.text, str):
-                raise TypeError(f"reply text is {reply.text!r}")
-        except FileNotFoundError:
-            pass
-        except (ValueError, KeyError, TypeError) as exc:
-            log.warning("corrupt cache entry %s (%s); re-fetching", path, exc)
-        else:
-            with self._count_lock:
-                self.hits += 1
-            return reply
+        with self._lock:
+            row = self._cursor.execute("SELECT entry FROM replies WHERE key = ?", (key,)).fetchone()
+            if row is not None:
+                try:
+                    reply = ModelReply(**json.loads(row[0])["reply"])
+                    if not isinstance(reply.text, str):
+                        raise TypeError(f"reply text is {reply.text!r}")
+                except (ValueError, KeyError, TypeError) as exc:
+                    log.warning("corrupt cache entry %s (%s); re-fetching", key, exc)
+                else:
+                    self.hits += 1
+                    return reply
         reply = self.inner.invoke(request)
-        entry = {
-            "key": key,
-            "model": self.inner.model_name,
-            "request": vars(request),
-            "reply": vars(reply),
-        }
-        write_text_atomic(path, compact_json(entry) + "\n")
-        with self._count_lock:
+        entry = compact_json({"key": key, "model": self.inner.model_name,
+                              "request": vars(request), "reply": vars(reply)})
+        with self._lock:
+            self._cursor.execute("INSERT OR REPLACE INTO replies VALUES (?, ?)", (key, entry))
             self.misses += 1
         return reply
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 import sys
 from pathlib import Path
 
@@ -120,3 +122,9 @@ def make_mock_script(path: Path, records, k: int = 15) -> dict:
     }
     path.write_text(json.dumps(script, indent=2), encoding="utf-8")
     return script
+
+
+def store_rows(cache: Path) -> dict[str, str]:
+    """Every entry of the record/replay store in ``cache``, by key."""
+    with contextlib.closing(sqlite3.connect(cache / "replies.sqlite")) as db:
+        return dict(db.execute("SELECT key, entry FROM replies"))

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import entropygate
-from conftest import make_mock_corpus, make_mock_script
+from conftest import make_mock_corpus, make_mock_script, store_rows
 from entropygate import cli, entropy, gateway, scheduler
 from entropygate.cli import (
     EXIT_BACKEND,
@@ -535,14 +535,21 @@ class TestResumability:
         assert path.read_bytes() == whole
 
     def test_records_and_entries_in_the_indented_layout_still_load(self, workdir, capsys):
-        # the layout records and cache entries were written in before they became compact
+        # the layout records and cache entries were written in before they became
+        # compact, and the cache's one file per call before it became one store
         run_pipeline(workdir)
         out = workdir["out"]
-        for name in ("samples", "clusters", "cache"):
+        for name in ("samples", "clusters"):
             for path in (out / name).rglob("*.json"):
                 value = json.loads(path.read_text(encoding="utf-8"))
                 text = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
-                path.write_text(text + ("\n" if name != "cache" else ""), encoding="utf-8")
+                path.write_text(text + "\n", encoding="utf-8")
+        for key, entry in store_rows(out / "cache").items():
+            path = out / "cache" / key[:2] / f"{key}.json"
+            path.parent.mkdir(exist_ok=True)
+            text = json.dumps(json.loads(entry), sort_keys=True, ensure_ascii=False, indent=2)
+            path.write_text(text, encoding="utf-8")
+        (out / "cache" / "replies.sqlite").unlink()
         before = stage_files(out)
         capsys.readouterr()
         assert main(["sample", *base_args(workdir)]) == EXIT_OK
@@ -552,6 +559,7 @@ class TestResumability:
         assert stage_files(out) == before
         assert main(["cluster", "--force", *base_args(workdir)]) == EXIT_OK
         assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 661 replayed from the cache\n")
+        assert [path.name for path in (out / "cache").iterdir()] == ["replies.sqlite"]
         assert main(["report", *base_args(workdir)]) == EXIT_OK
 
     def test_config_merge_prefers_stored_over_default(self, workdir):
@@ -584,6 +592,109 @@ class TestResumability:
         assert main(["sample", "--k", "3", "--force", *args]) == EXIT_OK
         stored = json.loads((workdir["out"] / "config.json").read_text())
         assert stored["k"] == 3
+
+
+# A CLI run in a child process whose MockBackend calls each append a line
+# to a log when sent, hold for 5 ms inside ``scheduler.waiting()``, and
+# kill the process with ``os._exit(9)`` at the ``kill_at``-th call (0:
+# never).  With ``ready``/``wait_for`` set, the stage starts once the
+# child has made ``ready`` and found ``wait_for``.
+_CHILD = """
+import json, os, sys, time
+from entropygate import cli, gateway, scheduler
+options = json.loads(sys.argv[1])
+log = os.open(options["log"], os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+original = gateway.MockBackend.invoke
+sent = 0
+def invoke(backend, request):
+    global sent
+    sent += 1
+    os.write(log, b"sent\\n")
+    if sent == options["kill_at"]:
+        os._exit(9)
+    with scheduler.waiting():
+        time.sleep(0.005)
+    return original(backend, request)
+gateway.MockBackend.invoke = invoke
+if options["ready"]:
+    open(options["ready"], "w").close()
+    deadline = time.monotonic() + 30
+    while not os.path.exists(options["wait_for"]) and time.monotonic() < deadline:
+        time.sleep(0.001)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def start_child(log: Path, *args, kill_at=0, ready=None, wait_for=None) -> subprocess.Popen:
+    options = {"log": str(log), "kill_at": kill_at, "ready": ready and str(ready),
+               "wait_for": wait_for and str(wait_for)}
+    return subprocess.Popen([sys.executable, "-c", _CHILD, json.dumps(options), *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=package_env())
+
+
+def k5_sample_args(tmp_path) -> list:
+    """``sample`` of 10 mock questions at k=5: 60 distinct requests."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    script_path = tmp_path / "mock.json"
+    make_mock_script(script_path, make_mock_corpus(corpus_path, count=10), k=5)
+    return ["sample", "--corpus", corpus_path, "--mock-script", script_path, "--k", "5",
+            "--concurrency", "4"]
+
+
+class TestCacheStore:
+    @pytest.mark.parametrize("kill_at", [1, 23])
+    def test_a_killed_stage_resumes_without_paying_twice(self, tmp_path, kill_at):
+        args = k5_sample_args(tmp_path)
+        out, log = tmp_path / "out", tmp_path / "sent.log"
+        killed = start_child(log, *args, "--out", out, kill_at=kill_at)
+        killed.communicate(timeout=60)
+        assert killed.returncode == 9
+        resumed = start_child(log, *args, "--out", out)
+        _, err = resumed.communicate(timeout=60)
+        assert resumed.returncode == EXIT_OK, err
+        assert main([*map(str, args), "--out", str(tmp_path / "clean")]) == EXIT_OK
+        # only the calls in flight at the kill were lost and sent again
+        assert 60 <= len(log.read_text().splitlines()) <= 60 + 4
+        assert stage_files(out) == stage_files(tmp_path / "clean")
+        assert [path.name for path in (out / "cache").iterdir()] == ["replies.sqlite"]
+        assert store_rows(out / "cache") == store_rows(tmp_path / "clean" / "cache")
+
+    def test_two_processes_share_one_store(self, tmp_path, capsys):
+        args = [*k5_sample_args(tmp_path), "--cache-dir", tmp_path / "cache"]
+        log = tmp_path / "sent.log"
+        # the same 10 questions at k=3 and k=5: the k=3 requests are 40 of the 60
+        children = [
+            start_child(log, *args, "--k", str(k), "--out", tmp_path / f"out{k}",
+                        ready=tmp_path / f"ready{k}", wait_for=tmp_path / f"ready{8 - k}")
+            for k in (3, 5)
+        ]
+        for child in children:
+            _, err = child.communicate(timeout=60)
+            assert child.returncode == EXIT_OK, err
+        assert 60 <= len(log.read_text().splitlines()) <= 100
+        assert len(store_rows(tmp_path / "cache")) == 60
+        capsys.readouterr()
+        assert main([*map(str, args), "--out", str(tmp_path / "third")]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 60 replayed from the cache\n")
+
+    def test_only_a_cached_stage_imports_sqlite3(self, workdir):
+        run_pipeline(workdir)
+        # last: the stored config keeps --no-cache for later stages
+        for stage, loaded in (("report", False), ("sample --force", True),
+                              ("sample --force --no-cache", False)):
+            args = [*stage.split(), *base_args(workdir)]
+            code = (
+                "import runpy, sys\n"
+                f"sys.argv = ['entropygate', *{args!r}]\n"
+                "try:\n"
+                "    runpy.run_module('entropygate', run_name='__main__')\n"
+                "except SystemExit as exit:\n"
+                "    print('exit', exit.code, 'sqlite3' in sys.modules)\n"
+            )
+            completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                       text=True, env=package_env(), timeout=60)
+            assert completed.stdout.splitlines()[-1] == f"exit 0 {loaded}", completed.stderr
 
 
 @pytest.fixture

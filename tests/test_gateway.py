@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sqlite3
 import sys
 import threading
 from dataclasses import asdict, replace
 
 import pytest
+from conftest import store_rows
 
 from entropygate.clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS
 from entropygate.corpus import ImageQuestion
-from entropygate.errors import BackendError, SamplingIncompleteError
+from entropygate.errors import BackendError, SamplingIncompleteError, UsageError
 from entropygate.gateway import (
     ROLE_BASELINE,
     ROLE_GRADE,
@@ -384,18 +387,19 @@ class TestCachingBackend:
         backend = CachingBackend(CountingBackend(), tmp_path / "cache")
         request = make_request()
         backend.invoke(request)
+        backend.close()
         key = cache_key("counting", request)
-        path = tmp_path / "cache" / key[:2] / f"{key}.json"
-        assert path.exists()
-        text = path.read_text()
+        assert [path.name for path in (tmp_path / "cache").iterdir()] == ["replies.sqlite"]
+        text = store_rows(tmp_path / "cache")[key]
         entry = json.loads(text)
         assert entry["key"] == key
         assert entry["reply"]["text"] == "hello"
         # one compact JSON object with sorted keys, on one line
-        assert text == json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
+        assert text == json.dumps(entry, sort_keys=True, separators=(",", ":"))
 
     def test_indented_entry_is_a_hit(self, tmp_path):
-        # the layout entries were written in before they became compact
+        # the layout entries were written in before they became compact,
+        # one file per call: imported into the store when it opens
         request = make_request(image_ref="images/x.png")
         reply = ModelReply(text="ct ü", tokens_in=5, tokens_out=2, latency_ms=1.5,
                            fingerprint="counting", estimated_tokens=True)
@@ -410,7 +414,39 @@ class TestCachingBackend:
         backend = CachingBackend(inner, tmp_path / "cache")
         assert backend.invoke(request) == reply
         assert (inner.calls, backend.misses, backend.hits) == (0, 0, 1)
-        assert path.read_text(encoding="utf-8") == indented
+        assert not path.parent.exists()
+
+    def test_old_layout_is_imported_once(self, tmp_path):
+        cache = tmp_path / "cache"
+        first = CachingBackend(CountingBackend(), cache)
+        requests = [make_request(ordinal=ordinal) for ordinal in range(3)]
+        for request in requests:
+            first.invoke(request)
+        first.close()
+        entries = store_rows(cache)
+        (cache / "replies.sqlite").unlink()
+        for key, text in entries.items():  # as the one-file-per-call layout held them
+            (cache / key[:2]).mkdir(exist_ok=True)
+            (cache / key[:2] / f"{key}.json").write_text(text + "\n", encoding="utf-8")
+        torn = next(iter(entries))
+        (cache / torn[:2] / f".{torn}.json.123.abc.tmp").write_text("{")  # a killed write
+        (cache / "ab").mkdir()
+        (cache / "ab" / f"{'ab' * 32}.json").write_text("{not json")
+        (cache / "ab" / "notes.txt").write_text("kept")
+        inner = CountingBackend()
+        backend = CachingBackend(inner, cache)
+        for request in requests:
+            backend.invoke(request)
+        backend.close()
+        assert (inner.calls, backend.hits) == (0, 3)
+        assert store_rows(cache) == entries
+        assert sorted(path.relative_to(cache).as_posix() for path in cache.rglob("*")) == [
+            "ab", "ab/notes.txt", "replies.sqlite"
+        ]
+        again = CachingBackend(inner, cache)
+        again.invoke(make_request(ordinal=3))  # the one miss
+        again.close()
+        assert (inner.calls, again.hits, again.misses) == (1, 0, 1)
 
     def test_corrupt_entry_refetched_and_replaced(self, tmp_path):
         inner = CountingBackend()
@@ -418,17 +454,24 @@ class TestCachingBackend:
         request = make_request()
         backend.invoke(request)
         key = cache_key("counting", request)
-        path = tmp_path / "cache" / key[:2] / f"{key}.json"
-        entry = json.loads(path.read_text())
+        entry = json.loads(store_rows(tmp_path / "cache")[key])
         # as cached before a null completion became a failed call
         null_text = {**entry, "reply": {**entry["reply"], "text": None}}
         for corrupt in ("{not json", json.dumps(null_text)):
-            path.write_text(corrupt)
+            with contextlib.closing(sqlite3.connect(tmp_path / "cache" / "replies.sqlite")) as db:
+                with db:
+                    db.execute("UPDATE replies SET entry = ? WHERE key = ?", (corrupt, key))
             reply = backend.invoke(request)
             assert reply.text == "hello"
-            assert json.loads(path.read_text())["reply"]["text"] == "hello"
+            assert json.loads(store_rows(tmp_path / "cache")[key])["reply"]["text"] == "hello"
         assert inner.calls == 3
         assert (backend.misses, backend.hits) == (3, 0)
+
+    def test_a_store_that_is_not_a_database_is_a_usage_error(self, tmp_path):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "replies.sqlite").write_bytes(b"not a database\n" * 100)
+        with pytest.raises(UsageError, match="cannot open the cache .*replies.sqlite"):
+            CachingBackend(CountingBackend(), tmp_path / "cache")
 
     def test_counts_hits_and_misses(self, tmp_path):
         inner = CountingBackend()
