@@ -43,6 +43,7 @@ import math
 import os
 import re
 import sys
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -298,11 +299,14 @@ _STAGES = {
 }
 
 
-def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backend) -> int:
+def _run_stage(
+    args: argparse.Namespace, config: RunConfig, stage: str, items, todo, job: Callable, backend
+) -> int:
     """Run ``job(item)`` for every item of ``todo`` on one pool of
     ``--concurrency`` calls and close ``backend``; then exit 3 naming the
     questions that failed, or print one summary line with the cache's
-    counts and any HTTP retries."""
+    counts, or a note that ``config.json`` keeps the cache off, and any
+    HTTP retries."""
     failed, verb, where = _STAGES[stage]
     try:
         done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
@@ -318,6 +322,8 @@ def _run_stage(config: RunConfig, stage: str, items, todo, job: Callable, backen
     calls = ""
     if isinstance(backend, gateway.CachingBackend):
         calls = f"; {backend.misses} model call(s) sent, {backend.hits} replayed from the cache"
+    elif backend is not None and args.use_cache is None:  # off by a stored --no-cache
+        calls = "; cache off, as config.json keeps from an earlier --no-cache (--cache turns it on)"
     http = getattr(backend, "inner", backend)
     if isinstance(http, gateway.HttpBackend) and http.retries:
         retries = "retry" if http.retries == 1 else "retries"
@@ -426,7 +432,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
         return gateway.sampling_job(backend, item, draws, done)
 
-    return _run_stage(config, "sample", items, todo, job, backend)
+    return _run_stage(args, config, "sample", items, todo, job, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +477,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         judge = gateway.entailment_judge(backend, question_id=item.id)
         return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
 
-    return _run_stage(config, "cluster", items, todo, job, backend)
+    return _run_stage(args, config, "cluster", items, todo, job, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +537,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
         return scheduler.Job(item.id, {0: answer}, call, finish)
 
     try:
-        return _run_stage(config, "grade", items, todo, job, backend)
+        return _run_stage(args, config, "grade", items, todo, job, backend)
     finally:  # also on Ctrl-C, so every finished grade is kept
         lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
         write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
@@ -571,26 +577,18 @@ def _collect_results(
     return results
 
 
+def _usage(row: dict) -> gateway.Usage:
+    return gateway.Usage(row.get("tokens_in"), row.get("tokens_out"), row.get("latency_ms", 0.0))
+
+
 def _cost_inputs(items, sample_records, cluster_records):
-    """The recorded answer draws, and one verdict per judge call."""
+    """The usage of each recorded answer draw, and of each judge call."""
     samples = []
     verdicts = []
     for item in items:
         record = sample_records[item.id]
-        for s in record["samples"] + [record["baseline"]]:
-            samples.append(
-                gateway.AnswerSample(
-                    question_id=item.id,
-                    ordinal=s["ordinal"],
-                    text=s["text"],
-                    temperature=s["temperature"],
-                    tokens_in=s["tokens_in"],
-                    tokens_out=s["tokens_out"],
-                    latency_ms=s["latency_ms"],
-                    backend_fingerprint=s["fingerprint"],
-                )
-            )
-        verdicts.extend(clustering.judge_calls(cluster_records[item.id]))
+        samples.extend(map(_usage, record["samples"] + [record["baseline"]]))
+        verdicts.extend(map(_usage, clustering.judge_calls(cluster_records[item.id])))
     return samples, verdicts
 
 
@@ -638,6 +636,41 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
     }
 
 
+def _bootstraps(config: RunConfig, results) -> list[evaluation.BootstrapResult]:
+    """``bootstrap_delta`` at each threshold, in ``--thresholds`` order.
+
+    The tests alternate between this thread and one helper thread, which
+    numpy's binomial draws let run at once; the main thread takes a share
+    so that only one new thread's memory arena holds test arrays.  Each
+    test seeds its own stream, so the results do not depend on timing.
+    The first failure in ``--thresholds`` order is raised.
+    """
+
+    def test(threshold: float) -> evaluation.BootstrapResult:
+        return evaluation.bootstrap_delta(
+            results,
+            threshold,
+            iterations=config.iterations,
+            seed=config.seed,
+            alpha=config.alpha,
+            comparisons=config.comparisons,
+        )
+
+    def here(threshold: float) -> Future:
+        outcome = Future()
+        try:
+            outcome.set_result(test(threshold))
+        except Exception as exc:
+            outcome.set_exception(exc)
+        return outcome
+
+    outcomes: list = [None] * len(config.thresholds)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        outcomes[1::2] = [helper.submit(test, t) for t in config.thresholds[1::2]]
+        outcomes[::2] = [here(t) for t in config.thresholds[::2]]
+        return [outcome.result() for outcome in outcomes]
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items, sample_records, cluster_records = _judged_run(config)
@@ -648,17 +681,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"config: {json.dumps(config.to_dict(), sort_keys=True)}",
         f"questions: {len(results)}",
     ]
-    boots = []
-    for threshold in config.thresholds:
-        boot = evaluation.bootstrap_delta(
-            results,
-            threshold,
-            iterations=config.iterations,
-            seed=config.seed,
-            alpha=config.alpha,
-            comparisons=config.comparisons,
-        )
-        boots.append(boot)
+    boots = _bootstraps(config, results)
+    for threshold, boot in zip(config.thresholds, boots):
         line = evaluation.format_outcome_line(boot.outcome)
         significance = "significant" if boot.significant else "not significant"
         summary_lines.append(

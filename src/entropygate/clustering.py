@@ -337,19 +337,19 @@ def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, Sem
     return data["question_id"], list(data["samples"]), matrix, clustering, data["dse"]
 
 
-def judge_calls(data: dict) -> list[EntailmentVerdict]:
-    """One verdict per judge call behind an audit record.
+def judge_calls(data: dict) -> list[dict]:
+    """The stored row of each judge call behind an audit record.
 
     ``judging_job`` sends pairs with the same (premise, hypothesis) texts
     as one call, made for the first such pair in ``required_checks`` order,
-    which is the order of the record's rows; that pair's verdict stands
-    for the call.
+    which is the order of the record's rows; that pair's row, as stored,
+    stands for the call.
     """
     samples = data["samples"]
     calls: dict[tuple[str, str], dict] = {}
     for row in data["verdicts"]:
         calls.setdefault((samples[row["premise"]], samples[row["hypothesis"]]), row)
-    return [_verdict(row) for row in calls.values()]
+    return list(calls.values())
 
 
 def write_audit_record(path: str | Path, record: dict) -> None:

@@ -38,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__, scheduler
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
@@ -1019,18 +1019,29 @@ class CostEstimate:
     incomplete_records: int  # records missing token counts, costed as zero
 
 
+class Usage(NamedTuple):
+    """The accounting of one recorded call: the fields ``account_usage`` reads."""
+
+    tokens_in: int | None
+    tokens_out: int | None
+    latency_ms: float
+
+
 def account_usage(
-    samples: list[AnswerSample],
-    verdicts: list[EntailmentVerdict],
+    samples: list[AnswerSample | Usage],
+    verdicts: list[EntailmentVerdict | Usage],
     price_per_million_tokens: float = 10.0,
 ) -> CostEstimate:
     """Cost and latency model for the sampling + entailment pipeline.
 
-    Cost is total tokens (in + out) times the flat per-million price,
-    split into the sampling and entailment components.  Records missing
-    token counts are costed as zero and counted in ``incomplete_records``
-    with a warning.  Latency: both stages parallelize fully, so the
-    pipeline estimate is twice the mean single-call latency.
+    Each record is one model call; only its ``tokens_in``, ``tokens_out``
+    and ``latency_ms`` are read, so a ``Usage`` of a stored record serves
+    as well as the full sample or verdict.  Cost is total tokens (in +
+    out) times the flat per-million price, split into the sampling and
+    entailment components.  Records missing token counts are costed as
+    zero and counted in ``incomplete_records`` with a warning.  Latency:
+    both stages parallelize fully, so the pipeline estimate is twice the
+    mean single-call latency.
     """
     incomplete = 0
 

@@ -17,7 +17,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -270,6 +270,101 @@ class TestPipeline:
         cost = json.loads((tmp_path / "out" / "reports" / "cost.json").read_text())
         assert cost["sampling_tokens"] == 16 * (690 + 43)
         assert cost["entailment_tokens"] == 9 * (690 + 43)  # 3 x 3 text pairs, not 210
+
+
+class InSeries:
+    """Stands in for ``report``'s helper thread: runs each test as it is
+    submitted, on the calling thread, so the tests run one after another."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def out_files(out: Path) -> dict[str, bytes]:
+    return {str(path.relative_to(out)): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestReportTests:
+    @pytest.mark.parametrize("thresholds", [["0.6", "0.3"], ["1.2", "0.9", "0.6", "0.3", "0.1"]])
+    def test_outputs_equal_a_run_with_the_tests_in_series(
+        self, tmp_path, monkeypatch, thresholds
+    ):
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        make_mock_script(script_path, make_mock_corpus(corpus_path, count=40))
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--mock-script", str(script_path), "--iterations", "20000",
+                "--thresholds", *thresholds]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        for stage in ("cluster", "grade"):
+            assert main([stage, *args]) == EXIT_OK
+        test = cli.evaluation.bootstrap_delta
+        threads = {}
+
+        def traced(results, threshold, **kwargs):
+            threads[threshold] = threading.get_ident()
+            return test(results, threshold, **kwargs)
+
+        monkeypatch.setattr(cli.evaluation, "bootstrap_delta", traced)
+        outputs, runs = [], []
+        for executor in (ThreadPoolExecutor, InSeries):
+            monkeypatch.setattr(cli, "ThreadPoolExecutor", executor)
+            shutil.rmtree(out / "reports", ignore_errors=True)
+            threads.clear()
+            assert main(["report", *args]) == EXIT_OK
+            outputs.append(out_files(out))
+            runs.append([threads[float(t)] for t in thresholds])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 1 + 1 + 40 + 40 + 1 + 1 + 5 + len(thresholds)
+        # overlapped, this thread runs the 1st, 3rd, ... test and one helper the others
+        main_thread = threading.get_ident()
+        overlapped, in_series = runs
+        assert overlapped[::2] == [main_thread] * len(overlapped[::2])
+        assert len(set(overlapped[1::2])) == 1 and main_thread not in overlapped[1::2]
+        assert in_series == [main_thread] * len(thresholds)
+
+    @pytest.mark.parametrize("thresholds, named", [
+        (["0.1", "0.2"], "0.1"),  # the main thread's test
+        (["1.2", "0.2", "0.1"], "0.2"),  # the helper's, before the main thread's
+    ])
+    def test_the_first_empty_threshold_in_order_is_named(self, tmp_path, capsys, thresholds, named):
+        corpus_path = tmp_path / "corpus.jsonl"
+        records = make_mock_corpus(corpus_path, count=2)
+        script = {
+            "judge": {"rule": "equality"},
+            "answers": {
+                record["id"]: {"sample": [f"{record['id']}-v{j}" for j in range(15)],
+                               "baseline": [record["reference"]]}
+                for record in records
+            },
+        }
+        script_path = tmp_path / "scattered.json"
+        script_path.write_text(json.dumps(script))
+        args = ["--out", str(tmp_path / "out"), "--mock-script", str(script_path),
+                "--iterations", "500", "--thresholds", *thresholds]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        for stage in ("cluster", "grade"):
+            assert main([stage, *args]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", *args]) == EXIT_INCOMPLETE
+        error = f"error: empty retained set at threshold {named}: all 2 question(s) rejected\n"
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "out" / "reports").exists()
 
 
 class TestStaleRecords:
@@ -695,6 +790,20 @@ class TestCacheStore:
             completed = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                        text=True, env=package_env(), timeout=60)
             assert completed.stdout.splitlines()[-1] == f"exit 0 {loaded}", completed.stderr
+
+    def test_a_stored_no_cache_is_named_in_the_summary(self, workdir, capsys):
+        note = "; cache off, as config.json keeps from an earlier --no-cache (--cache turns it on)"
+        args = base_args(workdir)
+        assert main(["sample", "--corpus", str(workdir["corpus"]), "--no-cache", *args]) == EXIT_OK
+        assert note not in capsys.readouterr().out  # given on this run
+        assert main(["cluster", *args]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(f"into {workdir['out'] / 'clusters'}{note}\n")
+        noted = out_files(workdir["out"])
+        assert json.loads(noted["config.json"])["use_cache"] is False
+        assert "cache/replies.sqlite" not in noted
+        assert main(["cluster", "--force", "--no-cache", *args]) == EXIT_OK
+        assert note not in capsys.readouterr().out
+        assert out_files(workdir["out"]) == noted  # the same files, with or without the note
 
 
 @pytest.fixture

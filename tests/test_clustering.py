@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from entropygate.clustering import (
     EntailmentMatrix,
     EntailmentVerdict,
     SemanticClustering,
+    _verdict,
     assemble_clusters,
     audit_record,
     cluster_answers,
@@ -27,10 +30,13 @@ from entropygate.clustering import (
     required_checks,
     write_audit_record,
 )
+from entropygate import cli
 from entropygate.errors import BackendError, IncompleteMatrixError, JudgingError
 from entropygate.gateway import (
+    AnswerSample,
     CachingBackend,
     MockBackend,
+    account_usage,
     entailment_judge,
     equivalence_class_judge,
 )
@@ -323,13 +329,71 @@ def judge_calls_oracle(record: dict) -> list[EntailmentVerdict]:
 class TestJudgeCalls:
     @given(stored_audit_records())
     def test_matches_matrix_deduplicated_by_text_pair(self, record):
-        assert judge_calls(record) == judge_calls_oracle(record)
+        assert list(map(_verdict, judge_calls(record))) == judge_calls_oracle(record)
 
     def test_one_verdict_per_call_judging_job_made(self):
         samples = ["ct", "mri", "xray"] * 5
         judge = entailment_judge(MockBackend())
         partition, matrix = cluster_answers(samples, judge, context="q")
         calls = judge_calls(audit_record("q", samples, matrix, partition, dse=0.0))
-        assert [(v.premise_index, v.hypothesis_index) for v in calls] == [
+        assert [(row["premise"], row["hypothesis"]) for row in calls] == [
             (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (2, 5)
         ]
+
+
+@st.composite
+def stored_sample_records(draw) -> dict:
+    """A sample record's draws as read back from disk, some with no token counts."""
+
+    def row(ordinal: int) -> dict:
+        return {
+            "ordinal": ordinal,
+            "text": "ct",
+            "temperature": 1.0,
+            "tokens_in": draw(st.none() | st.integers(0, 999)),
+            "tokens_out": draw(st.none() | st.integers(0, 999)),
+            "latency_ms": draw(st.integers(0, 9999)) / 8,
+            "fingerprint": "mock",
+        }
+
+    k = draw(st.integers(1, 6))
+    return {"samples": [row(i) for i in range(k)], "baseline": row(0)}
+
+
+def usage_from_objects(items, sample_records, cluster_records):
+    """The cost inputs as full ``AnswerSample`` and ``EntailmentVerdict`` objects."""
+    samples = [
+        AnswerSample(item.id, s["ordinal"], s["text"], s["temperature"], s["tokens_in"],
+                     s["tokens_out"], s["latency_ms"], s["fingerprint"])
+        for item in items
+        for s in sample_records[item.id]["samples"] + [sample_records[item.id]["baseline"]]
+    ]
+    verdicts = [v for item in items for v in judge_calls_oracle(cluster_records[item.id])]
+    return samples, verdicts
+
+
+def accounted(samples, verdicts):
+    """``account_usage`` at $10/1M tokens, and the warnings it logged."""
+    warnings: list[str] = []
+    logger = logging.getLogger("entropygate.gateway")
+    handler = logging.Handler()
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    logger.addHandler(handler)
+    try:
+        return account_usage(samples, verdicts, 10.0), warnings
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestCostFromRows:
+    @given(st.lists(st.tuples(stored_sample_records(), stored_audit_records()),
+                    min_size=1, max_size=4))
+    def test_rows_cost_what_the_objects_cost(self, questions):
+        items = [SimpleNamespace(id=f"q{index}") for index in range(len(questions))]
+        sample_records = {item.id: samples for item, (samples, _) in zip(items, questions)}
+        cluster_records = {item.id: audit for item, (_, audit) in zip(items, questions)}
+        rows = accounted(*cli._cost_inputs(items, sample_records, cluster_records))
+        objects = accounted(*usage_from_objects(items, sample_records, cluster_records))
+        assert rows == objects
+        estimate, warnings = rows
+        assert bool(warnings) == (estimate.incomplete_records > 0)
