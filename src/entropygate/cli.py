@@ -15,8 +15,10 @@ Stages persist everything under one output directory::
 Each stage is idempotent: work already on disk is skipped, so re-running
 a completed stage performs no model calls.  A record is reused only if
 every input it stores is the current one; else it is stale and redone:
-a cluster record made from other sample texts, and a grade of another
-baseline answer or by another grader (an imported grade stays current);
+a cluster record made from other sample texts, or in the older layout
+with one verdict row per index pair instead of one row per judge call,
+and a grade of another baseline answer or by another grader (an imported
+grade stays current);
 ``report``, ``curve`` and ``cost`` read the run the same way and exit 2
 naming the questions whose records are missing or stale.
 The sample, cluster and grade stages work per question: they run every
@@ -184,6 +186,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     Precedence: flag given on this invocation > value stored under the
     output directory by an earlier stage > built-in default.  The merged
     result is persisted back, keeping settings consistent across stages.
+    A merged config that names both a mock script and an endpoint is a
+    usage error and is not persisted.
     """
     out = args.out or RunConfig.out
     stored = {}
@@ -204,6 +208,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             values[field.name] = stored[field.name]
     if "thresholds" in values:
         values["thresholds"] = tuple(float(t) for t in values["thresholds"])
+    if values.get("mock_script") and values.get("endpoint_url"):
+        def origin(name: str, flag: str) -> str:
+            return flag if getattr(args, name, None) is not None else f"stored in {config_path}"
+
+        raise UsageError(
+            f"both a mock script ({values['mock_script']}, "
+            f"{origin('mock_script', 'from --mock-script')}) and an endpoint "
+            f"({values['endpoint_url']}, {origin('endpoint_url', 'from --endpoint')}) are set; "
+            "pass --mock-script '' or --endpoint '' to clear one"
+        )
     try:
         config = RunConfig(out=out, **values)
     except (TypeError, ValueError) as exc:
@@ -449,11 +463,16 @@ def _texts(sample_record: dict) -> list[str]:
 
 def _load_cluster(config: RunConfig, sample_records, item) -> dict | None:
     """The item's audit record if it is complete for ``config`` and was
-    computed from the item's current sample texts, else None."""
+    computed from the item's current sample texts, else None.  A record in
+    the older layout, with ``verdicts`` rows per index pair and no
+    ``calls``, is stale: ``cluster`` rebuilds it, through the cache with no
+    call."""
     texts = _texts(sample_records[item.id])
     try:
         record = clustering.read_audit_record(_clusters_path(config, item))
-        complete = _current(record, k=config.k, policy=config.policy, samples=texts)
+        complete = "calls" in record and _current(
+            record, k=config.k, policy=config.policy, samples=texts
+        )
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return record if complete else None
@@ -582,7 +601,8 @@ def _usage(row: dict) -> gateway.Usage:
 
 
 def _cost_inputs(items, sample_records, cluster_records):
-    """The usage of each recorded answer draw, and of each judge call."""
+    """The usage of each recorded answer draw, and of each judge call as its
+    cluster record's ``calls`` row stores it."""
     samples = []
     verdicts = []
     for item in items:

@@ -75,10 +75,10 @@ Judge = Callable[[str, str, str], EntailmentVerdict]
 
 @dataclass
 class EntailmentMatrix:
-    """All directed verdicts for one question's k samples.
+    """The directed verdicts for one question's k samples, by index pair.
 
-    Complete when every ordered pair (i, j), i != j, has a verdict:
-    exactly k*(k-1) entries.
+    Complete when every ordered pair (i, j), i != j, has a verdict
+    (``missing_pairs`` lists the others): exactly k*(k-1) entries.
     """
 
     k: int
@@ -86,10 +86,6 @@ class EntailmentMatrix:
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         return [p for p in required_checks(self.k) if p not in self.verdicts]
-
-    @property
-    def complete(self) -> bool:
-        return len(self.verdicts) == self.k * (self.k - 1) and not self.missing_pairs()
 
 
 @dataclass(frozen=True)
@@ -282,40 +278,44 @@ def audit_record(
     """Serializable per-question audit record.
 
     Holds everything needed to re-derive (or dispute) the partition: the
-    sample texts, the full verdict list in ``required_checks`` order with
-    raw judge outputs, the policy, the resulting clusters, and the entropy.
+    sample texts, the policy, the resulting clusters, the entropy, and
+    ``calls``, one row per judge call with its two texts and raw judge
+    output.  ``judging_job`` sends pairs with the same (premise,
+    hypothesis) texts as one call, made for the first such pair in
+    ``required_checks`` order; the rows follow that order, and that
+    pair's verdict stands for the call.
     """
-    ordered = []
+    calls: dict[tuple[str, str], dict] = {}
     for i, j in required_checks(matrix.k):
-        v = matrix.verdicts[(i, j)]
-        ordered.append(
-            {
-                "premise": i,
-                "hypothesis": j,
+        texts = (samples[i], samples[j])
+        if texts not in calls:
+            v = matrix.verdicts[(i, j)]
+            calls[texts] = {
+                "premise": texts[0],
+                "hypothesis": texts[1],
                 "label": v.label,
                 "raw": v.raw_judge_output,
                 "tokens_in": v.tokens_in,
                 "tokens_out": v.tokens_out,
                 "latency_ms": v.latency_ms,
             }
-        )
     return {
         "question_id": question_id,
         "k": matrix.k,
         "policy": clustering.policy,
         "samples": list(samples),
-        "verdicts": ordered,
+        "calls": list(calls.values()),
         "clusters": [list(c) for c in clustering.clusters],
         "cluster_sizes": list(clustering.sizes),
         "dse": dse,
     }
 
 
-def _verdict(row: dict) -> EntailmentVerdict:
-    """The verdict one row of an audit record's ``verdicts`` stores."""
+def _verdict(i: int, j: int, row: dict) -> EntailmentVerdict:
+    """Pair (i, j)'s verdict, as one row of an audit record's ``calls`` stores it."""
     return EntailmentVerdict(
-        premise_index=row["premise"],
-        hypothesis_index=row["hypothesis"],
+        premise_index=i,
+        hypothesis_index=j,
         label=row["label"],
         raw_judge_output=row["raw"],
         tokens_in=row.get("tokens_in"),
@@ -325,31 +325,29 @@ def _verdict(row: dict) -> EntailmentVerdict:
 
 
 def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, SemanticClustering, float]:
-    """Inverse of ``audit_record``."""
+    """Inverse of ``audit_record``: each pair (i, j) of ``required_checks``
+    gets the verdict of the call row for its two texts, so the matrix holds
+    every verdict the rows decide (all k*(k-1) for a full record)."""
     k = data["k"]
-    verdicts = {(row["premise"], row["hypothesis"]): _verdict(row) for row in data["verdicts"]}
-    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
+    samples = list(data["samples"])
+    calls = {(row["premise"], row["hypothesis"]): row for row in data["calls"]}
+    verdicts = {}
+    for i, j in required_checks(k):
+        row = calls.get((samples[i], samples[j]))
+        if row is not None:
+            verdicts[(i, j)] = _verdict(i, j, row)
     clustering = SemanticClustering(
         k=k,
         clusters=tuple(tuple(c) for c in data["clusters"]),
         policy=data["policy"],
     )
-    return data["question_id"], list(data["samples"]), matrix, clustering, data["dse"]
+    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
+    return data["question_id"], samples, matrix, clustering, data["dse"]
 
 
 def judge_calls(data: dict) -> list[dict]:
-    """The stored row of each judge call behind an audit record.
-
-    ``judging_job`` sends pairs with the same (premise, hypothesis) texts
-    as one call, made for the first such pair in ``required_checks`` order,
-    which is the order of the record's rows; that pair's row, as stored,
-    stands for the call.
-    """
-    samples = data["samples"]
-    calls: dict[tuple[str, str], dict] = {}
-    for row in data["verdicts"]:
-        calls.setdefault((samples[row["premise"]], samples[row["hypothesis"]]), row)
-    return list(calls.values())
+    """The stored row of each judge call behind an audit record, in call order."""
+    return data["calls"]
 
 
 def write_audit_record(path: str | Path, record: dict) -> None:

@@ -5,6 +5,12 @@ The canonical corpus is JSONL, one question per line::
     {"id": "...", "image": "path-or-url", "question": "...",
      "reference": "...", "dataset": "...", "subgroup": "..."}
 
+A relative image path in a corpus file is relative to that file's folder.
+Loading turns it into a path relative to the working directory, and
+``write_corpus`` writes it relative to the new file's folder, so a path
+reads back the same through a copy in any folder.  ``data:``
+and ``http(s)`` URLs and absolute paths are kept as they are.
+
 Adapters convert the two supported source layouts into that shape:
 
 * ``load_vqa_med``: pipe-delimited QA files (``image|question|answer`` or
@@ -23,6 +29,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -74,6 +81,20 @@ class GradedAnswer:
 # Canonical JSONL corpus
 # ---------------------------------------------------------------------------
 
+def _relative_file(image_ref: str) -> bool:
+    return bool(image_ref) and not (
+        image_ref.startswith(("data:", "http://", "https://")) or os.path.isabs(image_ref)
+    )
+
+
+def _image_from(folder: str, image_ref: str) -> str:
+    """``image_ref`` as a corpus file in ``folder`` names it, relative to the
+    working directory whether ``folder`` is named relative or absolute."""
+    if not _relative_file(image_ref):
+        return image_ref
+    return os.path.relpath(os.path.join(folder, image_ref))
+
+
 def load_corpus(path: str | Path) -> list[ImageQuestion]:
     """Read a canonical JSONL corpus, validating ids and required fields.
 
@@ -82,6 +103,7 @@ def load_corpus(path: str | Path) -> list[ImageQuestion]:
     to an empty list with a warning.
     """
     path = Path(path)
+    folder = os.path.dirname(path)
     items: list[ImageQuestion] = []
     seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
@@ -112,7 +134,7 @@ def load_corpus(path: str | Path) -> list[ImageQuestion]:
             items.append(
                 ImageQuestion(
                     id=qid,
-                    image_ref=str(record["image"]),
+                    image_ref=_image_from(folder, str(record["image"])),
                     question=str(record["question"]),
                     reference=str(record["reference"]),
                     dataset=str(record["dataset"]),
@@ -125,12 +147,15 @@ def load_corpus(path: str | Path) -> list[ImageQuestion]:
 
 
 def write_corpus(items: Iterable[ImageQuestion], path: str | Path):
-    """Write questions as canonical JSONL (UTF-8, one object per line)."""
+    """Write questions as canonical JSONL (UTF-8, one object per line), with
+    relative image paths taken from the file's folder."""
+    folder = Path(path).parent
     lines = []
     for item in items:
+        image = item.image_ref
         record = {
             "id": item.id,
-            "image": item.image_ref,
+            "image": os.path.relpath(image, folder) if _relative_file(image) else image,
             "question": item.question,
             "reference": item.reference,
             "dataset": item.dataset,
@@ -260,6 +285,7 @@ def load_rad_dataset(source: str | Path) -> list[ImageQuestion]:
     warning rather than dropped.  The dataset is ``RadDataset``.
     """
     source = Path(source)
+    folder = os.path.dirname(source)
     with open(source, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
@@ -311,7 +337,7 @@ def load_rad_dataset(source: str | Path) -> list[ImageQuestion]:
             items.append(
                 ImageQuestion(
                     id=qid,
-                    image_ref=image,
+                    image_ref=_image_from(folder, image),
                     question=question,
                     reference=diagnosis,
                     dataset="RadDataset",

@@ -25,7 +25,7 @@ import pytest
 
 import entropygate
 from conftest import make_mock_corpus, make_mock_script, store_rows
-from entropygate import cli, entropy, gateway, scheduler
+from entropygate import cli, corpus, entropy, gateway, scheduler
 from entropygate.cli import (
     EXIT_BACKEND,
     EXIT_INCOMPLETE,
@@ -36,7 +36,7 @@ from entropygate.cli import (
     main,
     question_file_name,
 )
-from entropygate.clustering import cluster_answers
+from entropygate.clustering import cluster_answers, load_audit_record
 from entropygate.errors import (
     BackendError,
     CorpusFormatError,
@@ -48,6 +48,7 @@ from entropygate.errors import (
     SamplingIncompleteError,
     UnknownQuestionIdsError,
     UsageError,
+    write_record,
 )
 from entropygate.scheduler import Job, run_jobs
 
@@ -367,6 +368,17 @@ class TestReportTests:
         assert not (tmp_path / "out" / "reports").exists()
 
 
+def per_pair_layout(record: dict) -> dict:
+    """``record`` in the older layout: one verdict row per index pair, no ``calls``."""
+    _, _, matrix, _, _ = load_audit_record(record)
+    rows = [
+        {"premise": i, "hypothesis": j, "label": v.label, "raw": v.raw_judge_output,
+         "tokens_in": v.tokens_in, "tokens_out": v.tokens_out, "latency_ms": v.latency_ms}
+        for (i, j), v in matrix.verdicts.items()
+    ]
+    return {**{key: value for key, value in record.items() if key != "calls"}, "verdicts": rows}
+
+
 class TestStaleRecords:
     def test_new_samples_invalidate_clusters_and_grades(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -415,6 +427,32 @@ class TestStaleRecords:
         assert "graded 3 question(s) (3 new, 0 already complete)" in capsys.readouterr().out
         assert [g["grader"] for g in read_grades(tmp_path)] == ["normalized-containment"] * 3
         assert main(["report", *args]) == EXIT_OK
+
+    @pytest.mark.parametrize("cache", ["--cache", "--no-cache"])
+    def test_records_in_the_per_pair_layout_are_rebuilt(self, workdir, mock_calls, capsys, cache):
+        run_pipeline(workdir, cache)
+        clusters = workdir["out"] / "clusters"
+        current = {path.name: path.read_bytes() for path in clusters.iterdir()}
+        for qid in ("q01", "q03"):
+            path = clusters / f"q-{qid}.json"
+            write_record(path, per_pair_layout(json.loads(path.read_text())))
+        capsys.readouterr()
+
+        for stage in ("report", "curve", "cost"):
+            assert main([stage, *base_args(workdir)]) == EXIT_INCOMPLETE
+            assert "stale clusters for 2 question(s): q01, q03" in capsys.readouterr().err
+
+        judged = mock_calls["roles"].get(gateway.ROLE_JUDGE, 0)
+        assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(2 new, 8 already complete)" in out
+        if cache == "--cache":
+            assert "; 0 model call(s) sent, " in out
+            assert mock_calls["roles"][gateway.ROLE_JUDGE] == judged
+        else:  # a stored --no-cache asks the judge again
+            assert mock_calls["roles"][gateway.ROLE_JUDGE] > judged
+        assert {path.name: path.read_bytes() for path in clusters.iterdir()} == current
+        assert main(["report", *base_args(workdir)]) == EXIT_OK
 
 
 class TestGradeImport:
@@ -991,7 +1029,9 @@ class TestScheduler:
         assert main(["cluster", *args]) == EXIT_OK
         assert mock_calls["roles"][gateway.ROLE_JUDGE] == 9
         audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
-        assert len(audit["verdicts"]) == 210
+        assert len(audit["calls"]) == 9
+        _, _, matrix, _, _ = load_audit_record(audit)
+        assert len(matrix.verdicts) == 210
         assert audit["cluster_sizes"] == [5, 5, 5]
 
     def test_library_sends_identical_judge_requests_once(self, tmp_path):
@@ -1002,7 +1042,7 @@ class TestScheduler:
         judge = gateway.entailment_judge(backend, question_id="q00")
         partition, matrix = cluster_answers(audit["samples"], judge, context="q")
         assert backend.call_count == 9
-        assert matrix.complete
+        assert matrix.missing_pairs() == []
         assert [list(cluster) for cluster in partition.clusters] == audit["clusters"]
 
     def test_pending_work_stays_bounded(self, tmp_path, monkeypatch, mock_calls):
@@ -1255,6 +1295,83 @@ class TestHttpStage:
                                    env=package_env(), timeout=60)
         assert completed.stdout.splitlines()[-1] == "exit 0 False", completed.stderr
         assert completion_server.requests == 2
+
+    def test_relative_image_path_is_read_from_the_corpus_folder(
+        self, tmp_path, completion_server, monkeypatch
+    ):
+        data, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+        data.mkdir()
+        elsewhere.mkdir()
+        (data / "img.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        [row] = make_mock_corpus(data / "corpus.jsonl", count=1)
+        (data / "corpus.jsonl").write_text(json.dumps({**row, "image": "img.png"}) + "\n")
+        monkeypatch.chdir(elsewhere)
+        args = http_args(completion_server, "../data/corpus.jsonl", "out", "--k", "1")
+        assert main(args) == EXIT_OK
+        assert completion_server.requests == 2
+        [copied] = corpus.load_corpus(elsewhere / "out" / "corpus.jsonl")
+        assert os.path.samefile(copied.image_ref, data / "img.png")
+
+    def test_copied_corpus_in_an_absolute_out_replays_relative_image_paths(
+        self, tmp_path, completion_server, monkeypatch
+    ):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "img.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        [row] = make_mock_corpus(tmp_path / "data" / "corpus.jsonl", count=1)
+        (tmp_path / "data" / "corpus.jsonl").write_text(json.dumps({**row, "image": "img.png"}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert main(http_args(completion_server, "data/corpus.jsonl", out, "--k", "1")) == EXIT_OK
+        assert completion_server.requests == 2
+        [copied] = corpus.load_corpus(out / "corpus.jsonl")
+        assert copied.image_ref == os.path.join("data", "img.png")
+        assert main(http_args(completion_server, "", out, "--k", "1", "--force")) == EXIT_OK
+        assert completion_server.requests == 2  # every call replayed from the cache
+
+    def test_stored_mock_script_and_new_endpoint_is_usage_error(
+        self, tmp_path, completion_server, capsys
+    ):
+        corpus_path = corpus_with_images(tmp_path, 2)
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        make_mock_script(tmp_path / "mock.json", records, k=1)
+        out = tmp_path / "out"
+        assert main(["sample", "--corpus", str(corpus_path), "--out", str(out), "--k", "1",
+                     "--mock-script", str(tmp_path / "mock.json")]) == EXIT_OK
+        capsys.readouterr()
+        args = ["sample", "--out", str(out), "--endpoint", completion_server.url,
+                "--model", "gpt-4.1", "--api-key-env", "", "--force"]
+        stored = (out / "config.json").read_text()
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"mock script ({tmp_path / 'mock.json'}, stored in" in err
+        assert f"endpoint ({completion_server.url}, from --endpoint)" in err
+        assert "pass --mock-script '' or --endpoint '' to clear one" in err
+        assert completion_server.requests == 0
+        assert (out / "config.json").read_text() == stored
+        assert main([*args, "--mock-script", ""]) == EXIT_OK
+        assert completion_server.requests == 2 * 2
+
+    def test_stored_endpoint_and_new_mock_script_is_usage_error(
+        self, tmp_path, completion_server, capsys
+    ):
+        corpus_path = corpus_with_images(tmp_path, 2)
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        make_mock_script(tmp_path / "mock.json", records, k=1)
+        out = tmp_path / "out"
+        assert main(["sample", "--corpus", str(corpus_path), "--out", str(out), "--k", "1",
+                     "--endpoint", completion_server.url, "--model", "gpt-4.1",
+                     "--api-key-env", ""]) == EXIT_OK
+        sent = completion_server.requests
+        capsys.readouterr()
+        args = ["sample", "--out", str(out), "--mock-script", str(tmp_path / "mock.json"),
+                "--force"]
+        assert main(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"mock script ({tmp_path / 'mock.json'}, from --mock-script)" in err
+        assert f"endpoint ({completion_server.url}, stored in" in err
+        assert "pass --mock-script '' or --endpoint '' to clear one" in err
+        assert main([*args, "--endpoint", ""]) == EXIT_OK
+        assert completion_server.requests == sent
 
     def test_every_missing_image_is_named_before_any_call(self, tmp_path, completion_server, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -1597,6 +1714,36 @@ class TestTracing:
         assert report["gateway.account_usage"] == 1
         assert curve["evaluation.coverage_curve"] == 1
         assert "clustering.load_audit_record" not in report  # cost reads the rows as stored
+
+    def test_benchmark_traced_warm_path_runs_on_the_mock_corpus(self, workdir, tracing):
+        script = json.loads(workdir["script"].read_text())
+        script["grades"] = {record["id"]: "yes" for record in workdir["records"]}
+        workdir["script"].write_text(json.dumps(script))
+        args = base_args(workdir, "--grader", "model-judge")
+        run_pipeline(workdir, "--grader", "model-judge")
+        tracer = tracing.Tracer()
+        tracing.install(tracer, {record["question"]: record["id"] for record in workdir["records"]})
+        try:
+            for stage in ("sample", "cluster", "grade"):
+                with tracer.stage(f"cli.{stage}"):
+                    assert main([stage, "--force", *args]) == EXIT_OK
+            for stage in ("report", "curve"):
+                with tracer.stage(f"cli.{stage}"):
+                    assert main([stage, *args]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        layers = tracing.layer_metrics(tracer.spans)
+        summary = tracing.summarize(tracer.spans)
+        assert layers["clustering.write_audit_record.ms_mean"] > 0
+        assert layers["clustering.read_audit_record.ms_mean"] > 0
+        assert layers["gateway.cache.misses"] == 0
+        assert summary["cli.report"]["count"] == summary["cli.curve"]["count"] == 1
+        for path in sorted((workdir["out"] / "clusters").iterdir()):
+            record = json.loads(path.read_text())
+            assert all(isinstance(text, str) for text in record["samples"])
+            assert all(type(size) is int for size in record["cluster_sizes"])
+            assert sum(record["cluster_sizes"]) == record["k"] == 15
+            assert isinstance(record["dse"], float)
 
 
 def package_env() -> dict:

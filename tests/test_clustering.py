@@ -19,7 +19,6 @@ from entropygate.clustering import (
     EntailmentMatrix,
     EntailmentVerdict,
     SemanticClustering,
-    _verdict,
     assemble_clusters,
     audit_record,
     cluster_answers,
@@ -93,11 +92,9 @@ class TestVerdictAndMatrix:
 
     def test_matrix_completeness(self):
         full = matrix_from_rule(3, lambda i, j: True)
-        assert full.complete
         assert full.missing_pairs() == []
         partial = EntailmentMatrix(k=3, verdicts={(0, 1): verdict(0, 1, True)})
-        assert not partial.complete
-        assert (1, 0) in partial.missing_pairs()
+        assert partial.missing_pairs() == [(0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
 
     def test_incomplete_matrix_rejected_by_graph(self):
         partial = EntailmentMatrix(k=3, verdicts={(0, 1): verdict(0, 1, True)})
@@ -201,7 +198,7 @@ class TestClusterAnswers:
         clustering, matrix = cluster_answers(samples, simple_judge(rule), context="q")
         assert len(calls) == 6 * 5
         assert clustering.clusters == ((0, 2, 4), (1, 3, 5))
-        assert matrix.complete
+        assert matrix.missing_pairs() == []
 
     def test_verdict_indices_rewritten_per_pair(self):
         samples = ["s0", "s1", "s2"]
@@ -244,7 +241,7 @@ class TestClusterAnswers:
             samples, entailment_judge(cached, question_id="q1"), context="q"
         )
         assert healthy.call_count == 1
-        assert matrix.complete
+        assert matrix.missing_pairs() == []
         assert clustering.clusters == ((0, 1), (2,))
 
     def test_empty_samples_rejected(self):
@@ -271,7 +268,7 @@ class TestAuditRecords:
             samples, simple_judge(lambda i, j: i % 2 == j % 2), context="q"
         )
         record = audit_record("q-7", samples, matrix, clustering, dse=0.30103)
-        assert len(record["verdicts"]) == 12
+        assert len(record["calls"]) == 12
         assert record["cluster_sizes"] == [2, 2]
 
         path = tmp_path / "audit.json"
@@ -280,10 +277,7 @@ class TestAuditRecords:
         qid, texts, matrix2, clustering2, dse = load_audit_record(loaded)
         assert (qid, texts, dse) == ("q-7", samples, 0.30103)
         assert clustering2.clusters == clustering.clusters
-        assert matrix2.verdicts.keys() == matrix.verdicts.keys()
-        for pair, v in matrix.verdicts.items():
-            assert matrix2.verdicts[pair].label == v.label
-            assert matrix2.verdicts[pair].raw_judge_output == v.raw_judge_output
+        assert matrix2 == matrix
 
     def test_verdicts_serialized_in_check_order(self):
         samples = ["s0", "s1", "s2"]
@@ -291,30 +285,52 @@ class TestAuditRecords:
             samples, simple_judge(lambda i, j: True), context="q"
         )
         record = audit_record("q", samples, matrix, clustering, dse=0.0)
-        order = [(v["premise"], v["hypothesis"]) for v in record["verdicts"]]
-        assert order == required_checks(3)
+        order = [(row["premise"], row["hypothesis"]) for row in record["calls"]]
+        assert order == [(samples[i], samples[j]) for i, j in required_checks(3)]
+
+    def test_missing_call_rows_leave_pairs_unjudged(self):
+        samples = ["ct", "mri", "ct"]
+        clustering, matrix = cluster_answers(samples, entailment_judge(MockBackend()), context="q")
+        record = audit_record("q", samples, matrix, clustering, dse=0.0)
+        record["calls"] = [row for row in record["calls"] if row["hypothesis"] != "mri"]
+        _, _, partial, _, _ = load_audit_record(record)
+        assert partial.missing_pairs() == [(0, 1), (2, 1)]
+        with pytest.raises(IncompleteMatrixError):
+            mutual_entailment_graph(partial)
+
+
+@st.composite
+def judged_matrices(draw) -> tuple[list[str], EntailmentMatrix]:
+    """Samples over texts that repeat, and a matrix with one drawn verdict
+    per (premise text, hypothesis text), as ``judging_job`` makes it."""
+    k = draw(st.integers(1, 6))
+    samples = draw(st.lists(st.sampled_from(["ct", "mri", ""]), min_size=k, max_size=k))
+    calls: dict[tuple[str, str], dict] = {}
+    verdicts = {}
+    for i, j in required_checks(k):
+        texts = (samples[i], samples[j])
+        if texts not in calls:
+            calls[texts] = dict(
+                label=draw(st.sampled_from([LABEL_ENTAILS, LABEL_NOT_ENTAILS])),
+                raw_judge_output=draw(st.sampled_from(["entailment", "no", ""])),
+                tokens_in=draw(st.none() | st.integers(0, 999)),
+                tokens_out=draw(st.none() | st.integers(0, 999)),
+                latency_ms=draw(st.integers(0, 9999)) / 8,
+            )
+        verdicts[(i, j)] = EntailmentVerdict(i, j, **calls[texts])
+    return samples, EntailmentMatrix(k=k, verdicts=verdicts)
+
+
+def stored(samples: list[str], matrix: EntailmentMatrix, policy: str = POLICY_COMPONENTS) -> dict:
+    """The audit record of ``matrix`` as read back from disk."""
+    partition = assemble_clusters(mutual_entailment_graph(matrix), policy)
+    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse=0.0)))
 
 
 @st.composite
 def stored_audit_records(draw) -> dict:
     """An audit record as read back from disk, over texts that repeat."""
-    k = draw(st.integers(1, 6))
-    samples = draw(st.lists(st.sampled_from(["ct", "mri", ""]), min_size=k, max_size=k))
-    verdicts = {
-        (i, j): EntailmentVerdict(
-            premise_index=i,
-            hypothesis_index=j,
-            label=draw(st.sampled_from([LABEL_ENTAILS, LABEL_NOT_ENTAILS])),
-            raw_judge_output=draw(st.sampled_from(["entailment", "no", ""])),
-            tokens_in=draw(st.none() | st.integers(0, 999)),
-            tokens_out=draw(st.none() | st.integers(0, 999)),
-            latency_ms=draw(st.integers(0, 9999)) / 8,
-        )
-        for i, j in required_checks(k)
-    }
-    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
-    partition = assemble_clusters(mutual_entailment_graph(matrix))
-    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse=0.0)))
+    return stored(*draw(judged_matrices()))
 
 
 def judge_calls_oracle(record: dict) -> list[EntailmentVerdict]:
@@ -327,9 +343,24 @@ def judge_calls_oracle(record: dict) -> list[EntailmentVerdict]:
 
 
 class TestJudgeCalls:
-    @given(stored_audit_records())
-    def test_matches_matrix_deduplicated_by_text_pair(self, record):
-        assert list(map(_verdict, judge_calls(record))) == judge_calls_oracle(record)
+    @given(judged_matrices(), st.sampled_from([POLICY_COMPONENTS, POLICY_GREEDY]))
+    def test_matches_matrix_deduplicated_by_text_pair(self, judged, policy):
+        samples, matrix = judged
+        record = stored(samples, matrix, policy)
+        first = {}
+        for (i, j), v in matrix.verdicts.items():  # in required_checks order
+            first.setdefault((samples[i], samples[j]), v)
+        assert [
+            (row["premise"], row["hypothesis"], row["label"], row["raw"],
+             row["tokens_in"], row["tokens_out"], row["latency_ms"])
+            for row in judge_calls(record)
+        ] == [
+            (*texts, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms)
+            for texts, v in first.items()
+        ]
+        _, _, loaded, partition, _ = load_audit_record(record)
+        assert loaded == matrix
+        assert assemble_clusters(mutual_entailment_graph(loaded), policy) == partition
 
     def test_one_verdict_per_call_judging_job_made(self):
         samples = ["ct", "mri", "xray"] * 5
@@ -337,7 +368,8 @@ class TestJudgeCalls:
         partition, matrix = cluster_answers(samples, judge, context="q")
         calls = judge_calls(audit_record("q", samples, matrix, partition, dse=0.0))
         assert [(row["premise"], row["hypothesis"]) for row in calls] == [
-            (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (2, 5)
+            ("ct", "mri"), ("ct", "xray"), ("ct", "ct"), ("mri", "ct"), ("mri", "xray"),
+            ("mri", "mri"), ("xray", "ct"), ("xray", "mri"), ("xray", "xray"),
         ]
 
 

@@ -80,6 +80,24 @@ class TestCanonicalCorpus:
         write_corpus(items, path)
         assert load_corpus(path) == items
 
+    def test_relative_image_paths_are_taken_from_the_file_folder(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        refs = ["img.png", "../shared/img.png", "/abs/img.png", "data:image/png;base64,AA",
+                "https://host/img.png"]
+        with open(tmp_path / "data" / "corpus.jsonl", "w") as handle:
+            for index, ref in enumerate(refs):
+                record = {"id": f"q{index}", "image": ref, "question": "Q?", "reference": "r",
+                          "dataset": "d", "subgroup": "s"}
+                handle.write(json.dumps(record) + "\n")
+        loaded = load_corpus("data/corpus.jsonl")
+        assert [item.image_ref for item in loaded] == [
+            "data/img.png", "shared/img.png", "/abs/img.png", "data:image/png;base64,AA",
+            "https://host/img.png",
+        ]
+        write_corpus(loaded, "out/corpus.jsonl")
+        assert load_corpus("out/corpus.jsonl") == loaded
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         record = {
@@ -257,6 +275,16 @@ class TestRadDatasetAdapter:
         assert item.id == "case7"
         assert "65-year-old smoker" in item.question
         assert "What fluid is present?" in item.question
+
+    def test_relative_image_path_is_taken_from_the_manifest_folder(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cases").mkdir()
+        self.write_csv(tmp_path / "cases" / "cases.csv",
+                       ["s.png,CT,x", "/abs/t.png,CT,y", "https://host/u.png,CT,z"])
+        items = load_rad_dataset("cases/cases.csv")
+        assert [item.image_ref for item in items] == [
+            "cases/s.png", "/abs/t.png", "https://host/u.png"
+        ]
 
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "cases.csv"
