@@ -12,26 +12,23 @@ Stages persist everything under one output directory::
       reports/        report.json, summary.txt, outcomes.jsonl,
                       curve.csv, sankey-<t>.csv, cost.json
 
-Each stage is idempotent: work already on disk is skipped, so re-running
-a completed stage performs no model calls.  A record is reused only if
-every input it stores is the current one; else it is stale and redone:
-a cluster record made from other sample texts, or in the older layout
-with one verdict row per index pair instead of one row per judge call,
-and a grade of another baseline answer or by another grader (an imported
-grade stays current);
-``report``, ``curve`` and ``cost`` read the run the same way and exit 2
-naming the questions whose records are missing or stale.
-The sample, cluster and grade stages work per question: they run every
-model call of the questions with no current record (all of them under
-``--force``) on one bounded pool (``--concurrency`` calls in flight).
-``sample`` and ``cluster`` write each question's record as soon as its
-calls are done, so interrupting a stage keeps every finished question;
-behind the record/replay cache, the calls of unfinished ones that
-completed are not paid for again.  ``grade`` writes ``grades.jsonl`` when
-it ends, finished or interrupted.  An ``--import`` line is its question's
-grade, with no call, until the question is regraded (by ``--force``
-without that line, or for a new baseline answer).  Exit codes: 0 success,
-else the ``exit_code`` of the error that stopped the stage (``errors.EXIT_*``).
+The record/replay cache is the one resume mechanism.  Every run of the
+sample, cluster and grade stages rebuilds every question's record from
+its model calls on one bounded pool (``--concurrency`` calls in flight);
+the cache replays each call it holds, and a record is rewritten only
+when its bytes change.  So rerunning a finished stage sends no call and
+rewrites nothing, and a record made from other inputs (edited, torn, or
+in an older layout) does not outlive a run of its stage.  ``sample`` and
+``cluster`` write each question's record as soon as its calls are done;
+``grade`` writes ``grades.jsonl`` when it ends, finished or interrupted.
+An ``--import`` line is an input: its question's grade, with no call,
+for as long as its answer is the current baseline answer (remove the
+line to regrade).  ``report``, ``curve`` and ``cost`` read the records
+and exit 2 naming the questions whose records are missing or stale: a
+cluster record made from other sample texts or in the older per-pair
+layout, a grade of another baseline answer or by another grader.
+Exit codes: 0 success, else the ``exit_code`` of the error that stopped
+the stage (``errors.EXIT_*``).
 """
 
 from __future__ import annotations
@@ -186,8 +183,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     Precedence: flag given on this invocation > value stored under the
     output directory by an earlier stage > built-in default.  The merged
     result is persisted back, keeping settings consistent across stages.
-    A merged config that names both a mock script and an endpoint is a
-    usage error and is not persisted.
+    A merged config that names both a mock script and an endpoint, or an
+    endpoint with the cache off (a rerun could not resume, and would pay
+    for every call again), is a usage error and is not persisted.
     """
     out = args.out or RunConfig.out
     stored = {}
@@ -208,15 +206,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             values[field.name] = stored[field.name]
     if "thresholds" in values:
         values["thresholds"] = tuple(float(t) for t in values["thresholds"])
-    if values.get("mock_script") and values.get("endpoint_url"):
-        def origin(name: str, flag: str) -> str:
-            return flag if getattr(args, name, None) is not None else f"stored in {config_path}"
 
+    def origin(name: str, flag: str) -> str:
+        return flag if getattr(args, name, None) is not None else f"stored in {config_path}"
+
+    if values.get("mock_script") and values.get("endpoint_url"):
         raise UsageError(
             f"both a mock script ({values['mock_script']}, "
             f"{origin('mock_script', 'from --mock-script')}) and an endpoint "
             f"({values['endpoint_url']}, {origin('endpoint_url', 'from --endpoint')}) are set; "
             "pass --mock-script '' or --endpoint '' to clear one"
+        )
+    if values.get("endpoint_url") and values.get("use_cache") is False:
+        raise UsageError(
+            f"the cache is off ({origin('use_cache', 'from --no-cache')}) for an endpoint "
+            f"({values['endpoint_url']}); an endpoint run resumes only through the cache: "
+            "pass --cache"
         )
     try:
         config = RunConfig(out=out, **values)
@@ -299,31 +304,19 @@ def _current(record: dict, **inputs) -> bool:
     )
 
 
-def _todo(args: argparse.Namespace, items, load: Callable) -> list:
-    """The items a stage (re)does, by id: all under ``--force``, else those
-    ``load(item)`` finds no current record for."""
-    return [item for item in sorted(items, key=lambda i: i.id) if args.force or load(item) is None]
-
-
-# stage: (what fails, what the summary says it did, the RunConfig path written)
-_STAGES = {
-    "sample": ("sampling", "sampled", "samples_dir"),
-    "cluster": ("clustering", "clustered", "clusters_dir"),
-    "grade": ("grading", "graded", "grades_path"),
-}
+def _by_id(items) -> list:
+    return sorted(items, key=lambda item: item.id)
 
 
 def _run_stage(
-    args: argparse.Namespace, config: RunConfig, stage: str, items, todo, job: Callable, backend
+    args: argparse.Namespace, config: RunConfig, failed: str, jobs, backend, summary: str
 ) -> int:
-    """Run ``job(item)`` for every item of ``todo`` on one pool of
-    ``--concurrency`` calls and close ``backend``; then exit 3 naming the
-    questions that failed, or print one summary line with the cache's
-    counts, or a note that ``config.json`` keeps the cache off, and any
-    HTTP retries."""
-    failed, verb, where = _STAGES[stage]
+    """Run ``jobs`` on one pool of ``--concurrency`` calls and close
+    ``backend``; then exit 3 naming the questions whose ``failed`` (say,
+    "sampling") failed, or print ``summary`` with the cache's counts, or a
+    note that ``config.json`` keeps the cache off, and any HTTP retries."""
     try:
-        done, failures = scheduler.run_jobs(config.concurrency, map(job, todo))
+        _, failures = scheduler.run_jobs(config.concurrency, jobs)
     finally:
         if backend is not None:
             backend.close()
@@ -342,10 +335,7 @@ def _run_stage(
     if isinstance(http, gateway.HttpBackend) and http.retries:
         retries = "retry" if http.retries == 1 else "retries"
         calls += f"; {http.retries} HTTP {retries}, {http.backoff_s:.1f} s of backoff"
-    print(
-        f"{verb} {len(items)} question(s) ({done} new, "
-        f"{len(items) - len(todo)} already complete) into {getattr(config, where)}{calls}"
-    )
+    print(summary + calls)
     return EXIT_OK
 
 
@@ -401,12 +391,12 @@ def _sample_to_dict(sample: gateway.AnswerSample) -> dict:
     }
 
 
-def _check_images(todo) -> None:
-    """Usage error naming every local image file among ``todo`` that cannot
+def _check_images(items) -> None:
+    """Usage error naming every local image file among ``items`` that cannot
     be opened."""
     unreadable = []
-    for ref in sorted({item.image_ref for item in todo if item.image_ref}):
-        if ref.startswith("data:"):
+    for ref in sorted({item.image_ref for item in items if item.image_ref}):
+        if ref.startswith(gateway.IMAGE_URLS):
             continue
         try:
             open(ref, "rb").close()
@@ -420,9 +410,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     corpus.write_corpus(items, config.corpus_path)
-    todo = _todo(args, items, functools.partial(_load_samples, config))
     if not config.mock_script:  # the mock backend never reads images
-        _check_images(todo)
+        _check_images(items)
     backend = _build_backend(config)
     draws = {
         gateway.ROLE_SAMPLE: (config.k, config.sample_temperature),
@@ -446,7 +435,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
         return gateway.sampling_job(backend, item, draws, done)
 
-    return _run_stage(args, config, "sample", items, todo, job, backend)
+    summary = f"sampled {len(items)} question(s) into {config.samples_dir}"
+    return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +472,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    todo = _todo(args, items, functools.partial(_load_cluster, config, sample_records))
     backend = _build_backend(config)
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -496,7 +485,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         judge = gateway.entailment_judge(backend, question_id=item.id)
         return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
 
-    return _run_stage(args, config, "cluster", items, todo, job, backend)
+    summary = f"clustered {len(items)} question(s) into {config.clusters_dir}"
+    return _run_stage(args, config, "clustering", map(job, _by_id(items)), backend, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +521,12 @@ def cmd_grade(args: argparse.Namespace) -> int:
     if args.import_file:  # read before any grading call, so a bad file costs nothing
         read = functools.partial(corpus.import_grades, known_ids=[item.id for item in items])
         imported = _read_input("grade file", args.import_file, read)
-    grades = _load_grades(config, sample_records)
+    # An imported grade is an input: it stays while its answer is current.
+    grades = {
+        qid: grade
+        for qid, grade in _load_grades(config, sample_records).items()
+        if grade["grader"] == corpus.GRADER_IMPORTED
+    }
     for item in items:
         if item.id in imported:  # a grade of the current baseline answer
             answer = sample_records[item.id]["baseline"]["text"]
@@ -539,8 +534,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                 item.id, answer, item.reference, imported[item.id], corpus.GRADER_IMPORTED
             )
             grades[item.id] = asdict(grade)
-    todo = _todo(args, items, lambda item: grades.get(item.id))
-    todo = [item for item in todo if item.id not in imported]
+    todo = [item for item in _by_id(items) if item.id not in grades]
     backend = _build_backend(config) if config.grader == corpus.GRADER_MODEL else None
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -555,8 +549,10 @@ def cmd_grade(args: argparse.Namespace) -> int:
         answer = sample_records[item.id]["baseline"]["text"]
         return scheduler.Job(item.id, {0: answer}, call, finish)
 
+    summary = (f"graded {len(items)} question(s) ({len(items) - len(todo)} imported) "
+               f"into {config.grades_path}")
     try:
-        return _run_stage(args, config, "grade", items, todo, job, backend)
+        return _run_stage(args, config, "grading", map(job, todo), backend, summary)
     finally:  # also on Ctrl-C, so every finished grade is kept
         lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
         write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
@@ -582,7 +578,7 @@ def _collect_results(
     on_disk = _load_grades(config, sample_records)
     grades = _require(items, lambda item: on_disk.get(item.id), "grade")
     results = []
-    for item in sorted(items, key=lambda i: i.id):
+    for item in _by_id(items):
         results.append(
             evaluation.QuestionResult(
                 question_id=item.id,
@@ -608,7 +604,7 @@ def _cost_inputs(items, sample_records, cluster_records):
     for item in items:
         record = sample_records[item.id]
         samples.extend(map(_usage, record["samples"] + [record["baseline"]]))
-        verdicts.extend(map(_usage, clustering.judge_calls(cluster_records[item.id])))
+        verdicts.extend(map(_usage, cluster_records[item.id]["calls"]))
     return samples, verdicts
 
 
@@ -866,8 +862,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_text in specs:
         sub = commands.add_parser(name, help=help_text, parents=[common])
         if name in ("sample", "cluster", "grade"):
-            sub.add_argument("--force", action="store_true",
-                            help="recompute even where outputs already exist")
+            # Accepted and ignored: every run rebuilds every record through
+            # the cache.  The benchmark's warm-replay workload still passes
+            # --force; the flag goes once that workload drops it.
+            sub.add_argument("--force", action="store_true", help=argparse.SUPPRESS)
         if name == "grade":
             sub.add_argument("--import", dest="import_file", default=None,
                             help="two-column file of human grade overrides")

@@ -345,11 +345,6 @@ def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, Sem
     return data["question_id"], samples, matrix, clustering, data["dse"]
 
 
-def judge_calls(data: dict) -> list[dict]:
-    """The stored row of each judge call behind an audit record, in call order."""
-    return data["calls"]
-
-
 def write_audit_record(path: str | Path, record: dict) -> None:
     """Write an audit record through ``errors.write_record``: one compact
     JSON object, in place, and only if its content changed."""

@@ -66,6 +66,8 @@ ROLE_GRADE = "grade"
 # for text plus a flat allowance per attached image.  Estimates are flagged.
 _CHARS_PER_TOKEN = 4
 _TOKENS_PER_IMAGE = 765
+# Image refs sent to the endpoint as they are, not read as files.
+IMAGE_URLS = ("data:", "http://", "https://")
 
 # Unparseable judge and grade replies are asked again this many times.
 _PARSE_RETRIES = 2
@@ -595,8 +597,8 @@ class HttpBackend(Backend):
 
 
 def _image_data_url(image_ref: str) -> str:
-    """Inline an image as a data URL; pass through refs that already are."""
-    if image_ref.startswith("data:"):
+    """Inline an image file as a data URL; pass URLs through as they are."""
+    if image_ref.startswith(IMAGE_URLS):
         return image_ref
     path = Path(image_ref)
     suffix = path.suffix.lower().lstrip(".") or "png"

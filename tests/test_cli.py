@@ -264,6 +264,25 @@ class TestPipeline:
         audit = json.loads((tmp_path / "out" / "clusters" / "q-q00.json").read_text())
         assert audit["clusters"] == [[0, 2, 4], [1, 3]]
 
+    def test_a_subgroup_that_keeps_nothing_reads_rejected_all(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        make_mock_script(script_path, make_mock_corpus(corpus_path, count=3))
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--mock-script", str(script_path), "--iterations", "500"]
+        assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+        for stage in ("cluster", "grade", "report"):
+            assert main([stage, *args]) == EXIT_OK
+        summary = (out / "reports" / "summary.txt").read_text().splitlines()
+        # q01 (entropy 0.44) and q02 (1.18) are the plane subgroup
+        assert "subgroup DemoSet:plane: baseline 50.0 (n=2); 0.6: 100.0 (n=1); 0.3: rejected all" in (
+            summary
+        )
+        report = json.loads((out / "reports" / "report.json").read_text())
+        [plane] = [row for row in report["subgroups"] if row["subgroup"] == "plane"]
+        assert plane["thresholds"][1] == {"threshold": 0.3, "n_retained": 0, "accuracy": None,
+                                          "delta": None}
+
     def test_cost_counts_each_judge_call_once(self, tmp_path):
         args = three_text_question(tmp_path)
         assert main(["cluster", *args]) == EXIT_OK
@@ -396,7 +415,7 @@ class TestStaleRecords:
         assert main(["sample", "--corpus", str(corpus_path), *old]) == EXIT_OK
         assert main(["cluster", *old]) == EXIT_OK
         assert main(["grade", *old]) == EXIT_OK
-        assert main(["sample", "--force", "--no-cache", *new]) == EXIT_OK
+        assert main(["sample", "--no-cache", *new]) == EXIT_OK
         capsys.readouterr()
 
         for stage in ("report", "curve", "cost"):
@@ -405,7 +424,7 @@ class TestStaleRecords:
         assert not (out / "reports" / "curve.csv").exists()
 
         assert main(["cluster", *new]) == EXIT_OK
-        assert "(3 new, 0 already complete)" in capsys.readouterr().out
+        assert f"clustered 3 question(s) into {out / 'clusters'}" in capsys.readouterr().out
         audit = json.loads((out / "clusters" / "q-q00.json").read_text())
         assert audit["samples"] == [f"other-{j}" for j in range(5)]
         assert audit["dse"] == pytest.approx(0.69897000433601886)  # log10(5)
@@ -416,6 +435,35 @@ class TestStaleRecords:
         grades = (out / "grades" / "grades.jsonl").read_text().splitlines()
         assert [json.loads(line)["answer"] for line in grades] == ["zzz"] * 3
 
+    def test_an_edited_sample_record_is_rebuilt_from_the_cache(self, workdir, capsys):
+        assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
+        path = workdir["out"] / "samples" / "q-q01.json"
+        whole = path.read_bytes()
+        record = json.loads(whole)
+        record["samples"][0]["text"] = "edited"
+        write_record(path, record)
+        capsys.readouterr()
+        assert main(["sample", *base_args(workdir)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 160 replayed from the cache\n")
+        assert path.read_bytes() == whole
+
+    def test_under_a_stored_no_cache_a_new_script_is_sampled(self, tmp_path):
+        corpus_path = tmp_path / "corpus.jsonl"
+        records = make_mock_corpus(corpus_path, count=2)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        make_mock_script(first, records, k=3)
+        second.write_text(json.dumps({"answers": {
+            record["id"]: {"sample": ["b"] * 3, "baseline": ["b"]} for record in records
+        }}))
+        out = tmp_path / "out"
+        assert main(["sample", "--corpus", str(corpus_path), "--out", str(out), "--k", "3",
+                     "--no-cache", "--mock-script", str(first)]) == EXIT_OK
+        assert main(["sample", "--out", str(out), "--mock-script", str(second)]) == EXIT_OK
+        for record in records:
+            sampled = json.loads((out / "samples" / f"q-{record['id']}.json").read_text())
+            assert [s["text"] for s in sampled["samples"]] == ["b"] * 3
+            assert sampled["baseline"]["text"] == "b"
+
     def test_other_grader_makes_grades_stale(self, tmp_path, capsys):
         args = graded_run(tmp_path, 3)
         capsys.readouterr()
@@ -424,7 +472,7 @@ class TestStaleRecords:
         assert capsys.readouterr().err.count("stale grades for 3 question(s): q00, q01, q02") == 2
 
         assert main(["grade", *args]) == EXIT_OK
-        assert "graded 3 question(s) (3 new, 0 already complete)" in capsys.readouterr().out
+        assert "graded 3 question(s) (0 imported) into " in capsys.readouterr().out
         assert [g["grader"] for g in read_grades(tmp_path)] == ["normalized-containment"] * 3
         assert main(["report", *args]) == EXIT_OK
 
@@ -445,7 +493,7 @@ class TestStaleRecords:
         judged = mock_calls["roles"].get(gateway.ROLE_JUDGE, 0)
         assert main(["cluster", *base_args(workdir)]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "(2 new, 8 already complete)" in out
+        assert out.startswith("clustered 10 question(s) into ")
         if cache == "--cache":
             assert "; 0 model call(s) sent, " in out
             assert mock_calls["roles"][gateway.ROLE_JUDGE] == judged
@@ -473,7 +521,7 @@ class TestGradeImport:
         assert read_grades(tmp_path) == imported
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
-        assert "(0 new, 3 already complete)" in capsys.readouterr().out
+        assert "graded 3 question(s) (2 imported) into " in capsys.readouterr().out
         assert read_grades(tmp_path) == imported
 
         script_path = tmp_path / "mock.json"
@@ -481,7 +529,7 @@ class TestGradeImport:
         for answers in script["answers"].values():
             answers["baseline"] = ["zzz"]
         script_path.write_text(json.dumps(script))
-        assert main(["sample", "--force", "--no-cache", *args]) == EXIT_OK
+        assert main(["sample", "--no-cache", *args]) == EXIT_OK
         capsys.readouterr()
         assert main(["report", *args]) == EXIT_INCOMPLETE
         assert "stale grades for 3 question(s): q00, q01, q02" in capsys.readouterr().err
@@ -504,10 +552,10 @@ class TestGradeImport:
         settled = tmp_path / "settled.txt"
         settled.write_text("q01 yes\n")
         assert main(["grade", "--import", str(settled), *args]) == EXIT_OK
-        assert capsys.readouterr().out.endswith(
-            "(0 new, 3 already complete) into "
+        assert capsys.readouterr().out == (
+            "graded 3 question(s) (1 imported) into "
             f"{tmp_path / 'out' / 'grades' / 'grades.jsonl'}; "
-            "0 model call(s) sent, 0 replayed from the cache\n"
+            "0 model call(s) sent, 2 replayed from the cache\n"
         )
         grades = read_grades(tmp_path)
         assert [g["grader"] for g in grades] == ["model-judge", "imported", "model-judge"]
@@ -525,7 +573,7 @@ class TestGradeImport:
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.endswith("; 1 model call(s) sent, 0 replayed from the cache\n")
+        assert out.endswith("; 1 model call(s) sent, 2 replayed from the cache\n")
         grades = read_grades(tmp_path)
         assert (grades[1]["question_id"], grades[1]["correct"]) == ("q01", True)
 
@@ -537,7 +585,7 @@ class TestGradeImport:
         stage = ["grade", "--force"] if force else ["grade"]
         assert main([*stage, "--import", str(overrides), *args]) == EXIT_OK
         assert mock_calls["roles"][gateway.ROLE_GRADE] == 1
-        assert "graded 3 question(s) (1 new, 2 already complete)" in capsys.readouterr().out
+        assert "graded 3 question(s) (2 imported) into " in capsys.readouterr().out
         grades = [(g["question_id"], g["grader"], g["correct"]) for g in read_grades(tmp_path)]
         assert grades == [
             ("q00", "imported", False), ("q01", "model-judge", True), ("q02", "imported", False)
@@ -552,9 +600,15 @@ class TestResumability:
 
         run_pipeline(workdir)
         lines = capsys.readouterr().out.splitlines()
-        for verb in ("sampled", "clustered"):  # the default grader makes no call
-            [line] = [line for line in lines if line.startswith(f"{verb} 10 question(s)")]
-            assert line.endswith("; 0 model call(s) sent, 0 replayed from the cache")
+        out = workdir["out"]
+        # the default grader makes no call
+        assert lines[:3] == [
+            f"sampled 10 question(s) into {out / 'samples'}; "
+            "0 model call(s) sent, 160 replayed from the cache",
+            f"clustered 10 question(s) into {out / 'clusters'}; "
+            "0 model call(s) sent, 661 replayed from the cache",
+            f"graded 10 question(s) (0 imported) into {out / 'grades' / 'grades.jsonl'}",
+        ]
         assert (workdir["out"] / "reports" / "report.json").read_bytes() == report_bytes
 
     def test_a_garbled_judge_reply_replays_from_the_cache(self, tmp_path, monkeypatch, capsys):
@@ -579,7 +633,7 @@ class TestResumability:
         assert record.read_bytes() == clusters
 
     def test_grade_redoes_only_missing_grades(self, tmp_path, mock_calls, capsys):
-        args = graded_run(tmp_path, 10, "--grader", "model-judge", "--no-cache")
+        args = graded_run(tmp_path, 10, "--grader", "model-judge")
         assert mock_calls["roles"][gateway.ROLE_GRADE] == 10
         path = tmp_path / "out" / "grades" / "grades.jsonl"
         whole = path.read_text()
@@ -587,14 +641,15 @@ class TestResumability:
         path.write_text("".join(lines[:3] + lines[4:]))
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
-        assert mock_calls["roles"][gateway.ROLE_GRADE] == 11
-        assert capsys.readouterr().out.endswith(f"(1 new, 9 already complete) into {path}\n")
+        assert mock_calls["roles"][gateway.ROLE_GRADE] == 10  # the lost grade is replayed
+        assert capsys.readouterr().out.endswith(
+            f"into {path}; 0 model call(s) sent, 10 replayed from the cache\n"
+        )
         assert path.read_text() == whole
 
     def test_interrupted_grade_keeps_finished_grades(self, tmp_path, mock_calls, monkeypatch,
                                                      capsys):
-        args = sampled_run(tmp_path, 10, "--grader", "model-judge", "--no-cache",
-                           "--concurrency", "1")
+        args = sampled_run(tmp_path, 10, "--grader", "model-judge", "--concurrency", "1")
         counting = gateway.MockBackend.invoke
 
         def invoke(backend, request):  # Ctrl-C in the 6th grade call
@@ -611,16 +666,16 @@ class TestResumability:
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
         assert mock_calls["roles"][gateway.ROLE_GRADE] == 5 + 5
-        assert "(5 new, 5 already complete)" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("; 5 model call(s) sent, 5 replayed from the cache\n")
         assert len(read_grades(tmp_path)) == 10
 
     def test_force_redoes_work_through_the_cache(self, workdir, capsys):
         run_pipeline(workdir)
         capsys.readouterr()
         assert main(["sample", "--force", *base_args(workdir)]) == EXIT_OK
-        assert capsys.readouterr().out.endswith(
-            "(10 new, 0 already complete) into "
-            f"{workdir['out'] / 'samples'}; 0 model call(s) sent, 160 replayed from the cache\n"
+        assert capsys.readouterr().out == (
+            f"sampled 10 question(s) into {workdir['out'] / 'samples'}; "
+            "0 model call(s) sent, 160 replayed from the cache\n"
         )
 
     def test_model_judge_regrade_replays_from_the_cache(self, tmp_path, capsys):
@@ -637,17 +692,24 @@ class TestResumability:
         path.write_bytes(whole[: len(whole) // 2])
         capsys.readouterr()
         assert main(["cluster", *base_args(workdir)]) == EXIT_OK
-        assert "(1 new, 9 already complete)" in capsys.readouterr().out
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 661 replayed from the cache\n")
         assert path.read_bytes() == whole
 
-    def test_replay_rewrites_nothing(self, workdir):
-        run_pipeline(workdir)
+    def test_replay_rewrites_nothing(self, workdir, mock_calls, capsys):
+        script = json.loads(workdir["script"].read_text())
+        script["grades"] = {record["id"]: "yes" for record in workdir["records"]}
+        workdir["script"].write_text(json.dumps(script))
+        run_pipeline(workdir, "--grader", "model-judge")
+        sent = dict(mock_calls["roles"])
         files = sorted(path for path in workdir["out"].rglob("*") if path.is_file())
         for path in files:  # an old time, so that any rewrite shows
             os.utime(path, ns=(10**18, 10**18))
+        capsys.readouterr()
         for stage in ("sample", "cluster", "grade"):
-            assert main([stage, "--force", *base_args(workdir)]) == EXIT_OK
+            assert main([stage, *base_args(workdir)]) == EXIT_OK
         assert main(["report", *base_args(workdir)]) == EXIT_OK
+        assert mock_calls["roles"] == sent
+        assert capsys.readouterr().out.count("; 0 model call(s) sent, ") == 3
         assert sorted(path for path in workdir["out"].rglob("*") if path.is_file()) == files
         rewritten = [str(path) for path in files if path.stat().st_mtime_ns != 10**18]
         assert rewritten == []
@@ -662,8 +724,7 @@ class TestResumability:
         assert "stale samples for 1 question(s): q03;" in capsys.readouterr().err
         assert main(["sample", *base_args(workdir)]) == EXIT_OK
         assert capsys.readouterr().out.endswith(
-            "(1 new, 9 already complete) into "
-            f"{workdir['out'] / 'samples'}; 0 model call(s) sent, 16 replayed from the cache\n"
+            f"into {workdir['out'] / 'samples'}; 0 model call(s) sent, 160 replayed from the cache\n"
         )
         assert path.read_bytes() == whole
 
@@ -672,6 +733,7 @@ class TestResumability:
         # compact, and the cache's one file per call before it became one store
         run_pipeline(workdir)
         out = workdir["out"]
+        compact = stage_files(out)
         for name in ("samples", "clusters"):
             for path in (out / name).rglob("*.json"):
                 value = json.loads(path.read_text(encoding="utf-8"))
@@ -683,17 +745,17 @@ class TestResumability:
             text = json.dumps(json.loads(entry), sort_keys=True, ensure_ascii=False, indent=2)
             path.write_text(text, encoding="utf-8")
         (out / "cache" / "replies.sqlite").unlink()
-        before = stage_files(out)
+        assert main(["report", *base_args(workdir)]) == EXIT_OK
+        assert stage_files(out) != compact
         capsys.readouterr()
+        # a stage run replays every call and writes its records compactly
         assert main(["sample", *base_args(workdir)]) == EXIT_OK
         assert main(["cluster", *base_args(workdir)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert all("(0 new, 10 already complete)" in line for line in lines), lines
-        assert stage_files(out) == before
-        assert main(["cluster", "--force", *base_args(workdir)]) == EXIT_OK
-        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 661 replayed from the cache\n")
+        assert lines[0].endswith("; 0 model call(s) sent, 160 replayed from the cache"), lines
+        assert lines[1].endswith("; 0 model call(s) sent, 661 replayed from the cache"), lines
+        assert stage_files(out) == compact
         assert [path.name for path in (out / "cache").iterdir()] == ["replies.sqlite"]
-        assert main(["report", *base_args(workdir)]) == EXIT_OK
 
     def test_config_merge_prefers_stored_over_default(self, workdir):
         args = base_args(workdir)
@@ -1089,7 +1151,7 @@ class _CompletionHandler(BaseHTTPRequestHandler):
     an error body under a status other than 200: the next one taken from
     ``server.statuses``, else ``server.status``.  Counts connections,
     requests and the most requests open at once, and records each
-    request's target in ``server.targets``."""
+    request's target in ``server.targets`` and body in ``server.bodies``."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -1102,11 +1164,12 @@ class _CompletionHandler(BaseHTTPRequestHandler):
         pass
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        request = self.rfile.read(int(self.headers["Content-Length"]))
         server = self.server
         with server.lock:
             server.requests += 1
             server.targets.append(self.path)
+            server.bodies.append(request)
             server.open += 1
             server.peak_open = max(server.peak_open, server.open)
             status = server.statuses.pop(0) if server.statuses else server.status
@@ -1173,6 +1236,7 @@ def serving(handler=_CompletionHandler, tls: ssl.SSLContext | None = None):
     server.status = 200
     server.statuses = []
     server.targets = []
+    server.bodies = []
     server.delay_s = 0.0
     server.connections = server.requests = server.open = server.peak_open = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -1372,6 +1436,40 @@ class TestHttpStage:
         assert "pass --mock-script '' or --endpoint '' to clear one" in err
         assert main([*args, "--endpoint", ""]) == EXIT_OK
         assert completion_server.requests == sent
+
+    def test_an_endpoint_with_the_cache_off_is_usage_error(self, tmp_path, completion_server,
+                                                           capsys):
+        corpus_path = corpus_with_images(tmp_path, 2)
+        out = tmp_path / "out"
+        assert main(http_args(completion_server, corpus_path, out, "--no-cache")) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"the cache is off (from --no-cache) for an endpoint ({completion_server.url})" in err
+        assert err.endswith("pass --cache\n")
+        assert not (out / "config.json").exists()
+        # a --no-cache stored by a mock run
+        records = [json.loads(line) for line in corpus_path.read_text().splitlines()]
+        make_mock_script(tmp_path / "mock.json", records, k=1)
+        assert main(["sample", "--corpus", str(corpus_path), "--out", str(out), "--k", "1",
+                     "--no-cache", "--mock-script", str(tmp_path / "mock.json")]) == EXIT_OK
+        stored = (out / "config.json").read_text()
+        args = http_args(completion_server, corpus_path, out, "--mock-script", "")
+        assert main(args) == EXIT_USAGE
+        assert f"the cache is off (stored in {out / 'config.json'})" in capsys.readouterr().err
+        assert (out / "config.json").read_text() == stored
+        assert completion_server.requests == 0
+        assert main([*args, "--cache"]) == EXIT_OK
+        assert completion_server.requests == 2 * 2
+
+    def test_image_urls_are_sent_as_they_are(self, tmp_path, completion_server):
+        corpus_path = tmp_path / "corpus.jsonl"
+        [row] = make_mock_corpus(corpus_path, count=1)
+        url = "https://example.org/scan.png"
+        corpus_path.write_text(json.dumps({**row, "image": url}) + "\n")
+        assert main(http_args(completion_server, corpus_path, tmp_path / "out", "--k", "1")) == EXIT_OK
+        assert len(completion_server.bodies) == 2
+        for body in completion_server.bodies:
+            content = json.loads(body)["messages"][-1]["content"]
+            assert content[1] == {"type": "image_url", "image_url": {"url": url}}
 
     def test_every_missing_image_is_named_before_any_call(self, tmp_path, completion_server, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -1604,8 +1702,18 @@ class TestExitCodes:
         assert "/nonexistent/x.png" in capsys.readouterr().err
         assert requests_made == []
 
+    def test_cluster_without_a_backend_is_usage_error(self, workdir, capsys):
+        assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["cluster", "--out", str(workdir["out"]), "--mock-script", ""]) == EXIT_USAGE
+        assert "no backend configured: pass --mock-script, or --endpoint plus --model" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize(
-        "case", ["corpus-directory", "missing-import", "missing-script", "malformed-script"]
+        "case",
+        ["corpus-directory", "missing-import", "missing-script", "malformed-script",
+         "malformed-config"],
     )
     def test_unreadable_named_input_is_usage_error(self, workdir, tmp_path, capsys, case):
         bad = tmp_path / "bad"
@@ -1620,6 +1728,10 @@ class TestExitCodes:
         elif case == "malformed-script":
             bad.write_text("{not json")
             script = bad
+        elif case == "malformed-config":
+            bad = workdir["out"] / "config.json"
+            bad.parent.mkdir()
+            bad.write_text("{not json")
         else:
             script = bad
         args = [*stage, "--out", str(workdir["out"]), "--mock-script", str(script)]
@@ -1680,6 +1792,7 @@ class TestTracing:
             with tracer.stage("cli.cluster"):
                 assert main(["cluster", *base_args(workdir)]) == EXIT_OK
             rerun = tracing.summarize(tracer.spans)
+            replayed = tracing.layer_metrics(tracer.spans)
         finally:
             tracer.uninstall()
         for name in ("gateway.judge_entailment", "entropy.discrete_semantic_entropy",
@@ -1687,8 +1800,12 @@ class TestTracing:
             assert summary.get(name, {"count": 0})["count"] > 0, name
         assert summary["clustering.write_audit_record"]["count"] == 10
         assert summary["corpus.grade"]["count"] == 10
-        assert rerun["clustering.read_audit_record"]["count"] == 10
-        assert "gateway.judge_entailment" not in rerun
+        # a rerun replays every judge call from the cache, and reads no record
+        judged = summary["gateway.judge_entailment"]["count"]
+        assert rerun["gateway.judge_entailment"]["count"] == judged
+        assert replayed["gateway.cache.misses"] == 0
+        assert rerun["clustering.write_audit_record"]["count"] == 10
+        assert "clustering.read_audit_record" not in rerun
         assert cli.discrete_semantic_entropy is entropy.discrete_semantic_entropy
 
     def test_benchmark_tracer_sees_every_report_layer(self, workdir, tracing):
@@ -1714,6 +1831,32 @@ class TestTracing:
         assert report["gateway.account_usage"] == 1
         assert curve["evaluation.coverage_curve"] == 1
         assert "clustering.load_audit_record" not in report  # cost reads the rows as stored
+
+    def test_benchmark_tracer_sees_every_http_layer(self, tmp_path, completion_server, tracing):
+        corpus_path = corpus_with_images(tmp_path, 2)
+        out = str(tmp_path / "out")
+        stages = [
+            ("sample", http_args(completion_server, corpus_path, out, "--k", "3")),
+            ("cluster", ["cluster", "--out", out]),
+            ("grade", ["grade", "--out", out]),
+            # every reply is "ct": the judge's never parse, so nothing entails
+            ("report", ["report", "--out", out, "--thresholds", "1.2", "--iterations", "500"]),
+        ]
+        tracer = tracing.Tracer()
+        tracing.install(tracer, {})
+        try:
+            for stage, argv in stages:
+                with tracer.stage(f"cli.{stage}"):
+                    assert main(argv) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        layers = tracing.layer_metrics(tracer.spans)
+        summary = tracing.summarize(tracer.spans)
+        dumped = [json.dumps(span) for span in tracer.spans]  # as the benchmark writes them
+        assert layers["gateway.http.calls"] == completion_server.requests > 0
+        assert layers["gateway.http.build_payload_ms_mean"] > 0
+        assert summary["gateway.HttpBackend.build_payload"]["count"] == completion_server.requests
+        assert len(dumped) == len(tracer.spans)
 
     def test_benchmark_traced_warm_path_runs_on_the_mock_corpus(self, workdir, tracing):
         script = json.loads(workdir["script"].read_text())

@@ -22,7 +22,6 @@ from entropygate.clustering import (
     assemble_clusters,
     audit_record,
     cluster_answers,
-    judge_calls,
     load_audit_record,
     mutual_entailment_graph,
     read_audit_record,
@@ -353,7 +352,7 @@ class TestJudgeCalls:
         assert [
             (row["premise"], row["hypothesis"], row["label"], row["raw"],
              row["tokens_in"], row["tokens_out"], row["latency_ms"])
-            for row in judge_calls(record)
+            for row in record["calls"]
         ] == [
             (*texts, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms)
             for texts, v in first.items()
@@ -366,7 +365,7 @@ class TestJudgeCalls:
         samples = ["ct", "mri", "xray"] * 5
         judge = entailment_judge(MockBackend())
         partition, matrix = cluster_answers(samples, judge, context="q")
-        calls = judge_calls(audit_record("q", samples, matrix, partition, dse=0.0))
+        calls = audit_record("q", samples, matrix, partition, dse=0.0)["calls"]
         assert [(row["premise"], row["hypothesis"]) for row in calls] == [
             ("ct", "mri"), ("ct", "xray"), ("ct", "ct"), ("mri", "ct"), ("mri", "xray"),
             ("mri", "mri"), ("xray", "ct"), ("xray", "mri"), ("xray", "xray"),

@@ -339,6 +339,31 @@ class TestHttpBackend:
         assert "ct" in text and "mri" in text and "Q?" in text
         assert transport.calls[0]["payload"]["temperature"] == 0.0
 
+    # the line prefixes perfbench/stub.py reads each prompt's fields from
+    @pytest.mark.parametrize("role, lines", [
+        (ROLE_JUDGE, ["We are evaluating answers to the question: Q?", "Answer 1: ct",
+                      "Answer 2: mri"]),
+        (ROLE_GRADE, ["Question: Q?", "Reference answer: ct", "Candidate answer: mri"]),
+    ], ids=[ROLE_JUDGE, ROLE_GRADE])
+    def test_judge_and_grade_prompts_lead_their_lines_with_field_names(
+        self, monkeypatch, role, lines
+    ):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        transport = FakeTransport([(200, completion_body("yes"))])
+        fields = {"context": "Q?", "question": None} if role == ROLE_JUDGE else {"question": "Q?"}
+        request = make_request(role=role, premise="ct", hypothesis="mri", **fields)
+        make_http(transport).invoke(request)
+        text = transport.calls[0]["payload"]["messages"][-1]["content"]
+        assert text.splitlines()[:3] == lines
+
+    def test_estimated_tokens_count_an_allowance_per_image(self, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        transport = FakeTransport([(200, completion_body("hi", usage=False))] * 2)
+        backend = make_http(transport)
+        plain = backend.invoke(make_request()).tokens_in
+        with_image = backend.invoke(make_request(image_ref="data:image/png;base64,AAAA")).tokens_in
+        assert with_image - plain == 765
+
 
 class CountingBackend(Backend):
     """Fixed-reply backend that counts invocations."""
