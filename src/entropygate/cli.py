@@ -25,8 +25,9 @@ An ``--import`` line is an input: its question's grade, with no call,
 for as long as its answer is the current baseline answer (remove the
 line to regrade).  ``report``, ``curve`` and ``cost`` read the records
 and exit 2 naming the questions whose records are missing or stale: a
-cluster record made from other sample texts or in the older per-pair
-layout, a grade of another baseline answer or by another grader.
+sample or cluster record in an older layout (rows as objects, or a
+verdict row per index pair), a cluster record made from other sample
+texts, a grade of another baseline answer or by another grader.
 Exit codes: 0 success, else the ``exit_code`` of the error that stopped
 the stage (``errors.EXIT_*``).
 """
@@ -39,6 +40,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import re
 import sys
@@ -245,6 +247,11 @@ def question_file_name(question_id: str) -> str:
     return "h-" + hashlib.sha256(question_id.encode("utf-8")).hexdigest()[:24]
 
 
+def _stems(items) -> dict[str, str]:
+    """Each item's record file stem by id, worked out once per stage."""
+    return {item.id: question_file_name(item.id) for item in items}
+
+
 def _write_json(path: Path, payload) -> None:
     write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
@@ -304,6 +311,12 @@ def _current(record: dict, **inputs) -> bool:
     )
 
 
+def _rows(rows, width: int) -> bool:
+    """Whether each of ``rows`` is a positional row of ``width`` fields, as
+    records store them; a record in an older layout holds objects."""
+    return set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+
+
 def _by_id(items) -> list:
     return sorted(items, key=lambda item: item.id)
 
@@ -339,10 +352,9 @@ def _run_stage(
     return EXIT_OK
 
 
-def _require(items, load: Callable, stage: str) -> dict[str, dict]:
-    """Each item's ``load(item)`` record by id; ``IncompleteRecordsError`` naming
-    the items it returns None for."""
-    records = {item.id: load(item) for item in items}
+def _require(records: dict[str, dict | None], stage: str) -> dict[str, dict]:
+    """``records`` by id; ``IncompleteRecordsError`` naming the ids whose
+    record is None."""
     missing = sorted(qid for qid, record in records.items() if record is None)
     if missing:
         raise IncompleteRecordsError(
@@ -356,14 +368,25 @@ def _require(items, load: Callable, stage: str) -> dict[str, dict]:
 # sample
 # ---------------------------------------------------------------------------
 
-def _samples_path(config: RunConfig, item) -> str:
-    return f"{config.samples_dir}/{question_file_name(item.id)}.json"
+# The fields of one row of a sample record's ``samples``, and of its
+# ``baseline``: the answer's, in this order.  The row's index is the
+# ordinal, and its temperature the record's ``sample_temperature`` or
+# ``baseline_temperature``.
+SAMPLE_FIELDS = ("text", "tokens_in", "tokens_out", "latency_ms", "backend_fingerprint",
+                 "estimated_tokens")
+_sample_row = operator.attrgetter(*SAMPLE_FIELDS)
+_TEXT = SAMPLE_FIELDS.index("text")
 
 
-def _load_samples(config: RunConfig, item) -> dict | None:
-    """The item's sample record if it is complete for ``config``, else None."""
+def _samples_path(config: RunConfig, stem: str) -> str:
+    return f"{config.samples_dir}/{stem}.json"
+
+
+def _load_samples(config: RunConfig, stem: str) -> dict | None:
+    """The sample record at ``stem`` if it is complete for ``config``, else None."""
     try:
-        record = read_record(_samples_path(config, item))
+        record = read_record(_samples_path(config, stem))
+        samples = record["samples"]
         complete = (
             _current(
                 record,
@@ -371,24 +394,22 @@ def _load_samples(config: RunConfig, item) -> dict | None:
                 sample_temperature=config.sample_temperature,
                 baseline_temperature=config.baseline_temperature,
             )
-            and len(record["samples"]) == config.k
-            and isinstance(record["baseline"], dict)
+            and len(samples) == config.k
+            and _rows([*samples, record["baseline"]], len(SAMPLE_FIELDS))
         )
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return record if complete else None
 
 
-def _sample_to_dict(sample: gateway.AnswerSample) -> dict:
-    return {
-        "ordinal": sample.ordinal,
-        "text": sample.text,
-        "temperature": sample.temperature,
-        "tokens_in": sample.tokens_in,
-        "tokens_out": sample.tokens_out,
-        "latency_ms": sample.latency_ms,
-        "fingerprint": sample.backend_fingerprint,
-    }
+def _sample_records(config: RunConfig, stems: dict[str, str]) -> dict[str, dict]:
+    """Each question's sample record by id, for the record file stems by id;
+    ``IncompleteRecordsError`` naming the ids whose record is not complete."""
+    return _require({qid: _load_samples(config, stem) for qid, stem in stems.items()}, "sample")
+
+
+def _baseline_text(sample_record: dict) -> str:
+    return sample_record["baseline"][_TEXT]
 
 
 def _check_images(items) -> None:
@@ -422,14 +443,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
         def done(drawn):
             [baseline] = drawn[gateway.ROLE_BASELINE]
             write_record(
-                _samples_path(config, item),
+                _samples_path(config, question_file_name(item.id)),
                 {
                     "id": item.id,
                     "k": config.k,
                     "sample_temperature": config.sample_temperature,
                     "baseline_temperature": config.baseline_temperature,
-                    "samples": [_sample_to_dict(s) for s in drawn[gateway.ROLE_SAMPLE]],
-                    "baseline": _sample_to_dict(baseline),
+                    "samples": list(map(_sample_row, drawn[gateway.ROLE_SAMPLE])),
+                    "baseline": _sample_row(baseline),
                 },
             )
 
@@ -443,26 +464,25 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
-def _clusters_path(config: RunConfig, item) -> str:
-    return f"{config.clusters_dir}/{question_file_name(item.id)}.json"
+def _clusters_path(config: RunConfig, stem: str) -> str:
+    return f"{config.clusters_dir}/{stem}.json"
 
 
 def _texts(sample_record: dict) -> list[str]:
-    return [s["text"] for s in sample_record["samples"]]
+    return [row[_TEXT] for row in sample_record["samples"]]
 
 
-def _load_cluster(config: RunConfig, sample_records, item) -> dict | None:
-    """The item's audit record if it is complete for ``config`` and was
-    computed from the item's current sample texts, else None.  A record in
-    the older layout, with ``verdicts`` rows per index pair and no
-    ``calls``, is stale: ``cluster`` rebuilds it, through the cache with no
-    call."""
-    texts = _texts(sample_records[item.id])
+def _load_cluster(config: RunConfig, texts: list[str], stem: str) -> dict | None:
+    """The audit record at ``stem`` if it is complete for ``config`` and was
+    computed from the sample ``texts``, else None.  A record in an older
+    layout, with a ``verdicts`` row per index pair or with ``calls`` rows
+    as objects, is stale: ``cluster`` rebuilds it, through the cache with
+    no call."""
     try:
-        record = clustering.read_audit_record(_clusters_path(config, item))
-        complete = "calls" in record and _current(
+        record = clustering.read_audit_record(_clusters_path(config, stem))
+        complete = _current(
             record, k=config.k, policy=config.policy, samples=texts
-        )
+        ) and _rows(record["calls"], len(clustering.CALL_FIELDS))
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return record if complete else None
@@ -471,7 +491,8 @@ def _load_cluster(config: RunConfig, sample_records, item) -> dict | None:
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
+    stems = _stems(items)
+    sample_records = _sample_records(config, stems)
     backend = _build_backend(config)
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
@@ -480,7 +501,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         def done(partition, matrix):
             dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
             record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
-            clustering.write_audit_record(_clusters_path(config, item), record)
+            clustering.write_audit_record(_clusters_path(config, stems[item.id]), record)
 
         judge = gateway.entailment_judge(backend, question_id=item.id)
         return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
@@ -507,7 +528,7 @@ def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
             qid: record
             for qid, record in grades.items()
             if qid in sample_records
-            and _current(record, grader=graders, answer=sample_records[qid]["baseline"]["text"])
+            and _current(record, grader=graders, answer=_baseline_text(sample_records[qid]))
         }
     except (OSError, ValueError, KeyError, TypeError):
         return {}
@@ -516,7 +537,7 @@ def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
 def cmd_grade(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
+    sample_records = _sample_records(config, _stems(items))
     imported = {}
     if args.import_file:  # read before any grading call, so a bad file costs nothing
         read = functools.partial(corpus.import_grades, known_ids=[item.id for item in items])
@@ -529,7 +550,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     }
     for item in items:
         if item.id in imported:  # a grade of the current baseline answer
-            answer = sample_records[item.id]["baseline"]["text"]
+            answer = _baseline_text(sample_records[item.id])
             grade = corpus.GradedAnswer(
                 item.id, answer, item.reference, imported[item.id], corpus.GRADER_IMPORTED
             )
@@ -546,7 +567,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                 raise errors[0]
             grades[item.id] = asdict(results[0])
 
-        answer = sample_records[item.id]["baseline"]["text"]
+        answer = _baseline_text(sample_records[item.id])
         return scheduler.Job(item.id, {0: answer}, call, finish)
 
     summary = (f"graded {len(items)} question(s) ({len(items) - len(todo)} imported) "
@@ -567,16 +588,19 @@ def _judged_run(config: RunConfig):
     records by id; ``IncompleteRecordsError`` naming the ids whose records
     are missing, incomplete or stale."""
     items = _load_items(config)
-    sample_records = _require(items, functools.partial(_load_samples, config), "sample")
-    load = functools.partial(_load_cluster, config, sample_records)
-    return items, sample_records, _require(items, load, "cluster")
+    stems = _stems(items)
+    sample_records = _sample_records(config, stems)
+    cluster_records = {
+        qid: _load_cluster(config, _texts(sample_records[qid]), stem) for qid, stem in stems.items()
+    }
+    return items, sample_records, _require(cluster_records, "cluster")
 
 
 def _collect_results(
     config: RunConfig, items, sample_records, cluster_records
 ) -> list[evaluation.QuestionResult]:
     on_disk = _load_grades(config, sample_records)
-    grades = _require(items, lambda item: on_disk.get(item.id), "grade")
+    grades = _require({item.id: on_disk.get(item.id) for item in items}, "grade")
     results = []
     for item in _by_id(items):
         results.append(
@@ -592,19 +616,21 @@ def _collect_results(
     return results
 
 
-def _usage(row: dict) -> gateway.Usage:
-    return gateway.Usage(row.get("tokens_in"), row.get("tokens_out"), row.get("latency_ms", 0.0))
+# A stored row's ``gateway.USAGE_FIELDS``, read by position.
+_sample_usage = operator.itemgetter(*map(SAMPLE_FIELDS.index, gateway.USAGE_FIELDS))
+_call_usage = operator.itemgetter(*map(clustering.CALL_FIELDS.index, gateway.USAGE_FIELDS))
 
 
 def _cost_inputs(items, sample_records, cluster_records):
     """The usage of each recorded answer draw, and of each judge call as its
-    cluster record's ``calls`` row stores it."""
+    cluster record's ``calls`` row stores it, as ``gateway.USAGE_FIELDS`` tuples."""
     samples = []
     verdicts = []
     for item in items:
         record = sample_records[item.id]
-        samples.extend(map(_usage, record["samples"] + [record["baseline"]]))
-        verdicts.extend(map(_usage, cluster_records[item.id]["calls"]))
+        samples.extend(map(_sample_usage, record["samples"]))
+        samples.append(_sample_usage(record["baseline"]))
+        verdicts.extend(map(_call_usage, cluster_records[item.id]["calls"]))
     return samples, verdicts
 
 

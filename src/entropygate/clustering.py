@@ -23,7 +23,8 @@ The chosen policy is recorded on the result so runs are auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -45,7 +46,8 @@ class EntailmentVerdict:
     ``label`` is parsed deterministically from ``raw_judge_output`` (see
     ``gateway.parse_entailment_reply``); the raw text is kept verbatim for
     audit.  Token and latency fields are optional accounting attached by
-    live backends.
+    live backends; ``estimated_tokens`` marks counts the backend estimated
+    because the endpoint sent none.
     """
 
     premise_index: int
@@ -55,6 +57,7 @@ class EntailmentVerdict:
     tokens_in: int | None = None
     tokens_out: int | None = None
     latency_ms: float = 0.0
+    estimated_tokens: bool = False
 
     def __post_init__(self):
         if self.premise_index == self.hypothesis_index:
@@ -65,6 +68,14 @@ class EntailmentVerdict:
     @property
     def entails(self) -> bool:
         return self.label == LABEL_ENTAILS
+
+
+# The fields of one ``calls`` row of an audit record, in order: those of the
+# verdict the call gave, for the pair of ``required_checks`` it was made for.
+CALL_FIELDS = tuple(f.name for f in fields(EntailmentVerdict))
+
+# A verdict's fields after its two pair indices.
+_verdict_fields = operator.attrgetter(*CALL_FIELDS[2:])
 
 
 # An entailment judge: (question context, premise text, hypothesis text) ->
@@ -228,10 +239,7 @@ def judging_job(
         if errors:
             raise JudgingError(list(errors), next(iter(errors.values())))
         verdicts = {
-            (i, j): EntailmentVerdict(
-                i, j, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms
-            )
-            for (i, j), v in results.items()
+            (i, j): EntailmentVerdict(i, j, *_verdict_fields(v)) for (i, j), v in results.items()
         }
         matrix = EntailmentMatrix(k=len(samples), verdicts=verdicts)
         done(assemble_clusters(mutual_entailment_graph(matrix), policy), matrix)
@@ -279,26 +287,18 @@ def audit_record(
 
     Holds everything needed to re-derive (or dispute) the partition: the
     sample texts, the policy, the resulting clusters, the entropy, and
-    ``calls``, one row per judge call with its two texts and raw judge
-    output.  ``judging_job`` sends pairs with the same (premise,
-    hypothesis) texts as one call, made for the first such pair in
-    ``required_checks`` order; the rows follow that order, and that
-    pair's verdict stands for the call.
+    ``calls``, one row per judge call.  ``judging_job`` sends pairs with
+    the same (premise, hypothesis) texts as one call, made for the first
+    such pair in ``required_checks`` order; the rows follow that order,
+    and each is a positional array of ``CALL_FIELDS``: that pair's two
+    indices and its verdict's label, raw judge output, token counts,
+    latency and estimated-tokens flag.
     """
-    calls: dict[tuple[str, str], dict] = {}
+    calls: dict[tuple[str, str], list] = {}
     for i, j in required_checks(matrix.k):
         texts = (samples[i], samples[j])
         if texts not in calls:
-            v = matrix.verdicts[(i, j)]
-            calls[texts] = {
-                "premise": texts[0],
-                "hypothesis": texts[1],
-                "label": v.label,
-                "raw": v.raw_judge_output,
-                "tokens_in": v.tokens_in,
-                "tokens_out": v.tokens_out,
-                "latency_ms": v.latency_ms,
-            }
+            calls[texts] = [i, j, *_verdict_fields(matrix.verdicts[(i, j)])]
     return {
         "question_id": question_id,
         "k": matrix.k,
@@ -311,31 +311,19 @@ def audit_record(
     }
 
 
-def _verdict(i: int, j: int, row: dict) -> EntailmentVerdict:
-    """Pair (i, j)'s verdict, as one row of an audit record's ``calls`` stores it."""
-    return EntailmentVerdict(
-        premise_index=i,
-        hypothesis_index=j,
-        label=row["label"],
-        raw_judge_output=row["raw"],
-        tokens_in=row.get("tokens_in"),
-        tokens_out=row.get("tokens_out"),
-        latency_ms=row.get("latency_ms", 0.0),
-    )
-
-
 def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, SemanticClustering, float]:
-    """Inverse of ``audit_record``: each pair (i, j) of ``required_checks``
-    gets the verdict of the call row for its two texts, so the matrix holds
-    every verdict the rows decide (all k*(k-1) for a full record)."""
+    """Inverse of ``audit_record``.  A call row's two indices name its
+    texts, and each pair (i, j) of ``required_checks`` gets the verdict the
+    row for its two texts stores, so the matrix holds every verdict the
+    rows decide (all k*(k-1) for a full record)."""
     k = data["k"]
     samples = list(data["samples"])
-    calls = {(row["premise"], row["hypothesis"]): row for row in data["calls"]}
+    calls = {(samples[row[0]], samples[row[1]]): row for row in data["calls"]}
     verdicts = {}
     for i, j in required_checks(k):
         row = calls.get((samples[i], samples[j]))
         if row is not None:
-            verdicts[(i, j)] = _verdict(i, j, row)
+            verdicts[(i, j)] = EntailmentVerdict(i, j, *row[2:])
     clustering = SemanticClustering(
         k=k,
         clusters=tuple(tuple(c) for c in data["clusters"]),

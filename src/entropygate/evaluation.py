@@ -400,7 +400,8 @@ def write_outcomes_jsonl(
         }
         for result in sorted(results, key=lambda r: r.question_id)
     )
-    lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records]
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # one for all lines
+    lines = [encode(record) + "\n" for record in records]
     write_text_atomic(path, "".join(lines))
 
 

@@ -31,6 +31,7 @@ import functools
 import json
 import hashlib
 import logging
+import operator
 import os
 import random
 import re
@@ -38,7 +39,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__, scheduler
 from .clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS, EntailmentVerdict
@@ -90,8 +91,7 @@ _JUDGE_PROMPT = (
     "We are evaluating answers to the question: {context}\n"
     "Answer 1: {premise}\n"
     "Answer 2: {hypothesis}\n"
-    "Does the meaning of Answer 1 follow from Answer 2's being a full "
-    "answer, i.e. does Answer 1 entail Answer 2? Reply with exactly one "
+    "Does Answer 1 semantically entail Answer 2? Reply with exactly one "
     "word: entailment or no-entailment."
 )
 _GRADE_PROMPT = (
@@ -158,6 +158,7 @@ class AnswerSample:
     tokens_out: int | None
     latency_ms: float
     backend_fingerprint: str
+    estimated_tokens: bool = False
 
 
 def cache_key(model_name: str, request: ModelRequest) -> str:
@@ -253,22 +254,25 @@ def ask(backend: Backend, parse: Callable[[str], object], **request_fields):
     """Send ``ModelRequest(ordinal=n, **request_fields)`` for n = 0, 1, ...,
     ``_PARSE_RETRIES`` until ``parse`` reads a reply as other than None: a
     bumped ordinal is a new request, which a cache does not answer with the
-    bad reply.  Returns (the parsed value or None, the last reply, and the
+    bad reply.  Returns (the parsed value or None, the last reply, the
     tokens in, tokens out and latency summed over the calls, a missing
-    count as 0).  A failed call propagates as ``BackendError``.
+    count as 0, and whether any call's token counts were estimated).  A
+    failed call propagates as ``BackendError``.
     """
     tokens_in = tokens_out = 0
     latency_ms = 0.0
+    estimated = False
     for ordinal in range(_PARSE_RETRIES + 1):
         request = ModelRequest(ordinal=ordinal, **request_fields)
         reply = backend.invoke(request)
         tokens_in += reply.tokens_in or 0
         tokens_out += reply.tokens_out or 0
         latency_ms += reply.latency_ms
+        estimated = estimated or reply.estimated_tokens
         value = parse(reply.text)
         if value is not None:
             break
-    return value, reply, tokens_in, tokens_out, latency_ms
+    return value, reply, tokens_in, tokens_out, latency_ms, estimated
 
 
 def forget_asked(backend: Backend, **request_fields) -> None:
@@ -919,6 +923,7 @@ def sampling_job(
             tokens_out=reply.tokens_out,
             latency_ms=reply.latency_ms,
             backend_fingerprint=reply.fingerprint,
+            estimated_tokens=reply.estimated_tokens,
         )
 
     def finish(results: dict, errors: dict) -> None:
@@ -979,7 +984,7 @@ def judge_entailment(
     ``BackendError``.  The verdict's indices are placeholders (0, 1);
     ``clustering.judging_job`` sets the pair's.
     """
-    label, reply, tokens_in, tokens_out, latency_ms = ask(
+    label, reply, *usage = ask(
         backend, parse_entailment_reply, question_id=question_id, role=ROLE_JUDGE,
         temperature=0.0, context=context, premise=premise, hypothesis=hypothesis,
     )
@@ -990,7 +995,7 @@ def judge_entailment(
             _PARSE_RETRIES + 1,
         )
         label = LABEL_NOT_ENTAILS
-    return EntailmentVerdict(0, 1, label, reply.text, tokens_in, tokens_out, latency_ms)
+    return EntailmentVerdict(0, 1, label, reply.text, *usage)
 
 
 def entailment_judge(backend: Backend, question_id: str = ""):
@@ -1019,51 +1024,56 @@ class CostEstimate:
     mean_call_latency_ms: float
     pipeline_latency_ms: float  # two fully parallelized stages
     incomplete_records: int  # records missing token counts, costed as zero
+    estimated_records: int  # records whose token counts are estimates
 
 
-class Usage(NamedTuple):
-    """The accounting of one recorded call: the fields ``account_usage`` reads."""
-
-    tokens_in: int | None
-    tokens_out: int | None
-    latency_ms: float
+# The accounting of one recorded call, in the order ``account_usage`` reads it.
+USAGE_FIELDS = ("tokens_in", "tokens_out", "latency_ms", "estimated_tokens")
+_usage_of = operator.attrgetter(*USAGE_FIELDS)
 
 
 def account_usage(
-    samples: list[AnswerSample | Usage],
-    verdicts: list[EntailmentVerdict | Usage],
+    samples: list[AnswerSample | tuple],
+    verdicts: list[EntailmentVerdict | tuple],
     price_per_million_tokens: float = 10.0,
 ) -> CostEstimate:
     """Cost and latency model for the sampling + entailment pipeline.
 
-    Each record is one model call; only its ``tokens_in``, ``tokens_out``
-    and ``latency_ms`` are read, so a ``Usage`` of a stored record serves
-    as well as the full sample or verdict.  Cost is total tokens (in +
-    out) times the flat per-million price, split into the sampling and
-    entailment components.  Records missing token counts are costed as
-    zero and counted in ``incomplete_records`` with a warning.  Latency:
-    both stages parallelize fully, so the pipeline estimate is twice the
-    mean single-call latency.
+    Each record is one model call: a sample or verdict, of which only the
+    ``USAGE_FIELDS`` are read, or a tuple of those fields in that order, as
+    the CLI reads them by position from a stored record's rows.
+    Cost is total tokens (in + out) times the flat per-million price,
+    split into the sampling and entailment components.  Records missing
+    token counts are costed as zero and counted in ``incomplete_records``
+    with a warning; records whose counts are estimates are counted in
+    ``estimated_records``.  Latency: both stages parallelize fully, so
+    the pipeline estimate is twice the mean single-call latency.
     """
-    incomplete = 0
+    incomplete = estimated = 0
+
+    def usages(records) -> list[tuple]:
+        return [r if isinstance(r, tuple) else _usage_of(r) for r in records]
 
     def tokens(records) -> int:
-        nonlocal incomplete
+        nonlocal incomplete, estimated
         total = 0
-        for record in records:
-            if record.tokens_in is None or record.tokens_out is None:
+        for tokens_in, tokens_out, _, guessed in records:
+            if tokens_in is None or tokens_out is None:
                 incomplete += 1
                 continue
-            total += record.tokens_in + record.tokens_out
+            total += tokens_in + tokens_out
+            if guessed:
+                estimated += 1
         return total
 
+    samples, verdicts = usages(samples), usages(verdicts)
     sampling_tokens = tokens(samples)
     entailment_tokens = tokens(verdicts)
     if incomplete:
         log.warning("%d record(s) missing token counts; costed as zero", incomplete)
 
     price = price_per_million_tokens / 1e6
-    latencies = [s.latency_ms for s in samples] + [v.latency_ms for v in verdicts]
+    latencies = [record[2] for record in samples + verdicts]
     mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
     return CostEstimate(
         price_per_million_tokens=price_per_million_tokens,
@@ -1075,4 +1085,5 @@ def account_usage(
         mean_call_latency_ms=mean_latency,
         pipeline_latency_ms=2.0 * mean_latency,
         incomplete_records=incomplete,
+        estimated_records=estimated,
     )

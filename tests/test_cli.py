@@ -32,11 +32,12 @@ from entropygate.cli import (
     EXIT_OK,
     EXIT_USAGE,
     CURVE_THRESHOLDS,
+    SAMPLE_FIELDS,
     RunConfig,
     main,
     question_file_name,
 )
-from entropygate.clustering import cluster_answers, load_audit_record
+from entropygate.clustering import CALL_FIELDS, cluster_answers, load_audit_record
 from entropygate.errors import (
     BackendError,
     CorpusFormatError,
@@ -224,10 +225,11 @@ class TestPipeline:
         assert main(["sample", "--corpus", str(workdir["corpus"]), *base_args(workdir)]) == EXIT_OK
         record = json.loads((workdir["out"] / "samples" / "q-q00.json").read_text())
         assert record["id"] == "q00"
+        assert (record["sample_temperature"], record["baseline_temperature"]) == (1.0, 0.1)
         assert len(record["samples"]) == 15
-        assert [s["ordinal"] for s in record["samples"]] == list(range(15))
-        assert record["samples"][0]["tokens_in"] == 690
-        assert record["baseline"]["temperature"] == 0.1
+        rows = [dict(zip(SAMPLE_FIELDS, row)) for row in [*record["samples"], record["baseline"]]]
+        assert all(len(row) == len(SAMPLE_FIELDS) for row in record["samples"])
+        assert {(row["tokens_in"], row["estimated_tokens"]) for row in rows} == {(690, False)}
 
     def test_cluster_records_have_entropy(self, workdir):
         for stage in ("sample", "cluster"):
@@ -388,7 +390,7 @@ class TestReportTests:
 
 
 def per_pair_layout(record: dict) -> dict:
-    """``record`` in the older layout: one verdict row per index pair, no ``calls``."""
+    """``record`` in an older layout: one verdict row per index pair, no ``calls``."""
     _, _, matrix, _, _ = load_audit_record(record)
     rows = [
         {"premise": i, "hypothesis": j, "label": v.label, "raw": v.raw_judge_output,
@@ -396,6 +398,33 @@ def per_pair_layout(record: dict) -> dict:
         for (i, j), v in matrix.verdicts.items()
     ]
     return {**{key: value for key, value in record.items() if key != "calls"}, "verdicts": rows}
+
+
+def object_rows_layout(record: dict) -> dict:
+    """A sample or cluster ``record`` in the layout before positional rows:
+    each row an object, a sample row with its ordinal and temperature, a
+    call row with its two texts."""
+    if "calls" in record:
+        texts = record["samples"]
+        calls = []
+        for row in record["calls"]:
+            call = dict(zip(CALL_FIELDS, row))
+            calls.append({"premise": texts[call["premise_index"]],
+                          "hypothesis": texts[call["hypothesis_index"]],
+                          "label": call["label"], "raw": call["raw_judge_output"],
+                          "tokens_in": call["tokens_in"], "tokens_out": call["tokens_out"],
+                          "latency_ms": call["latency_ms"]})
+        return {**record, "calls": calls}
+
+    def draw(ordinal: int, row: list, temperature: float) -> dict:
+        fields = dict(zip(SAMPLE_FIELDS, row))
+        return {"ordinal": ordinal, "text": fields["text"], "temperature": temperature,
+                "tokens_in": fields["tokens_in"], "tokens_out": fields["tokens_out"],
+                "latency_ms": fields["latency_ms"], "fingerprint": fields["backend_fingerprint"]}
+
+    samples = [draw(n, row, record["sample_temperature"]) for n, row in enumerate(record["samples"])]
+    return {**record, "samples": samples,
+            "baseline": draw(0, record["baseline"], record["baseline_temperature"])}
 
 
 class TestStaleRecords:
@@ -440,7 +469,7 @@ class TestStaleRecords:
         path = workdir["out"] / "samples" / "q-q01.json"
         whole = path.read_bytes()
         record = json.loads(whole)
-        record["samples"][0]["text"] = "edited"
+        record["samples"][0][SAMPLE_FIELDS.index("text")] = "edited"
         write_record(path, record)
         capsys.readouterr()
         assert main(["sample", *base_args(workdir)]) == EXIT_OK
@@ -461,8 +490,8 @@ class TestStaleRecords:
         assert main(["sample", "--out", str(out), "--mock-script", str(second)]) == EXIT_OK
         for record in records:
             sampled = json.loads((out / "samples" / f"q-{record['id']}.json").read_text())
-            assert [s["text"] for s in sampled["samples"]] == ["b"] * 3
-            assert sampled["baseline"]["text"] == "b"
+            text = SAMPLE_FIELDS.index("text")
+            assert [row[text] for row in [*sampled["samples"], sampled["baseline"]]] == ["b"] * 4
 
     def test_other_grader_makes_grades_stale(self, tmp_path, capsys):
         args = graded_run(tmp_path, 3)
@@ -500,6 +529,31 @@ class TestStaleRecords:
         else:  # a stored --no-cache asks the judge again
             assert mock_calls["roles"][gateway.ROLE_JUDGE] > judged
         assert {path.name: path.read_bytes() for path in clusters.iterdir()} == current
+        assert main(["report", *base_args(workdir)]) == EXIT_OK
+
+    def test_records_with_rows_as_objects_are_rebuilt(self, workdir, mock_calls, capsys):
+        run_pipeline(workdir)
+        folders = [workdir["out"] / "samples", workdir["out"] / "clusters"]
+        current = {path: path.read_bytes() for folder in folders for path in folder.iterdir()}
+        for folder, qids in zip(folders, [("q01", "q03"), ("q02", "q03")]):
+            for qid in qids:
+                path = folder / f"q-{qid}.json"
+                write_record(path, object_rows_layout(json.loads(path.read_text())))
+        capsys.readouterr()
+
+        for stage in ("report", "curve", "cost"):
+            assert main([stage, *base_args(workdir)]) == EXIT_INCOMPLETE
+            assert "stale samples for 2 question(s): q01, q03" in capsys.readouterr().err
+        calls = dict(mock_calls["roles"])
+        assert main(["sample", *base_args(workdir)]) == EXIT_OK
+        assert "; 0 model call(s) sent, " in capsys.readouterr().out
+        for stage in ("report", "curve", "cost"):
+            assert main([stage, *base_args(workdir)]) == EXIT_INCOMPLETE
+            assert "stale clusters for 2 question(s): q02, q03" in capsys.readouterr().err
+        assert main(["cluster", *base_args(workdir)]) == EXIT_OK
+        assert "; 0 model call(s) sent, " in capsys.readouterr().out
+        assert mock_calls["roles"] == calls
+        assert {path: path.read_bytes() for path in current} == current
         assert main(["report", *base_args(workdir)]) == EXIT_OK
 
 
@@ -1147,9 +1201,10 @@ class TestScheduler:
 
 
 class _CompletionHandler(BaseHTTPRequestHandler):
-    """Holds each chat completion ``server.delay_s``, then answers "ct", or
-    an error body under a status other than 200: the next one taken from
-    ``server.statuses``, else ``server.status``.  Counts connections,
+    """Holds each chat completion ``server.delay_s``, then answers "ct", with
+    a usage block if ``server.usage``, or an error body under a status
+    other than 200: the next one taken from ``server.statuses``, else
+    ``server.status``.  Counts connections,
     requests and the most requests open at once, and records each
     request's target in ``server.targets`` and body in ``server.bodies``."""
 
@@ -1180,8 +1235,9 @@ class _CompletionHandler(BaseHTTPRequestHandler):
             reply = {
                 "model": "m",
                 "choices": [{"message": {"role": "assistant", "content": "ct"}}],
-                "usage": {"prompt_tokens": 5, "completion_tokens": 1},
             }
+            if server.usage:
+                reply["usage"] = {"prompt_tokens": 5, "completion_tokens": 1}
         else:
             reply = {"error": {"message": "image too large"}}
         body = json.dumps(reply).encode()
@@ -1238,6 +1294,7 @@ def serving(handler=_CompletionHandler, tls: ssl.SSLContext | None = None):
     server.targets = []
     server.bodies = []
     server.delay_s = 0.0
+    server.usage = True
     server.connections = server.requests = server.open = server.peak_open = 0
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -1343,6 +1400,31 @@ class TestHttpStage:
         assert completion_server.requests == 3 * 6
         images = [str(tmp_path / f"{index}.png") for index in range(3)]
         assert sorted(rendered) == sorted(2 * images)
+
+    def test_records_and_cost_count_estimated_tokens(self, tmp_path, completion_server):
+        corpus_path = corpus_with_images(tmp_path, 3)
+        out = tmp_path / "out"
+        completion_server.usage = False
+        assert main(http_args(completion_server, corpus_path, out, "--k", "2",
+                              "--concurrency", "1")) == EXIT_OK
+        assert main(["cluster", "--out", str(out), "--concurrency", "1"]) == EXIT_OK
+        assert main(["cost", "--out", str(out)]) == EXIT_OK
+        cost = json.loads((out / "reports" / "cost.json").read_text())
+        # per question 3 answer draws and 1 judge call ("ct", "ct"), each estimated
+        assert (cost["estimated_records"], cost["incomplete_records"]) == (3 * 4, 0)
+        sampled = json.loads((out / "samples" / "q-q00.json").read_text())
+        flag = SAMPLE_FIELDS.index("estimated_tokens")
+        assert [row[flag] for row in [*sampled["samples"], sampled["baseline"]]] == [True] * 3
+        [call] = json.loads((out / "clusters" / "q-q00.json").read_text())["calls"]
+        assert dict(zip(CALL_FIELDS, call))["estimated_tokens"] is True
+
+        completion_server.usage = True
+        shutil.rmtree(out / "cache")
+        assert main(["sample", "--out", str(out)]) == EXIT_OK
+        assert main(["cluster", "--out", str(out)]) == EXIT_OK
+        assert main(["cost", "--out", str(out)]) == EXIT_OK
+        cost = json.loads((out / "reports" / "cost.json").read_text())
+        assert (cost["estimated_records"], cost["incomplete_records"]) == (0, 0)
 
     def test_http_stage_does_not_import_requests(self, tmp_path, completion_server):
         corpus_path = corpus_with_images(tmp_path, 1)

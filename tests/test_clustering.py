@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from entropygate.clustering import (
+    CALL_FIELDS,
     LABEL_ENTAILS,
     LABEL_NOT_ENTAILS,
     POLICY_COMPONENTS,
@@ -29,6 +30,7 @@ from entropygate.clustering import (
     write_audit_record,
 )
 from entropygate import cli
+from entropygate.entropy import cluster_distribution, discrete_semantic_entropy
 from entropygate.errors import BackendError, IncompleteMatrixError, JudgingError
 from entropygate.gateway import (
     AnswerSample,
@@ -284,14 +286,13 @@ class TestAuditRecords:
             samples, simple_judge(lambda i, j: True), context="q"
         )
         record = audit_record("q", samples, matrix, clustering, dse=0.0)
-        order = [(row["premise"], row["hypothesis"]) for row in record["calls"]]
-        assert order == [(samples[i], samples[j]) for i, j in required_checks(3)]
+        assert [tuple(row[:2]) for row in record["calls"]] == required_checks(3)
 
     def test_missing_call_rows_leave_pairs_unjudged(self):
         samples = ["ct", "mri", "ct"]
         clustering, matrix = cluster_answers(samples, entailment_judge(MockBackend()), context="q")
         record = audit_record("q", samples, matrix, clustering, dse=0.0)
-        record["calls"] = [row for row in record["calls"] if row["hypothesis"] != "mri"]
+        record["calls"] = [row for row in record["calls"] if samples[row[1]] != "mri"]
         _, _, partial, _, _ = load_audit_record(record)
         assert partial.missing_pairs() == [(0, 1), (2, 1)]
         with pytest.raises(IncompleteMatrixError):
@@ -315,6 +316,7 @@ def judged_matrices(draw) -> tuple[list[str], EntailmentMatrix]:
                 tokens_in=draw(st.none() | st.integers(0, 999)),
                 tokens_out=draw(st.none() | st.integers(0, 999)),
                 latency_ms=draw(st.integers(0, 9999)) / 8,
+                estimated_tokens=draw(st.booleans()),
             )
         verdicts[(i, j)] = EntailmentVerdict(i, j, **calls[texts])
     return samples, EntailmentMatrix(k=k, verdicts=verdicts)
@@ -323,7 +325,8 @@ def judged_matrices(draw) -> tuple[list[str], EntailmentMatrix]:
 def stored(samples: list[str], matrix: EntailmentMatrix, policy: str = POLICY_COMPONENTS) -> dict:
     """The audit record of ``matrix`` as read back from disk."""
     partition = assemble_clusters(mutual_entailment_graph(matrix), policy)
-    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse=0.0)))
+    dse = discrete_semantic_entropy(cluster_distribution(partition.sizes)).value
+    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse)))
 
 
 @st.composite
@@ -349,26 +352,28 @@ class TestJudgeCalls:
         first = {}
         for (i, j), v in matrix.verdicts.items():  # in required_checks order
             first.setdefault((samples[i], samples[j]), v)
-        assert [
-            (row["premise"], row["hypothesis"], row["label"], row["raw"],
-             row["tokens_in"], row["tokens_out"], row["latency_ms"])
-            for row in record["calls"]
-        ] == [
-            (*texts, v.label, v.raw_judge_output, v.tokens_in, v.tokens_out, v.latency_ms)
-            for texts, v in first.items()
+        assert [dict(zip(CALL_FIELDS, row)) for row in record["calls"]] == [
+            {"premise_index": v.premise_index, "hypothesis_index": v.hypothesis_index,
+             "label": v.label, "raw_judge_output": v.raw_judge_output,
+             "tokens_in": v.tokens_in, "tokens_out": v.tokens_out,
+             "latency_ms": v.latency_ms, "estimated_tokens": v.estimated_tokens}
+            for v in first.values()
         ]
-        _, _, loaded, partition, _ = load_audit_record(record)
+        _, _, loaded, partition, dse = load_audit_record(record)
         assert loaded == matrix
         assert assemble_clusters(mutual_entailment_graph(loaded), policy) == partition
+        assert partition.policy == policy
+        sizes = assemble_clusters(mutual_entailment_graph(matrix), policy).sizes
+        assert dse == discrete_semantic_entropy(cluster_distribution(sizes)).value
 
     def test_one_verdict_per_call_judging_job_made(self):
         samples = ["ct", "mri", "xray"] * 5
         judge = entailment_judge(MockBackend())
         partition, matrix = cluster_answers(samples, judge, context="q")
         calls = audit_record("q", samples, matrix, partition, dse=0.0)["calls"]
-        assert [(row["premise"], row["hypothesis"]) for row in calls] == [
-            ("ct", "mri"), ("ct", "xray"), ("ct", "ct"), ("mri", "ct"), ("mri", "xray"),
-            ("mri", "mri"), ("xray", "ct"), ("xray", "mri"), ("xray", "xray"),
+        # the first pair of required_checks with each (premise, hypothesis) texts
+        assert [tuple(row[:2]) for row in calls] == [
+            (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (2, 5),
         ]
 
 
@@ -376,28 +381,29 @@ class TestJudgeCalls:
 def stored_sample_records(draw) -> dict:
     """A sample record's draws as read back from disk, some with no token counts."""
 
-    def row(ordinal: int) -> dict:
-        return {
-            "ordinal": ordinal,
+    def row() -> list:
+        fields = {
             "text": "ct",
-            "temperature": 1.0,
             "tokens_in": draw(st.none() | st.integers(0, 999)),
             "tokens_out": draw(st.none() | st.integers(0, 999)),
             "latency_ms": draw(st.integers(0, 9999)) / 8,
-            "fingerprint": "mock",
+            "backend_fingerprint": "mock",
+            "estimated_tokens": draw(st.booleans()),
         }
+        return [fields[name] for name in cli.SAMPLE_FIELDS]
 
     k = draw(st.integers(1, 6))
-    return {"samples": [row(i) for i in range(k)], "baseline": row(0)}
+    return {"samples": [row() for _ in range(k)], "baseline": row()}
 
 
 def usage_from_objects(items, sample_records, cluster_records):
     """The cost inputs as full ``AnswerSample`` and ``EntailmentVerdict`` objects."""
     samples = [
-        AnswerSample(item.id, s["ordinal"], s["text"], s["temperature"], s["tokens_in"],
-                     s["tokens_out"], s["latency_ms"], s["fingerprint"])
+        AnswerSample(item.id, ordinal, temperature=1.0, **dict(zip(cli.SAMPLE_FIELDS, row)))
         for item in items
-        for s in sample_records[item.id]["samples"] + [sample_records[item.id]["baseline"]]
+        for ordinal, row in enumerate(
+            sample_records[item.id]["samples"] + [sample_records[item.id]["baseline"]]
+        )
     ]
     verdicts = [v for item in items for v in judge_calls_oracle(cluster_records[item.id])]
     return samples, verdicts
@@ -424,7 +430,12 @@ class TestCostFromRows:
         sample_records = {item.id: samples for item, (samples, _) in zip(items, questions)}
         cluster_records = {item.id: audit for item, (_, audit) in zip(items, questions)}
         rows = accounted(*cli._cost_inputs(items, sample_records, cluster_records))
-        objects = accounted(*usage_from_objects(items, sample_records, cluster_records))
+        samples, verdicts = usage_from_objects(items, sample_records, cluster_records)
+        objects = accounted(samples, verdicts)
         assert rows == objects
         estimate, warnings = rows
         assert bool(warnings) == (estimate.incomplete_records > 0)
+        assert estimate.estimated_records == sum(
+            call.estimated_tokens and None not in (call.tokens_in, call.tokens_out)
+            for call in samples + verdicts
+        )

@@ -337,6 +337,8 @@ class TestHttpBackend:
         )
         text = transport.calls[0]["payload"]["messages"][-1]["content"]
         assert "ct" in text and "mri" in text and "Q?" in text
+        assert "Does Answer 1 semantically entail Answer 2?" in text  # one direction only
+        assert "follow from" not in text
         assert transport.calls[0]["payload"]["temperature"] == 0.0
 
     # the line prefixes perfbench/stub.py reads each prompt's fields from
