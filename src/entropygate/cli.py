@@ -498,9 +498,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
         texts = _texts(sample_records[item.id])
 
-        def done(partition, matrix):
+        def done(partition, calls):
             dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
-            record = clustering.audit_record(item.id, texts, matrix, partition, dse.value)
+            record = clustering.audit_record(item.id, texts, calls, partition, dse.value)
             clustering.write_audit_record(_clusters_path(config, stems[item.id]), record)
 
         judge = gateway.entailment_judge(backend, question_id=item.id)
@@ -564,11 +564,11 @@ def cmd_grade(args: argparse.Namespace) -> int:
 
         def finish(results, errors):
             if errors:
-                raise errors[0]
-            grades[item.id] = asdict(results[0])
+                raise errors[answer]
+            grades[item.id] = asdict(results[answer])
 
         answer = _baseline_text(sample_records[item.id])
-        return scheduler.Job(item.id, {0: answer}, call, finish)
+        return scheduler.Job(item.id, [answer], call, finish)
 
     summary = (f"graded {len(items)} question(s) ({len(items) - len(todo)} imported) "
                f"into {config.grades_path}")

@@ -1,17 +1,19 @@
 """Semantic clustering of sampled answers via pairwise mutual entailment.
 
 k sampled answers are partitioned into meaning-equivalent clusters by
-judging every ordered pair (premise, hypothesis) with an entailment judge
-and linking two answers only when each entails the other.  Entailment in a
-single direction is not enough: "axial CT with contrast" entails "CT"
-without the reverse holding, and such pairs stay separate.
+judging each distinct ordered pair of their texts (premise, hypothesis)
+once with an entailment judge, and linking two answers only when each text
+entails the other.  Entailment in a single direction is not enough: "axial
+CT with contrast" entails "CT" without the reverse holding, and such pairs
+stay separate.  The graph comes straight from those text-pair verdicts; the
+k*(k-1) index matrix is built only for the library functions that return
+one, ``cluster_answers`` and ``load_audit_record``.
 
 Because judged verdicts need not be transitive, turning the mutual
 entailment relation into a partition needs a policy:
 
 * ``connected-components`` (default): clusters are the connected
-  components of the undirected mutual-entailment graph built from the
-  full k*(k-1) verdict matrix.
+  components of the undirected mutual-entailment graph.
 * ``greedy-representative``: scan answers in index order and join the
   first existing cluster whose representative (its lowest-index member)
   is mutually entailed with the answer, else open a new cluster.  This is
@@ -71,7 +73,7 @@ class EntailmentVerdict:
 
 
 # The fields of one ``calls`` row of an audit record, in order: those of the
-# verdict the call gave, for the pair of ``required_checks`` it was made for.
+# verdict one judge call gave, for the first index pair with the call's texts.
 CALL_FIELDS = tuple(f.name for f in fields(EntailmentVerdict))
 
 # A verdict's fields after its two pair indices.
@@ -79,8 +81,8 @@ _verdict_fields = operator.attrgetter(*CALL_FIELDS[2:])
 
 
 # An entailment judge: (question context, premise text, hypothesis text) ->
-# EntailmentVerdict.  The indices on the returned verdict are overwritten
-# with the actual pair indices by judging_job.
+# EntailmentVerdict.  judging_job overwrites the indices on the returned
+# verdict with those of the first index pair that has the two texts.
 Judge = Callable[[str, str, str], EntailmentVerdict]
 
 
@@ -158,12 +160,14 @@ def mutual_entailment_graph(matrix: EntailmentMatrix) -> EntailmentGraph:
     missing = matrix.missing_pairs()
     if missing:
         raise IncompleteMatrixError(missing)
-    edges = set()
-    for i in range(matrix.k):
-        for j in range(i + 1, matrix.k):
-            if matrix.verdicts[(i, j)].entails and matrix.verdicts[(j, i)].entails:
-                edges.add((i, j))
-    return EntailmentGraph(k=matrix.k, edges=frozenset(edges))
+    verdicts = matrix.verdicts
+    return _graph(matrix.k, lambda i, j: verdicts[(i, j)].entails)
+
+
+def _graph(k: int, entails: Callable[[int, int], bool]) -> EntailmentGraph:
+    """Edge {i, j} iff ``entails(i, j)`` and ``entails(j, i)``."""
+    edges = ((i, j) for i in range(k) for j in range(i + 1, k) if entails(i, j) and entails(j, i))
+    return EntailmentGraph(k=k, edges=frozenset(edges))
 
 
 def assemble_clusters(graph: EntailmentGraph, policy: str = POLICY_COMPONENTS) -> SemanticClustering:
@@ -221,31 +225,35 @@ def judging_job(
     judge: Judge,
     context: str,
     policy: str,
-    done: Callable[[SemanticClustering, EntailmentMatrix], None],
+    done: Callable[[SemanticClustering, list[EntailmentVerdict]], None],
 ) -> scheduler.Job:
-    """One question's k*(k-1) judge calls as a scheduler job.
+    """One question's judge calls as a scheduler job, keyed by text pair.
 
-    Each pair (i, j) of ``required_checks`` is keyed by its two texts, so
-    pairs with identical texts share one judge call.  The verdicts, with
-    the pair's indices, give the matrix and the partition under ``policy``
-    for ``done(partition, matrix)``.  Raises ``JudgingError`` with the pairs
-    whose call failed after the backend's retries, and their first error.
+    It lists each distinct (premise, hypothesis) text pair of
+    ``required_checks`` once, in that order; a call's verdict carries the
+    first index pair with its texts.  Edge {i, j} holds iff the verdicts for
+    (t_i, t_j) and (t_j, t_i) both entail; ``done(partition, calls)`` gets
+    the partition under ``policy`` and the verdicts in call order.  Raises
+    ``JudgingError`` with every index pair whose texts' call failed after
+    the backend's retries, and the first such call's error.
     """
+    first: dict[tuple[str, str], tuple[int, int]] = {}
+    for i, j in required_checks(len(samples)):
+        first.setdefault((samples[i], samples[j]), (i, j))
 
     def call(texts: tuple[str, str]) -> EntailmentVerdict:
-        return judge(context, *texts)
+        return EntailmentVerdict(*first[texts], *_verdict_fields(judge(context, *texts)))
 
     def finish(results: dict, errors: dict) -> None:
         if errors:
-            raise JudgingError(list(errors), next(iter(errors.values())))
-        verdicts = {
-            (i, j): EntailmentVerdict(i, j, *_verdict_fields(v)) for (i, j), v in results.items()
-        }
-        matrix = EntailmentMatrix(k=len(samples), verdicts=verdicts)
-        done(assemble_clusters(mutual_entailment_graph(matrix), policy), matrix)
+            failed = [(i, j) for i, j in required_checks(len(samples))
+                      if (samples[i], samples[j]) in errors]
+            raise JudgingError(failed, errors[min(errors, key=first.get)])
+        entails = {texts: verdict.entails for texts, verdict in results.items()}
+        graph = _graph(len(samples), lambda i, j: entails[samples[i], samples[j]])
+        done(assemble_clusters(graph, policy), [results[texts] for texts in first])
 
-    slots = {(i, j): (samples[i], samples[j]) for i, j in required_checks(len(samples))}
-    return scheduler.Job(question_id, slots, call, finish)
+    return scheduler.Job(question_id, list(first), call, finish)
 
 
 def cluster_answers(
@@ -269,7 +277,20 @@ def cluster_answers(
     _, failures = scheduler.run_jobs(1, [job])
     if failures:
         raise failures[0][1]
-    return tuple(outcome)
+    return outcome[0], _matrix(samples, outcome[1])
+
+
+def _matrix(samples: list[str], calls: list[EntailmentVerdict]) -> EntailmentMatrix:
+    """The index matrix of text-pair verdicts: each pair (i, j) of
+    ``required_checks`` gets the verdict whose two indices name its texts,
+    so it holds every verdict the calls decide (all k*(k-1) for a full set)."""
+    by_texts = {(samples[v.premise_index], samples[v.hypothesis_index]): v for v in calls}
+    verdicts = {}
+    for i, j in required_checks(len(samples)):
+        verdict = by_texts.get((samples[i], samples[j]))
+        if verdict is not None:
+            verdicts[(i, j)] = EntailmentVerdict(i, j, *_verdict_fields(verdict))
+    return EntailmentMatrix(k=len(samples), verdicts=verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +300,7 @@ def cluster_answers(
 def audit_record(
     question_id: str,
     samples: list[str],
-    matrix: EntailmentMatrix,
+    calls: list[EntailmentVerdict],
     clustering: SemanticClustering,
     dse: float,
 ) -> dict:
@@ -287,24 +308,19 @@ def audit_record(
 
     Holds everything needed to re-derive (or dispute) the partition: the
     sample texts, the policy, the resulting clusters, the entropy, and
-    ``calls``, one row per judge call.  ``judging_job`` sends pairs with
-    the same (premise, hypothesis) texts as one call, made for the first
-    such pair in ``required_checks`` order; the rows follow that order,
-    and each is a positional array of ``CALL_FIELDS``: that pair's two
-    indices and its verdict's label, raw judge output, token counts,
-    latency and estimated-tokens flag.
+    ``calls``: one row for each verdict in ``calls``, the judge calls
+    ``judging_job`` made, in the order it made them.  Each row is a
+    positional array of ``CALL_FIELDS``: the indices of the first pair of
+    ``required_checks`` with the call's (premise, hypothesis) texts, and the
+    verdict's label, raw judge output, token counts, latency and
+    estimated-tokens flag.
     """
-    calls: dict[tuple[str, str], list] = {}
-    for i, j in required_checks(matrix.k):
-        texts = (samples[i], samples[j])
-        if texts not in calls:
-            calls[texts] = [i, j, *_verdict_fields(matrix.verdicts[(i, j)])]
     return {
         "question_id": question_id,
-        "k": matrix.k,
+        "k": clustering.k,
         "policy": clustering.policy,
         "samples": list(samples),
-        "calls": list(calls.values()),
+        "calls": [[v.premise_index, v.hypothesis_index, *_verdict_fields(v)] for v in calls],
         "clusters": [list(c) for c in clustering.clusters],
         "cluster_sizes": list(clustering.sizes),
         "dse": dse,
@@ -312,24 +328,12 @@ def audit_record(
 
 
 def load_audit_record(data: dict) -> tuple[str, list[str], EntailmentMatrix, SemanticClustering, float]:
-    """Inverse of ``audit_record``.  A call row's two indices name its
-    texts, and each pair (i, j) of ``required_checks`` gets the verdict the
-    row for its two texts stores, so the matrix holds every verdict the
-    rows decide (all k*(k-1) for a full record)."""
-    k = data["k"]
+    """Inverse of ``audit_record``, with the index matrix of its call rows:
+    each pair (i, j) of ``required_checks`` gets the verdict of the row
+    whose two indices name its texts."""
     samples = list(data["samples"])
-    calls = {(samples[row[0]], samples[row[1]]): row for row in data["calls"]}
-    verdicts = {}
-    for i, j in required_checks(k):
-        row = calls.get((samples[i], samples[j]))
-        if row is not None:
-            verdicts[(i, j)] = EntailmentVerdict(i, j, *row[2:])
-    clustering = SemanticClustering(
-        k=k,
-        clusters=tuple(tuple(c) for c in data["clusters"]),
-        policy=data["policy"],
-    )
-    matrix = EntailmentMatrix(k=k, verdicts=verdicts)
+    matrix = _matrix(samples, [EntailmentVerdict(*row) for row in data["calls"]])
+    clustering = SemanticClustering(data["k"], tuple(map(tuple, data["clusters"])), data["policy"])
     return data["question_id"], samples, matrix, clustering, data["dse"]
 
 

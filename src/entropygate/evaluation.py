@@ -31,8 +31,6 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import EmptyRetainedSetError, write_text_atomic
 
 _REDRAW_KEY = 7901  # fixed tag keeping redraw substreams disjoint from the main draw
@@ -213,6 +211,8 @@ def bootstrap_delta(
     Identical inputs and seed reproduce the result bit-for-bit within
     one ``generator`` version.
     """
+    import numpy as np  # only the bootstrap uses it, so other stages start without it
+
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not (0.0 < alpha < 1.0):

@@ -901,8 +901,8 @@ def sampling_job(
     ordinals of the first role in ``draws`` that has any, and their first error.
     """
 
-    def call(slot: tuple[str, int]) -> AnswerSample:
-        role, ordinal = slot
+    def call(key: tuple[str, int]) -> AnswerSample:
+        role, ordinal = key
         temperature = draws[role][1]
         reply = backend.invoke(
             ModelRequest(
@@ -928,7 +928,7 @@ def sampling_job(
 
     def finish(results: dict, errors: dict) -> None:
         for role in draws:
-            missing = [ordinal for r, ordinal in errors if r == role]
+            missing = sorted(ordinal for r, ordinal in errors if r == role)
             if missing:
                 raise SamplingIncompleteError(item.id, missing, errors[role, missing[0]])
         done({
@@ -936,8 +936,8 @@ def sampling_job(
             for role, (count, _) in draws.items()
         })
 
-    slots = [(role, ordinal) for role, (count, _) in draws.items() for ordinal in range(count)]
-    return scheduler.Job(item.id, {slot: slot for slot in slots}, call, finish)
+    keys = [(role, ordinal) for role, (count, _) in draws.items() for ordinal in range(count)]
+    return scheduler.Job(item.id, keys, call, finish)
 
 
 def sample_answers(

@@ -1,6 +1,7 @@
 """One bounded pool for the model calls of many questions: the CLI runs
 each stage on it at ``--concurrency`` workers, and ``sample_answers`` and
-``cluster_answers`` run their one question on it at one worker.
+``cluster_answers`` run their one question on it at one worker.  A job
+lists the distinct keys of its requests and gets each reply by key.
 
 Its Python work runs on one worker at a time, under the run lock, which a
 worker releases only inside ``waiting()`` while it blocks on I/O: workers
@@ -45,15 +46,14 @@ def waiting() -> Iterator[None]:
 class Job:
     """One question's model calls and the reduction that consumes them.
 
-    ``slots`` maps each result slot to the key of the request that fills
-    it; ``call(key)`` makes that request.  Slots with equal keys share one
-    call.  ``finish(results, errors)`` gets, per slot, the call's result or
-    its per-call error (a ``BackendError``).  Both run under the run lock;
-    a ``call`` that blocks on I/O wraps the wait in ``waiting()``.
+    ``keys`` lists the distinct keys of the job's requests; ``call(key)``
+    makes one.  ``finish(results, errors)`` gets, by key, each call's result
+    or its per-call error (a ``BackendError``).  Both run under the run
+    lock; a ``call`` that blocks on I/O wraps the wait in ``waiting()``.
     """
 
     question_id: str
-    slots: dict[Hashable, Hashable]
+    keys: list[Hashable]
     call: Callable[[Hashable], object]
     finish: Callable[[dict, dict], None]
     results: dict = field(default_factory=dict)  # by key
@@ -64,13 +64,11 @@ class Job:
 def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str, Exception]]]:
     """Run every job's calls on one pool of ``concurrency`` workers.
 
-    The workers take calls from one lazy queue in job order, then slot
+    The workers take calls from one lazy queue in job order, then key
     order, so at most ``concurrency`` calls are in flight and at most
-    ``concurrency + 1`` jobs are open, however long the corpus.  Each
-    distinct key of a job is called once (single-flight: request keys
-    carry the question id, so no two jobs share one), and every slot with
-    that key gets the result.  The worker that ends a job's last call runs
-    its ``finish``.
+    ``concurrency + 1`` jobs are open, however long the corpus.  Each key
+    is called once.  The worker that ends a job's last call runs its
+    ``finish``.
 
     A worker holds the run lock from its first call until it exits, and
     lets go of it only inside ``waiting()``: the queue, the calls, the
@@ -89,10 +87,8 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
 
     def finish(job: Job) -> None:
         nonlocal done
-        results = {s: job.results[k] for s, k in job.slots.items() if k in job.results}
-        errors = {s: job.errors[k] for s, k in job.slots.items() if k in job.errors}
         try:
-            job.finish(results, errors)
+            job.finish(job.results, job.errors)
         except BackendError as exc:
             failures.append((job.question_id, exc))
         else:
@@ -100,11 +96,10 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
 
     def calls():
         for job in jobs:
-            keys = list(dict.fromkeys(job.slots.values()))
-            job.left = len(keys)
-            if not keys:
+            job.left = len(job.keys)
+            if not job.left:
                 finish(job)
-            for key in keys:
+            for key in job.keys:
                 yield job, key
 
     queue = calls()

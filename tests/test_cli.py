@@ -37,7 +37,15 @@ from entropygate.cli import (
     main,
     question_file_name,
 )
-from entropygate.clustering import CALL_FIELDS, cluster_answers, load_audit_record
+from entropygate.clustering import (
+    CALL_FIELDS,
+    POLICIES,
+    POLICY_GREEDY,
+    assemble_clusters,
+    cluster_answers,
+    load_audit_record,
+    mutual_entailment_graph,
+)
 from entropygate.errors import (
     BackendError,
     CorpusFormatError,
@@ -292,6 +300,69 @@ class TestPipeline:
         cost = json.loads((tmp_path / "out" / "reports" / "cost.json").read_text())
         assert cost["sampling_tokens"] == 16 * (690 + 43)
         assert cost["entailment_tokens"] == 9 * (690 + 43)  # 3 x 3 text pairs, not 210
+
+
+class TestClusterPolicies:
+    @pytest.mark.parametrize("judge", [
+        {"rule": "random", "seed": 5, "p_entail": 0.7},
+        {"rule": "equivalence-classes",
+         "classes": [["ct", "uncertain"], ["possibly xray", "mri"], ["guess-1", "guess-2"]]},
+    ], ids=["random", "equivalence-classes"])
+    def test_records_equal_the_library_reference(self, tmp_path, judge):
+        corpus_path = tmp_path / "corpus.jsonl"
+        script_path = tmp_path / "mock.json"
+        script = make_mock_script(script_path, make_mock_corpus(corpus_path, count=40))
+        script["judge"] = judge
+        script_path.write_text(json.dumps(script))
+        partitions = {policy: {} for policy in POLICIES}
+        for policy in POLICIES:
+            out = tmp_path / policy
+            args = ["--out", str(out), "--mock-script", str(script_path), "--iterations", "500"]
+            if policy == POLICY_GREEDY:  # the other is the default
+                args += ["--policy", policy]
+            assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
+            for stage in ("cluster", "grade", "report"):
+                assert main([stage, *args]) == EXIT_OK
+            outcomes = (out / "reports" / "outcomes.jsonl").read_text().splitlines()
+            entropies = {row["id"]: row["entropy"] for row in map(json.loads, outcomes)}
+            records = sorted((out / "clusters").glob("*.json"))
+            assert len(records) == len(entropies) == 40
+            for path in records:
+                _, _, matrix, partition, dse = load_audit_record(json.loads(path.read_text()))
+                reference = assemble_clusters(mutual_entailment_graph(matrix), policy)
+                distribution = entropy.cluster_distribution(reference.sizes)
+                assert partition == reference
+                assert dse == entropy.discrete_semantic_entropy(distribution).value
+                assert entropies[path.stem[2:]] == dse
+                partitions[policy][path.name] = partition.clusters
+        # The random rule is not transitive, so there the policies part ways.
+        components, greedy = (partitions[policy] for policy in POLICIES)
+        assert (components != greedy) == (judge["rule"] == "random")
+
+
+class TestAdapters:
+    @pytest.mark.parametrize("adapter, name, text", [
+        ("vqa-med", "modality.txt",
+         "synpic1.jpg|what modality is shown?|ct\nsynpic2.jpg|plane|which plane?|axial\n"),
+        ("rad-dataset", "cases.csv",
+         "image,modality,diagnosis\nscan1.png,CT,pneumonia\nscan2.png,MRI,glioma\n"),
+    ], ids=["vqa-med", "rad-dataset"])
+    def test_sample_writes_the_adapted_corpus(self, tmp_path, adapter, name, text):
+        source = tmp_path / "source" / name
+        source.parent.mkdir()
+        source.write_text(text, encoding="utf-8")
+        items = cli.ADAPTERS[adapter](source)
+        answers = {item.id: {"sample": ["ct"] * 3, "baseline": ["ct"]} for item in items}
+        script_path = tmp_path / "mock.json"
+        script_path.write_text(json.dumps({"answers": answers}))
+        out = tmp_path / "out"
+        assert main(["sample", "--corpus", str(source), "--adapter", adapter, "--k", "3",
+                     "--out", str(out), "--mock-script", str(script_path)]) == EXIT_OK
+        expected = tmp_path / "expected" / "corpus.jsonl"  # as deep as out/corpus.jsonl
+        expected.parent.mkdir()
+        corpus.write_corpus(items, expected)
+        assert (out / "corpus.jsonl").read_text() == expected.read_text()
+        assert len(list((out / "samples").glob("*.json"))) == len(items) == 2
 
 
 class InSeries:
@@ -1005,7 +1076,7 @@ class TestScheduler:
                 raise KeyboardInterrupt
             time.sleep(0.02)
 
-        job = Job("q00", {slot: slot for slot in range(50)}, call, lambda results, errors: None)
+        job = Job("q00", list(range(50)), call, lambda results, errors: None)
         with pytest.raises(KeyboardInterrupt):
             run_jobs(2, [job])
         assert len(started) < 10
@@ -1023,10 +1094,10 @@ class TestScheduler:
 
         def finish(results, errors):
             if errors:
-                raise errors[0]
-            finished.append(results[0])
+                raise next(iter(errors.values()))
+            finished.extend(results.values())
 
-        jobs = [Job(f"q{q}", {0: f"q{q}"}, call, finish) for q in range(4)]
+        jobs = [Job(f"q{q}", [f"q{q}"], call, finish) for q in range(4)]
         done, failures = run_jobs(2, jobs)
         assert done == 3
         assert [(qid, type(exc)) for qid, exc in failures] == [("q1", QuotaError)]
@@ -1040,7 +1111,7 @@ class TestScheduler:
             def finish(results, errors):
                 finished.append((q, results, errors))
 
-            return Job(f"q{q:03d}", {slot: slot % 7 for slot in range(30)}, call, finish)
+            return Job(f"q{q:03d}", list(range(7)), call, finish)
 
         def call(key):
             with scheduler.waiting():  # hands the run lock to another worker
@@ -1060,7 +1131,7 @@ class TestScheduler:
         assert not runner.is_alive()
         assert outcome["value"] == (300, [])
         assert sorted(q for q, _, _ in finished) == list(range(300))
-        want = {slot: 2 * (slot % 7) for slot in range(30)}
+        want = {key: 2 * key for key in range(7)}
         assert all(results == want and not errors for _, results, errors in finished)
 
     def test_errors_raised_while_waiting_fail_only_their_jobs(self):
@@ -1073,10 +1144,10 @@ class TestScheduler:
 
         def finish(results, errors):
             if errors:
-                raise errors[0]
+                raise next(iter(errors.values()))
 
         outcome = {}
-        jobs = [Job(f"q{q:02d}", {0: q}, call, finish) for q in range(20)]
+        jobs = [Job(f"q{q:02d}", [q], call, finish) for q in range(20)]
         runner = threading.Thread(target=lambda: outcome.update(value=run_jobs(4, jobs)),
                                   daemon=True)
         runner.start()
@@ -1097,7 +1168,7 @@ class TestScheduler:
                 with scheduler.waiting():
                     return key
 
-        assert run_jobs(1, [Job("q00", {0: 0}, call, lambda results, errors: None)]) == (1, [])
+        assert run_jobs(1, [Job("q00", [0], call, lambda results, errors: None)]) == (1, [])
 
     def test_warm_replay_costs_no_more_cpu_at_more_workers(self, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -1107,16 +1178,17 @@ class TestScheduler:
         assert main(["sample", "--corpus", str(corpus_path), *args]) == EXIT_OK
         assert main(["cluster", *args]) == EXIT_OK
 
-        # Back-to-back runs in alternating order: the load of a shared host
-        # moves both settings alike, and the totals even out single runs.
+        # Back-to-back runs in alternating order, compared by each setting's
+        # fastest run: another process's load can only add CPU time, so a
+        # burst of it that lands on one setting's runs cannot raise a minimum.
         for stage, pairs in (("sample", 9), ("cluster", 5)):
-            cpu = {"1": 0.0, "4": 0.0}
+            cpu = {"1": [], "4": []}
             for pair in range(pairs):
                 for concurrency in ("1", "4") if pair % 2 else ("4", "1"):
                     started = time.process_time()
-                    assert main([stage, "--force", "--concurrency", concurrency, *args]) == EXIT_OK
-                    cpu[concurrency] += time.process_time() - started
-            assert cpu["4"] <= 1.25 * cpu["1"], (stage, cpu)
+                    assert main([stage, "--concurrency", concurrency, *args]) == EXIT_OK
+                    cpu[concurrency].append(time.process_time() - started)
+            assert min(cpu["4"]) <= 1.25 * min(cpu["1"]), (stage, cpu)
 
     def test_calls_in_flight_reach_concurrency_and_never_exceed_it(self, workdir, mock_calls):
         mock_calls["delay_s"] = 0.005
@@ -1979,6 +2051,11 @@ def package_env() -> dict:
 
 
 class TestModuleEntryPoint:
+    def test_importing_the_cli_leaves_numpy_unloaded(self):
+        code = "import sys, entropygate.cli; sys.exit('numpy' in sys.modules)"
+        completed = subprocess.run([sys.executable, "-c", code], env=package_env(), timeout=60)
+        assert completed.returncode == 0
+
     def test_python_dash_m_runs_the_cli(self):
         completed = subprocess.run(
             [sys.executable, "-m", "entropygate", "--help"],

@@ -23,6 +23,7 @@ from entropygate.clustering import (
     assemble_clusters,
     audit_record,
     cluster_answers,
+    judging_job,
     load_audit_record,
     mutual_entailment_graph,
     read_audit_record,
@@ -40,6 +41,7 @@ from entropygate.gateway import (
     entailment_judge,
     equivalence_class_judge,
 )
+from entropygate.scheduler import run_jobs
 from helpers import components_by_bfs, random_equivalence_classes, refines
 
 
@@ -65,6 +67,15 @@ def simple_judge(rule):
         return verdict(0, 1, rule(i, j))
 
     return judge
+
+
+def judged(samples: list[str], judge, policy: str = POLICY_COMPONENTS):
+    """The (partition, call verdicts) that ``judging_job`` hands to ``done``,
+    as the cluster stage gets them."""
+    outcome = []
+    job = judging_job("q", samples, judge, "q", policy, lambda *result: outcome.extend(result))
+    assert run_jobs(1, [job]) == (1, [])
+    return tuple(outcome)
 
 
 class TestRequiredChecks:
@@ -265,10 +276,9 @@ class TestClusterAnswers:
 class TestAuditRecords:
     def test_round_trip(self, tmp_path):
         samples = ["s0", "s1", "s2", "s3"]
-        clustering, matrix = cluster_answers(
-            samples, simple_judge(lambda i, j: i % 2 == j % 2), context="q"
-        )
-        record = audit_record("q-7", samples, matrix, clustering, dse=0.30103)
+        judge = simple_judge(lambda i, j: i % 2 == j % 2)
+        clustering, matrix = cluster_answers(samples, judge, context="q")
+        record = audit_record("q-7", samples, judged(samples, judge)[1], clustering, dse=0.30103)
         assert len(record["calls"]) == 12
         assert record["cluster_sizes"] == [2, 2]
 
@@ -282,16 +292,14 @@ class TestAuditRecords:
 
     def test_verdicts_serialized_in_check_order(self):
         samples = ["s0", "s1", "s2"]
-        clustering, matrix = cluster_answers(
-            samples, simple_judge(lambda i, j: True), context="q"
-        )
-        record = audit_record("q", samples, matrix, clustering, dse=0.0)
+        clustering, calls = judged(samples, simple_judge(lambda i, j: True))
+        record = audit_record("q", samples, calls, clustering, dse=0.0)
         assert [tuple(row[:2]) for row in record["calls"]] == required_checks(3)
 
     def test_missing_call_rows_leave_pairs_unjudged(self):
         samples = ["ct", "mri", "ct"]
-        clustering, matrix = cluster_answers(samples, entailment_judge(MockBackend()), context="q")
-        record = audit_record("q", samples, matrix, clustering, dse=0.0)
+        clustering, calls = judged(samples, entailment_judge(MockBackend()))
+        record = audit_record("q", samples, calls, clustering, dse=0.0)
         record["calls"] = [row for row in record["calls"] if samples[row[1]] != "mri"]
         _, _, partial, _, _ = load_audit_record(record)
         assert partial.missing_pairs() == [(0, 1), (2, 1)]
@@ -302,9 +310,11 @@ class TestAuditRecords:
 @st.composite
 def judged_matrices(draw) -> tuple[list[str], EntailmentMatrix]:
     """Samples over texts that repeat, and a matrix with one drawn verdict
-    per (premise text, hypothesis text), as ``judging_job`` makes it."""
-    k = draw(st.integers(1, 6))
-    samples = draw(st.lists(st.sampled_from(["ct", "mri", ""]), min_size=k, max_size=k))
+    per (premise text, hypothesis text), as a judge of the texts gives it.
+    A text need not entail itself, so the verdicts need not be transitive."""
+    k = draw(st.integers(1, 15))
+    texts = st.sampled_from(["ct", "mri", "", "CT", "x-ray"])
+    samples = draw(st.lists(texts, min_size=k, max_size=k))
     calls: dict[tuple[str, str], dict] = {}
     verdicts = {}
     for i, j in required_checks(k):
@@ -322,11 +332,18 @@ def judged_matrices(draw) -> tuple[list[str], EntailmentMatrix]:
     return samples, EntailmentMatrix(k=k, verdicts=verdicts)
 
 
+def matrix_judge(samples: list[str], matrix: EntailmentMatrix):
+    """The judge whose verdict on two texts is the one ``matrix`` holds for them."""
+    by_texts = {(samples[i], samples[j]): v for (i, j), v in matrix.verdicts.items()}
+    return lambda context, premise, hypothesis: by_texts[premise, hypothesis]
+
+
 def stored(samples: list[str], matrix: EntailmentMatrix, policy: str = POLICY_COMPONENTS) -> dict:
-    """The audit record of ``matrix`` as read back from disk."""
-    partition = assemble_clusters(mutual_entailment_graph(matrix), policy)
+    """The audit record the cluster stage writes for ``matrix``'s judge, as
+    read back from disk."""
+    partition, calls = judged(samples, matrix_judge(samples, matrix), policy)
     dse = discrete_semantic_entropy(cluster_distribution(partition.sizes)).value
-    return json.loads(json.dumps(audit_record("q", samples, matrix, partition, dse)))
+    return json.loads(json.dumps(audit_record("q", samples, calls, partition, dse)))
 
 
 @st.composite
@@ -346,8 +363,14 @@ def judge_calls_oracle(record: dict) -> list[EntailmentVerdict]:
 
 class TestJudgeCalls:
     @given(judged_matrices(), st.sampled_from([POLICY_COMPONENTS, POLICY_GREEDY]))
-    def test_matches_matrix_deduplicated_by_text_pair(self, judged, policy):
-        samples, matrix = judged
+    def test_matches_matrix_deduplicated_by_text_pair(self, drawn, policy):
+        samples, matrix = drawn
+        # The stage's graph, built from the text-pair verdicts, against the
+        # library reference over the full index matrix.
+        reference = assemble_clusters(mutual_entailment_graph(matrix), policy)
+        assert cluster_answers(samples, matrix_judge(samples, matrix), "q", policy) == (
+            reference, matrix
+        )
         record = stored(samples, matrix, policy)
         first = {}
         for (i, j), v in matrix.verdicts.items():  # in required_checks order
@@ -361,18 +384,17 @@ class TestJudgeCalls:
         ]
         _, _, loaded, partition, dse = load_audit_record(record)
         assert loaded == matrix
-        assert assemble_clusters(mutual_entailment_graph(loaded), policy) == partition
-        assert partition.policy == policy
-        sizes = assemble_clusters(mutual_entailment_graph(matrix), policy).sizes
-        assert dse == discrete_semantic_entropy(cluster_distribution(sizes)).value
+        assert partition == reference
+        assert dse == discrete_semantic_entropy(cluster_distribution(reference.sizes)).value
 
     def test_one_verdict_per_call_judging_job_made(self):
         samples = ["ct", "mri", "xray"] * 5
-        judge = entailment_judge(MockBackend())
-        partition, matrix = cluster_answers(samples, judge, context="q")
-        calls = audit_record("q", samples, matrix, partition, dse=0.0)["calls"]
+        backend = MockBackend()
+        partition, calls = judged(samples, entailment_judge(backend))
+        assert backend.call_count == len(calls) == 9
+        rows = audit_record("q", samples, calls, partition, dse=0.0)["calls"]
         # the first pair of required_checks with each (premise, hypothesis) texts
-        assert [tuple(row[:2]) for row in calls] == [
+        assert [tuple(row[:2]) for row in rows] == [
             (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 4), (2, 0), (2, 1), (2, 5),
         ]
 
