@@ -4,7 +4,7 @@ Stages persist everything under one output directory::
 
     out/
       config.json     resolved settings, merged across invocations
-      corpus.jsonl    canonical question corpus
+      corpus.jsonl    the questions, copied by sample; later stages read it
       cache/          record/replay store for model calls (replies.sqlite)
       samples/        per-question sampled + baseline answers
       clusters/       per-question entailment audit records with entropy
@@ -12,6 +12,8 @@ Stages persist everything under one output directory::
       reports/        report.json, summary.txt, outcomes.jsonl,
                       curve.csv, sankey-<t>.csv, cost.json
 
+Only ``sample`` reads ``--corpus`` (through ``--adapter``); later stages
+read the run's ``corpus.jsonl``, so a run continues from any directory.
 The record/replay cache is the one resume mechanism.  Every run of the
 sample, cluster and grade stages rebuilds every question's record from
 its model calls on one bounded pool (``--concurrency`` calls in flight);
@@ -44,7 +46,7 @@ import operator
 import os
 import re
 import sys
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -265,19 +267,20 @@ def _read_input(what: str, path: str, read: Callable):
         raise UsageError(f"cannot read {what} {path}: {exc}")
 
 
+def _read_corpus(path: str | Path, read: Callable) -> list[corpus.ImageQuestion]:
+    """``read(path)``; a usage error naming an unreadable or empty corpus."""
+    items = _read_input("corpus", path, read)
+    if not items:
+        raise UsageError(f"corpus {path} is empty")
+    return items
+
+
 def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
-    """Corpus precedence: explicit --corpus, else the canonical copy."""
-    if config.corpus:
-        items = _read_input("corpus", config.corpus, ADAPTERS[config.adapter])
-        if not items:
-            raise UsageError(f"corpus {config.corpus} is empty")
-        return items
-    if config.corpus_path.exists():
-        items = corpus.load_corpus(config.corpus_path)
-        if not items:
-            raise UsageError(f"corpus {config.corpus_path} is empty")
-        return items
-    raise UsageError("no corpus: pass --corpus (with --adapter) or run the sample stage first")
+    """The questions ``sample`` copied to ``<out>/corpus.jsonl``, which every
+    later stage reads; ``IncompleteRecordsError`` if there is no copy."""
+    if not config.corpus_path.exists():
+        raise IncompleteRecordsError(f"no corpus {config.corpus_path}; run the sample stage first")
+    return _read_corpus(config.corpus_path, corpus.load_corpus)
 
 
 def _build_backend(config: RunConfig) -> gateway.Backend:
@@ -429,7 +432,9 @@ def _check_images(items) -> None:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    items = _load_items(config)
+    if not config.corpus:
+        raise UsageError("no corpus: pass --corpus (with --adapter)")
+    items = _read_corpus(config.corpus, ADAPTERS[config.adapter])
     corpus.write_corpus(items, config.corpus_path)
     if not config.mock_script:  # the mock backend never reads images
         _check_images(items)
@@ -681,12 +686,15 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 def _bootstraps(config: RunConfig, results) -> list[evaluation.BootstrapResult]:
     """``bootstrap_delta`` at each threshold, in ``--thresholds`` order.
 
-    The tests alternate between this thread and one helper thread, which
-    numpy's binomial draws let run at once; the main thread takes a share
-    so that only one new thread's memory arena holds test arrays.  Each
-    test seeds its own stream, so the results do not depend on timing.
-    The first failure in ``--thresholds`` order is raised.
+    Every threshold is checked first, so the first one in ``--thresholds``
+    order that retains nothing is raised before any test runs.  The tests
+    alternate between this thread and one helper thread, which numpy's
+    binomial draws let run at once; the main thread takes a share so that
+    only one new thread's memory arena holds test arrays.  Each test seeds
+    its own stream, so the results do not depend on timing.
     """
+    for threshold in config.thresholds:
+        evaluation.selective_accuracy(results, threshold)
 
     def test(threshold: float) -> evaluation.BootstrapResult:
         return evaluation.bootstrap_delta(
@@ -698,19 +706,12 @@ def _bootstraps(config: RunConfig, results) -> list[evaluation.BootstrapResult]:
             comparisons=config.comparisons,
         )
 
-    def here(threshold: float) -> Future:
-        outcome = Future()
-        try:
-            outcome.set_result(test(threshold))
-        except Exception as exc:
-            outcome.set_exception(exc)
-        return outcome
-
     outcomes: list = [None] * len(config.thresholds)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        outcomes[1::2] = [helper.submit(test, t) for t in config.thresholds[1::2]]
-        outcomes[::2] = [here(t) for t in config.thresholds[::2]]
-        return [outcome.result() for outcome in outcomes]
+        helped = [helper.submit(test, t) for t in config.thresholds[1::2]]
+        outcomes[::2] = map(test, config.thresholds[::2])
+        outcomes[1::2] = [outcome.result() for outcome in helped]
+    return outcomes
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -825,7 +826,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None, help="output directory (default: out)")
-    parser.add_argument("--corpus", default=None, help="corpus file or directory")
+    parser.add_argument("--corpus", default=None, help="corpus file or directory, read by sample")
     parser.add_argument(
         "--adapter", default=None, choices=sorted(ADAPTERS), help="corpus input format"
     )

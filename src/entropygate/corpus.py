@@ -35,7 +35,9 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_text_atomic
-from .gateway import ROLE_GRADE, Backend, BackendError, ask, forget_asked, parse_yes_no_reply
+from .gateway import (
+    IMAGE_URLS, ROLE_GRADE, Backend, BackendError, ask, forget_asked, parse_yes_no_reply,
+)
 
 log = logging.getLogger(__name__)
 
@@ -82,9 +84,7 @@ class GradedAnswer:
 # ---------------------------------------------------------------------------
 
 def _relative_file(image_ref: str) -> bool:
-    return bool(image_ref) and not (
-        image_ref.startswith(("data:", "http://", "https://")) or os.path.isabs(image_ref)
-    )
+    return bool(image_ref) and not (image_ref.startswith(IMAGE_URLS) or os.path.isabs(image_ref))
 
 
 def _image_from(folder: str, image_ref: str) -> str:

@@ -15,8 +15,8 @@ Three interchangeable backends sit behind one ``invoke`` interface:
   ``-wal``/``-shm`` side files exist only while a stage runs), with one
   row per call (``SELECT entry FROM replies WHERE key = ?``).  A hit
   returns the recorded reply byte-identically; a miss delegates and
-  records the reply in one committed insert.  A cache in the older
-  one-file-per-call layout is imported once, when the store opens.
+  records the reply in one committed insert.  Files of the older
+  one-file-per-call layout are neither read nor removed.
 
 Requests are semantic (question text + image reference, or an entailment
 pair), so each backend renders its own wire format and the cache key is a
@@ -34,7 +34,6 @@ import logging
 import operator
 import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -49,7 +48,6 @@ from .errors import (
     SamplingIncompleteError,
     UsageError,
     compact_json,
-    read_bytes,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -790,8 +788,9 @@ class CachingBackend(Backend):
     ``_CACHE_BUSY_TIMEOUT_S``), and the ``-wal``/``-shm`` files exist only
     while it is open.  ``close`` runs ``VACUUM`` after any change, so the
     bytes do not depend on the order calls finished in; only the header's
-    change counter follows the store's history.  Entries of the older
-    one-file-per-call layout, ``<2-hex>/<key>.json``, are imported on open.
+    change counter follows the store's history.  The store reads only its
+    rows: files of the older one-file-per-call layout, ``<2-hex>/<key>.json``,
+    are left as they are, and their calls are made again.
 
     Note: cache keys cover the logical request (the image *reference*,
     not its bytes); editing an image in place under the same path will
@@ -820,32 +819,6 @@ class CachingBackend(Backend):
         except sqlite3.DatabaseError as exc:
             raise UsageError(f"cannot open the cache {path}: {exc}") from exc
         self._cursor = self._db.cursor()  # one for all: a new one per call doubles a read's cost
-        self._import_files(store_path)
-
-    def _import_files(self, store: str | Path) -> None:
-        """Move the entries of the one-file-per-call layout into the table,
-        one folder at a time (a key the table holds keeps its row), then
-        remove their files, any temp file a killed write left, and each
-        emptied folder."""
-        for folder in [entry.path for entry in os.scandir(store)
-                       if entry.is_dir() and re.fullmatch("[0-9a-f]{2}", entry.name)]:
-            rows, files = [], []
-            for name in os.listdir(folder):
-                match = re.fullmatch(r"([0-9a-f]{64})\.json|\.[0-9a-f]{64}\.json\..+\.tmp", name)
-                if match is None:
-                    continue
-                files.append(os.path.join(folder, name))
-                if match[1]:  # an entry, not a temp file
-                    with contextlib.suppress(ValueError):  # a corrupt entry is a miss
-                        rows.append((match[1], compact_json(json.loads(read_bytes(files[-1])))))
-            with self._db:
-                self._db.execute("BEGIN")
-                self._db.executemany("INSERT OR IGNORE INTO replies VALUES (?, ?)", rows)
-            for path in files:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(path)
-            with contextlib.suppress(OSError):  # a folder that holds other files stays
-                os.rmdir(folder)
 
     def close(self) -> None:
         with self._lock:

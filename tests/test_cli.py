@@ -853,9 +853,8 @@ class TestResumability:
         )
         assert path.read_bytes() == whole
 
-    def test_records_and_entries_in_the_indented_layout_still_load(self, workdir, capsys):
-        # the layout records and cache entries were written in before they became
-        # compact, and the cache's one file per call before it became one store
+    def test_records_in_the_indented_layout_still_load(self, workdir, capsys):
+        # the layout records were written in before they became compact
         run_pipeline(workdir)
         out = workdir["out"]
         compact = stage_files(out)
@@ -864,12 +863,6 @@ class TestResumability:
                 value = json.loads(path.read_text(encoding="utf-8"))
                 text = json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)
                 path.write_text(text + "\n", encoding="utf-8")
-        for key, entry in store_rows(out / "cache").items():
-            path = out / "cache" / key[:2] / f"{key}.json"
-            path.parent.mkdir(exist_ok=True)
-            text = json.dumps(json.loads(entry), sort_keys=True, ensure_ascii=False, indent=2)
-            path.write_text(text, encoding="utf-8")
-        (out / "cache" / "replies.sqlite").unlink()
         assert main(["report", *base_args(workdir)]) == EXIT_OK
         assert stage_files(out) != compact
         capsys.readouterr()
@@ -880,7 +873,41 @@ class TestResumability:
         assert lines[0].endswith("; 0 model call(s) sent, 160 replayed from the cache"), lines
         assert lines[1].endswith("; 0 model call(s) sent, 661 replayed from the cache"), lines
         assert stage_files(out) == compact
-        assert [path.name for path in (out / "cache").iterdir()] == ["replies.sqlite"]
+
+    def test_a_run_continues_from_another_working_directory(
+        self, workdir, monkeypatch, capsys
+    ):
+        here, elsewhere = workdir["corpus"].parent, workdir["corpus"].parent / "elsewhere"
+        elsewhere.mkdir()
+        later = ("cluster", "grade", "report", "curve", "cost")
+
+        def run(stage_dir: Path) -> tuple[dict, str]:
+            shutil.rmtree(workdir["out"], ignore_errors=True)
+            monkeypatch.chdir(here)
+            assert main(["sample", "--corpus", "corpus.jsonl", *base_args(workdir)]) == EXIT_OK
+            monkeypatch.chdir(stage_dir)
+            for stage in later:
+                assert main([stage, *base_args(workdir)]) == EXIT_OK, capsys.readouterr().err
+            return out_files(workdir["out"]), capsys.readouterr().out
+
+        stayed = run(here)
+        assert run(elsewhere) == stayed
+
+    def test_later_stages_read_the_copy_not_the_source(self, workdir, capsys):
+        args = base_args(workdir)
+        assert main(["sample", "--corpus", str(workdir["corpus"]), *args]) == EXIT_OK
+        assert main(["cluster", *args]) == EXIT_OK
+        rows = [json.loads(line) for line in workdir["corpus"].read_text().splitlines()]
+        rows[0] = {**rows[0], "question": "Which organ is shown?", "reference": "liver"}
+        workdir["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["cluster", *args]) == EXIT_OK
+        assert "; 0 model call(s) sent, " in capsys.readouterr().out
+        assert main(["grade", *args]) == EXIT_OK
+        grades = {grade["question_id"]: grade for grade in map(
+            json.loads, (workdir["out"] / "grades" / "grades.jsonl").read_text().splitlines()
+        )}
+        assert grades["q00"]["reference"] == workdir["records"][0]["reference"] == "ct"
 
     def test_config_merge_prefers_stored_over_default(self, workdir):
         args = base_args(workdir)
@@ -1543,7 +1570,8 @@ class TestHttpStage:
         assert completion_server.requests == 2
         [copied] = corpus.load_corpus(out / "corpus.jsonl")
         assert copied.image_ref == os.path.join("data", "img.png")
-        assert main(http_args(completion_server, "", out, "--k", "1", "--force")) == EXIT_OK
+        args = http_args(completion_server, out / "corpus.jsonl", out, "--k", "1", "--force")
+        assert main(args) == EXIT_OK
         assert completion_server.requests == 2  # every call replayed from the cache
 
     def test_stored_mock_script_and_new_endpoint_is_usage_error(
@@ -1776,6 +1804,10 @@ class TestExitCodes:
 
     def test_sample_without_corpus_is_usage_error(self, workdir):
         assert main(["sample", *base_args(workdir)]) == EXIT_USAGE
+
+    def test_report_before_sample_is_incomplete(self, workdir, capsys):
+        assert main(["report", *base_args(workdir)]) == EXIT_INCOMPLETE
+        assert "; run the sample stage first" in capsys.readouterr().err
 
     def test_cluster_before_sample_is_incomplete(self, workdir):
         args = ["cluster", "--corpus", str(workdir["corpus"]), *base_args(workdir)]

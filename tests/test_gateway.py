@@ -424,56 +424,26 @@ class TestCachingBackend:
         # one compact JSON object with sorted keys, on one line
         assert text == json.dumps(entry, sort_keys=True, separators=(",", ":"))
 
-    def test_indented_entry_is_a_hit(self, tmp_path):
-        # the layout entries were written in before they became compact,
-        # one file per call: imported into the store when it opens
-        request = make_request(image_ref="images/x.png")
-        reply = ModelReply(text="ct ü", tokens_in=5, tokens_out=2, latency_ms=1.5,
-                           fingerprint="counting", estimated_tokens=True)
-        key = cache_key("counting", request)
-        entry = {"key": key, "model": "counting", "request": asdict(request),
-                 "reply": asdict(reply)}
-        path = tmp_path / "cache" / key[:2] / f"{key}.json"
-        path.parent.mkdir(parents=True)
-        indented = json.dumps(entry, sort_keys=True, ensure_ascii=False, indent=2)
-        path.write_text(indented, encoding="utf-8")
-        inner = CountingBackend()
-        backend = CachingBackend(inner, tmp_path / "cache")
-        assert backend.invoke(request) == reply
-        assert (inner.calls, backend.misses, backend.hits) == (0, 0, 1)
-        assert not path.parent.exists()
-
-    def test_old_layout_is_imported_once(self, tmp_path):
+    def test_files_of_the_one_file_per_call_layout_are_not_read(self, tmp_path):
+        # the layout the store held before it became one SQLite file
         cache = tmp_path / "cache"
-        first = CachingBackend(CountingBackend(), cache)
         requests = [make_request(ordinal=ordinal) for ordinal in range(3)]
+        files = {}
         for request in requests:
-            first.invoke(request)
-        first.close()
-        entries = store_rows(cache)
-        (cache / "replies.sqlite").unlink()
-        for key, text in entries.items():  # as the one-file-per-call layout held them
-            (cache / key[:2]).mkdir(exist_ok=True)
-            (cache / key[:2] / f"{key}.json").write_text(text + "\n", encoding="utf-8")
-        torn = next(iter(entries))
-        (cache / torn[:2] / f".{torn}.json.123.abc.tmp").write_text("{")  # a killed write
-        (cache / "ab").mkdir()
-        (cache / "ab" / f"{'ab' * 32}.json").write_text("{not json")
-        (cache / "ab" / "notes.txt").write_text("kept")
+            key = cache_key("counting", request)
+            entry = {"key": key, "model": "counting", "request": asdict(request),
+                     "reply": {"text": "old", "tokens_in": 1, "tokens_out": 1,
+                               "latency_ms": 1.0, "fingerprint": "counting"}}
+            path = cache / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(entry, sort_keys=True, indent=2), encoding="utf-8")
+            files[path] = path.read_bytes()
         inner = CountingBackend()
         backend = CachingBackend(inner, cache)
-        for request in requests:
-            backend.invoke(request)
+        assert [backend.invoke(request).text for request in requests] == ["hello"] * 3
         backend.close()
-        assert (inner.calls, backend.hits) == (0, 3)
-        assert store_rows(cache) == entries
-        assert sorted(path.relative_to(cache).as_posix() for path in cache.rglob("*")) == [
-            "ab", "ab/notes.txt", "replies.sqlite"
-        ]
-        again = CachingBackend(inner, cache)
-        again.invoke(make_request(ordinal=3))  # the one miss
-        again.close()
-        assert (inner.calls, again.hits, again.misses) == (1, 0, 1)
+        assert (inner.calls, backend.misses, backend.hits) == (3, 3, 0)
+        assert {path: path.read_bytes() for path in files} == files
 
     def test_corrupt_entry_refetched_and_replaced(self, tmp_path):
         inner = CountingBackend()
