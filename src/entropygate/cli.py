@@ -100,7 +100,7 @@ class RunConfig:
     adapter: str = "canonical"
     endpoint_url: str | None = None
     model: str | None = None
-    api_key_env: str = "ENTROPYGATE_API_KEY"
+    api_key_env: str = gateway.BackendConfig.api_key_env
     mock_script: str | None = None
     use_cache: bool = True
     cache_dir: str | None = None  # default: <out>/cache
@@ -172,8 +172,12 @@ class RunConfig:
     def reports_dir(self) -> Path:
         return self.out_dir / "reports"
 
+    def path(self, stored: str) -> str:
+        """A stored ``corpus``, ``mock_script`` or ``cache_dir``, read from ``out``."""
+        return os.path.normpath(os.path.join(self.out, stored))
+
     def resolved_cache_dir(self) -> Path:
-        return Path(self.cache_dir) if self.cache_dir else self.out_dir / "cache"
+        return Path(self.path(self.cache_dir)) if self.cache_dir else self.out_dir / "cache"
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -186,7 +190,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     Precedence: flag given on this invocation > value stored under the
     output directory by an earlier stage > built-in default.  The merged
-    result is persisted back, keeping settings consistent across stages.
+    result is persisted back, keeping settings consistent across stages,
+    with a relative ``--corpus``, ``--mock-script`` or ``--cache-dir`` made
+    relative to ``out``.
     A merged config that names both a mock script and an endpoint, or an
     endpoint with the cache off (a rerun could not resume, and would pay
     for every call again), is a usage error and is not persisted.
@@ -227,6 +233,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             f"({values['endpoint_url']}); an endpoint run resumes only through the cache: "
             "pass --cache"
         )
+    for name in ("corpus", "mock_script", "cache_dir"):
+        given = getattr(args, name, None)
+        if given and not os.path.isabs(given):
+            values[name] = os.path.relpath(given, out)
     try:
         config = RunConfig(out=out, **values)
     except (TypeError, ValueError) as exc:
@@ -286,11 +296,9 @@ def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
 def _build_backend(config: RunConfig) -> gateway.Backend:
     if config.mock_script:
         backend: gateway.Backend = _read_input(
-            "mock script", config.mock_script, gateway.MockBackend.from_script
+            "mock script", config.path(config.mock_script), gateway.MockBackend.from_script
         )
     elif config.endpoint_url and config.model:
-        if config.api_key_env and config.api_key_env not in os.environ:
-            raise UsageError(f"API key environment variable {config.api_key_env!r} is not set")
         backend = gateway.HttpBackend(
             gateway.BackendConfig(
                 endpoint_url=config.endpoint_url,
@@ -332,7 +340,7 @@ def _run_stage(
     "sampling") failed, or print ``summary`` with the cache's counts, or a
     note that ``config.json`` keeps the cache off, and any HTTP retries."""
     try:
-        _, failures = scheduler.run_jobs(config.concurrency, jobs)
+        failures = scheduler.run_jobs(config.concurrency, jobs)
     finally:
         if backend is not None:
             backend.close()
@@ -434,7 +442,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     if not config.corpus:
         raise UsageError("no corpus: pass --corpus (with --adapter)")
-    items = _read_corpus(config.corpus, ADAPTERS[config.adapter])
+    items = _read_corpus(config.path(config.corpus), ADAPTERS[config.adapter])
     corpus.write_corpus(items, config.corpus_path)
     if not config.mock_script:  # the mock backend never reads images
         _check_images(items)

@@ -274,7 +274,7 @@ def cluster_answers(
         raise ValueError("need at least one sample")
     outcome = []
     job = judging_job("", samples, judge, context, policy, lambda *result: outcome.extend(result))
-    _, failures = scheduler.run_jobs(1, [job])
+    failures = scheduler.run_jobs(1, [job])
     if failures:
         raise failures[0][1]
     return outcome[0], _matrix(samples, outcome[1])

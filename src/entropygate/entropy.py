@@ -97,14 +97,12 @@ def discrete_semantic_entropy(dist: ClusterDistribution) -> EntropyValue:
     """Shannon entropy (base 10) of the cluster distribution.
 
     ``-sum(p * log10(p))`` over the cluster probabilities.  A single
-    cluster gives exactly 0.0; k singleton clusters give log10(k).  The
-    0*log(0) convention is 0, though it cannot occur here because every
-    cluster has at least one member.
+    cluster gives exactly 0.0; k singleton clusters give log10(k).  No p
+    is 0: ``ClusterDistribution`` holds no empty cluster.
     """
     h = 0.0
     for p in dist.probabilities:
-        if p > 0.0:  # always true given the invariants; guards 0*log(0)
-            h -= p * math.log10(p)
+        h -= p * math.log10(p)
     return EntropyValue(value=h, sample_count=dist.total)
 
 

@@ -34,6 +34,7 @@ from typing import Iterable, Sequence
 from .errors import EmptyRetainedSetError, write_text_atomic
 
 _REDRAW_KEY = 7901  # fixed tag keeping redraw substreams disjoint from the main draw
+_MAX_REDRAWS = 100  # rounds of redraws for resamples that retained nothing
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,6 @@ def bootstrap_delta(
     seed: int = 0,
     alpha: float = 0.05,
     comparisons: int = 12,
-    max_redraws: int = 100,
 ) -> BootstrapResult:
     """Percentile-bootstrap CI and two-sided p-value for the accuracy delta.
 
@@ -201,7 +201,7 @@ def bootstrap_delta(
         delta = 100 * (A / K - (A + C) / n)
 
     which has the same distribution as resampling question indices.
-    Resamples with K = 0 are redrawn, in at most ``max_redraws`` rounds,
+    Resamples with K = 0 are redrawn, in at most ``_MAX_REDRAWS`` rounds,
     from a substream keyed by ``seed``; ``EmptyRetainedSetError`` is
     raised if any is still empty.  The p-value is twice the smaller tail
     fraction of the delta distribution around zero, floored at
@@ -219,8 +219,6 @@ def bootstrap_delta(
         raise ValueError("alpha must be in (0, 1)")
     if comparisons < 1:
         raise ValueError("comparisons must be >= 1")
-    if max_redraws < 1:
-        raise ValueError("max_redraws must be >= 1")
     outcome = selective_accuracy(results, threshold)
 
     n = outcome.total
@@ -232,7 +230,7 @@ def bootstrap_delta(
     # Substream keyed by (seed, tag): disjoint from the main stream.
     redraw = np.random.default_rng(np.random.SeedSequence([seed, _REDRAW_KEY]))
     empty = np.flatnonzero(kept == 0)
-    for _ in range(max_redraws):
+    for _ in range(_MAX_REDRAWS):
         if not empty.size:
             break
         kept[empty] = redraw.binomial(n, retained / n, size=empty.size)
@@ -240,7 +238,7 @@ def bootstrap_delta(
     if empty.size:
         raise EmptyRetainedSetError(
             f"empty retained set: {empty.size} resample(s) still retained nothing "
-            f"after {max_redraws} redraw(s)"
+            f"after {_MAX_REDRAWS} redraw(s)"
         )
     kept_correct = rng.binomial(kept, outcome.retained_correct / retained)
     all_correct = rng.binomial(n - kept, rejected_share)

@@ -5,8 +5,8 @@ Three interchangeable backends sit behind one ``invoke`` interface:
 * ``HttpBackend``: a live chat-completions-style HTTP endpoint over
   keep-alive standard-library connections, with the image embedded as a
   base64 data URL, five attempts with exponential backoff + jitter, and
-  the API key read from a named environment variable (never from flags
-  or files).
+  the API key read once, when it is built, from a named environment
+  variable (never from flags or files).
 * ``MockBackend``: scripted answers keyed by (question_id, role, ordinal)
   plus rule-based entailment judges (equality, equivalence classes,
   seeded random); drives every offline test.
@@ -168,10 +168,12 @@ def cache_key(model_name: str, request: ModelRequest) -> str:
 class Backend:
     """Minimal backend interface: one synchronous ``invoke`` per request.
 
-    Implementations must be safe to share across threads.  The scheduler
-    runs ``invoke`` under its run lock, one worker at a time, so a backend
-    that blocks on I/O wraps the wait in ``scheduler.waiting()`` to let the
-    other calls proceed.  ``forget`` drops any record kept of a request's
+    ``model_name`` is the name ``CachingBackend`` keys replies by, so two
+    backends that may reply differently must not share it.  Implementations
+    must be safe to share across threads.  The scheduler runs ``invoke``
+    under its run lock, one worker at a time, so a backend that blocks on
+    I/O wraps the wait in ``scheduler.waiting()`` to let the other calls
+    proceed.  ``forget`` drops any record kept of a request's
     reply, which its caller could not use.  ``close`` releases held
     connections; the backend is not used afterwards.
     """
@@ -288,9 +290,9 @@ def forget_asked(backend: Backend, **request_fields) -> None:
 # Live HTTP backend
 # ---------------------------------------------------------------------------
 
-# transport(url, headers, body, timeout) -> (status_code, parsed_json | text);
-# a failure to reach the endpoint raises ``ConnectionError``.
-Transport = Callable[[str, dict, bytes, float], tuple[int, object]]
+# transport(headers, body) -> (status_code, parsed_json | text), bound to one
+# endpoint; a failure to reach it raises ``ConnectionError``.
+Transport = Callable[[dict, bytes], tuple[int, object]]
 
 _RETRYABLE_STATUS = {408, 409, 429, 500, 502, 503, 504}
 
@@ -304,8 +306,7 @@ class _ConnectionPool:
     closed.  So no more connections are open than calls in flight.  If a
     reused connection fails before the response, the peer dropped it while
     it was idle, and the request goes once more on a new connection.  A
-    connection opened by a call waits at most that call's ``timeout`` on
-    each socket operation.
+    socket operation times out after ``_REQUEST_TIMEOUT_S``.
 
     The proxy, the TLS context and the request target are settled once,
     here.  The proxy is ``urllib.request.getproxies()``' entry for the
@@ -361,7 +362,7 @@ class _ConnectionPool:
         self._idle: list = []
         self._lock = threading.Lock()
 
-    def __call__(self, url: str, headers: dict, body: bytes, timeout: float):
+    def __call__(self, headers: dict, body: bytes):
         if self._proxy_headers:
             headers = {**headers, **self._proxy_headers}
         with self._lock:
@@ -374,7 +375,7 @@ class _ConnectionPool:
                     connection.close()
                     connection = None
             if connection is None:
-                connection = self._connection(*self._address, timeout=timeout)
+                connection = self._connection(*self._address, timeout=_REQUEST_TIMEOUT_S)
                 if self._tunnel:
                     connection.set_tunnel(*self._tunnel)
                 response = self._send(connection, headers, body)
@@ -436,9 +437,12 @@ def _tls_context():
 class HttpBackend(Backend):
     """Chat-completions HTTP client with retries and image inlining.
 
-    Without an injected ``transport`` it sends through a ``_ConnectionPool``
-    of keep-alive connections.  ``retries`` counts the requests sent after
-    a call's first, and ``backoff_s`` the seconds slept before them.
+    The API key (none if ``api_key_env`` is empty; a ``UsageError`` if it
+    is unset) and the headers are settled when it is built.  ``model_name``
+    adds a digest of the prompts to ``config.model_name``, so a prompt edit
+    misses the cache.  Without an injected ``transport`` it sends through
+    a ``_ConnectionPool``.  ``retries`` counts the requests sent after a
+    call's first, and ``backoff_s`` the seconds slept before them.
     """
 
     def __init__(
@@ -447,8 +451,15 @@ class HttpBackend(Backend):
         transport: Transport | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        key = os.environ.get(config.api_key_env) if config.api_key_env else ""
+        if key is None:
+            raise UsageError(f"API key environment variable {config.api_key_env!r} is not set")
+        self._headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
+        if key:
+            self._headers["Authorization"] = f"Bearer {key}"
+        prompts = "\x1f".join((_SYSTEM_PROMPT, _ANSWER_PROMPT, _JUDGE_PROMPT, _GRADE_PROMPT))
+        self.model_name = f"{config.model_name}@{hashlib.sha256(prompts.encode()).hexdigest()[:12]}"
         self.config = config
-        self.model_name = config.model_name
         self._pool = None
         if transport is None:
             transport = self._pool = _ConnectionPool(config.endpoint_url)
@@ -466,11 +477,6 @@ class HttpBackend(Backend):
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         payload = self.build_payload(request)
-        headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
-        api_key = self._api_key()
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
-
         for attempt in range(_HTTP_ATTEMPTS):
             if attempt:
                 pause = self._backoff(attempt)
@@ -482,9 +488,7 @@ class HttpBackend(Backend):
             try:
                 with scheduler.waiting():
                     started = time.perf_counter()
-                    status, body = self._transport(
-                        self.config.endpoint_url, headers, payload, _REQUEST_TIMEOUT_S
-                    )
+                    status, body = self._transport(self._headers, payload)
                     latency_ms = (time.perf_counter() - started) * 1000.0
             except (ConnectionError, TimeoutError, OSError) as exc:
                 last_error = f"transport error: {exc}"
@@ -498,15 +502,6 @@ class HttpBackend(Backend):
         raise BackendError(
             f"request failed after {_HTTP_ATTEMPTS} attempt(s): {last_error}"
         )
-
-    def _api_key(self) -> str:
-        name = self.config.api_key_env
-        if not name:
-            return ""
-        key = os.environ.get(name)
-        if key is None:
-            raise BackendError(f"API key environment variable {name!r} is not set")
-        return key
 
     def _backoff(self, attempt: int) -> float:
         # full jitter: uniform in (0, min(cap, base * 2^(attempt-1)))
@@ -700,8 +695,9 @@ class MockBackend(Backend):
         self._count_lock = threading.Lock()
 
     @classmethod
-    def from_script(cls, script: dict | str | Path) -> "MockBackend":
-        """Build from the JSON scripting format.
+    def from_script(cls, path: str | Path) -> "MockBackend":
+        """Build from a JSON script file, with ``model_name`` ``mock@`` and a
+        digest of its bytes, so an edited script misses the cache.
 
         Schema::
 
@@ -716,13 +712,13 @@ class MockBackend(Backend):
               "grades": {"q1": "yes"}
             }
         """
-        if not isinstance(script, dict):
-            script = json.loads(Path(script).read_text(encoding="utf-8"))
+        raw = Path(path).read_bytes()
+        script = json.loads(raw.decode("utf-8"))
         judge_spec = script.get("judge", {"rule": "equality"})
         rule_name = judge_spec.get("rule", "equality")
         if rule_name not in _JUDGE_RULES:
             raise ValueError(f"unknown mock judge rule {rule_name!r}")
-        return cls(
+        backend = cls(
             answers=script.get("answers", {}),
             judge_rule=_JUDGE_RULES[rule_name](judge_spec),
             grade_replies=script.get("grades", {}),
@@ -730,6 +726,8 @@ class MockBackend(Backend):
             tokens_in=int(script.get("tokens_in", 0)),
             tokens_out=int(script.get("tokens_out", 0)),
         )
+        backend.model_name = f"mock@{hashlib.sha256(raw).hexdigest()[:12]}"
+        return backend
 
     def invoke(self, request: ModelRequest) -> ModelReply:
         with self._count_lock:
@@ -763,7 +761,7 @@ class MockBackend(Backend):
             tokens_in=self.tokens_in,
             tokens_out=self.tokens_out,
             latency_ms=self.latency_ms,
-            fingerprint=self.model_name,
+            fingerprint="mock",
         )
 
 
@@ -792,9 +790,9 @@ class CachingBackend(Backend):
     rows: files of the older one-file-per-call layout, ``<2-hex>/<key>.json``,
     are left as they are, and their calls are made again.
 
-    Note: cache keys cover the logical request (the image *reference*,
-    not its bytes); editing an image in place under the same path will
-    not invalidate recorded replies.
+    Note: cache keys cover ``inner.model_name`` and the logical request
+    (the image *reference*, not its bytes); editing an image in place
+    under the same path will not invalidate recorded replies.
     """
 
     def __init__(self, inner: Backend, store_path: str | Path):
@@ -918,7 +916,6 @@ def sample_answers(
     item: "ImageQuestion",
     k: int,
     temperature: float,
-    role: str = ROLE_SAMPLE,
 ) -> list[AnswerSample]:
     """Draw k independent answers for one question at the given temperature.
 
@@ -931,10 +928,9 @@ def sample_answers(
     if k < 1:
         raise ValueError("invalid sample count")
     drawn: list[AnswerSample] = []
-    job = sampling_job(
-        backend, item, {role: (k, temperature)}, lambda by_role: drawn.extend(by_role[role])
-    )
-    _, failures = scheduler.run_jobs(1, [job])
+    draws = {ROLE_SAMPLE: (k, temperature)}
+    job = sampling_job(backend, item, draws, lambda by_role: drawn.extend(by_role[ROLE_SAMPLE]))
+    failures = scheduler.run_jobs(1, [job])
     if failures:
         raise failures[0][1]
     return drawn

@@ -61,7 +61,7 @@ class Job:
     left: int = 0  # keys whose call has not returned
 
 
-def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str, Exception]]]:
+def run_jobs(concurrency: int, jobs: Iterable[Job]) -> list[tuple[str, Exception]]:
     """Run every job's calls on one pool of ``concurrency`` workers.
 
     The workers take calls from one lazy queue in job order, then key
@@ -75,24 +75,20 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
     bookkeeping and every ``finish`` run on one worker at a time, and only
     the waits overlap.
 
-    Returns (done, failures) where failures lists (question_id, exception)
-    by question id for the jobs whose ``finish`` raised a ``BackendError``.
+    Returns the failures: (question_id, exception) by question id for the
+    jobs whose ``finish`` raised a ``BackendError``.
     Any other exception, Ctrl-C included, stops the workers from taking
     further calls and propagates once the running ones end.
     """
     run_lock = threading.Lock()
     stop = threading.Event()
-    done = 0
     failures: list[tuple[str, Exception]] = []
 
     def finish(job: Job) -> None:
-        nonlocal done
         try:
             job.finish(job.results, job.errors)
         except BackendError as exc:
             failures.append((job.question_id, exc))
-        else:
-            done += 1
 
     def calls():
         for job in jobs:
@@ -137,4 +133,4 @@ def run_jobs(concurrency: int, jobs: Iterable[Job]) -> tuple[int, list[tuple[str
         stop.set()
         pool.shutdown(cancel_futures=True)
     failures.sort(key=lambda failure: failure[0])
-    return done, failures
+    return failures

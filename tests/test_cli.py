@@ -686,15 +686,18 @@ class TestGradeImport:
         assert [g["grader"] for g in grades] == ["model-judge", "imported", "model-judge"]
         assert grades[1]["correct"] is True
 
-    def test_a_rejected_grade_is_asked_again_on_a_rerun(self, tmp_path, capsys):
+    def test_a_rejected_grade_is_asked_again_on_a_rerun(self, tmp_path, monkeypatch, capsys):
         args = sampled_run(tmp_path, 3, "--grader", "model-judge")
-        script_path = tmp_path / "mock.json"
-        script = json.loads(script_path.read_text())
-        script["grades"]["q01"] = "maybe"
-        script_path.write_text(json.dumps(script))
+        from_script = gateway.MockBackend.from_script
+
+        def undecided(path):  # the same script, whose model is unsure of q01 once
+            backend = from_script(path)
+            backend.grade_replies = {**backend.grade_replies, "q01": "maybe"}
+            return backend
+
+        monkeypatch.setattr(gateway.MockBackend, "from_script", undecided)
         assert main(["grade", *args]) == EXIT_BACKEND
-        script["grades"]["q01"] = "yes"
-        script_path.write_text(json.dumps(script))
+        monkeypatch.undo()
         capsys.readouterr()
         assert main(["grade", *args]) == EXIT_OK
         out = capsys.readouterr().out
@@ -892,6 +895,62 @@ class TestResumability:
 
         stayed = run(here)
         assert run(elsewhere) == stayed
+
+    def test_relative_paths_are_stored_relative_to_the_run(self, tmp_path, monkeypatch, capsys):
+        here, elsewhere = tmp_path / "A", tmp_path / "B"
+        here.mkdir()
+        elsewhere.mkdir()
+        records = make_mock_corpus(here / "corpus.jsonl", count=3)
+        make_mock_script(here / "mock.json", records, k=5)
+        monkeypatch.chdir(here)
+        assert main(["sample", "--corpus", "corpus.jsonl", "--out", "run", "--k", "5",
+                     "--mock-script", "mock.json", "--cache-dir", "relcache"]) == EXIT_OK
+        assert main(["cluster", "--out", "run"]) == EXIT_OK
+        stored = json.loads((here / "run" / "config.json").read_text())
+        assert [stored[name] for name in ("corpus", "mock_script", "cache_dir")] == [
+            "../corpus.jsonl", "../mock.json", "../relcache"
+        ]
+        monkeypatch.chdir(elsewhere)
+        capsys.readouterr()
+        assert main(["cluster", "--out", str(here / "run")]) == EXIT_OK, capsys.readouterr().err
+        assert "; 0 model call(s) sent, " in capsys.readouterr().out
+        assert list(elsewhere.iterdir()) == []
+
+    def test_a_rerun_from_another_directory_reads_the_stored_corpus(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        here = tmp_path / "A"
+        here.mkdir()
+        records = make_mock_corpus(here / "corpus.jsonl", count=3)
+        # an image URL, unlike a relative image path, is the same request from any directory
+        rows = [{**record, "image": "data:image/png;base64,AAAA"} for record in records]
+        (here / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+        make_mock_script(here / "mock.json", records, k=5)
+        monkeypatch.chdir(here)
+        assert main(["sample", "--corpus", "corpus.jsonl", "--out", "run", "--k", "5",
+                     "--mock-script", "mock.json"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["sample", "--out", "A/run"]) == EXIT_OK, capsys.readouterr().err
+        assert capsys.readouterr().out.endswith(
+            "; 0 model call(s) sent, 18 replayed from the cache\n"
+        )
+
+    def test_another_mock_script_is_another_backend_to_the_cache(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        [record] = make_mock_corpus(corpus_path, count=1)
+        corpus_path.write_text(json.dumps({**record, "image": "data:image/png;base64,AAAA"}))
+        args = ["sample", "--corpus", str(corpus_path), "--out", str(tmp_path / "out"), "--k", "3"]
+        for text, sent in (("ct", 4), ("mri", 4), ("ct", 0)):
+            script = tmp_path / f"{text}.json"
+            answers = {record["id"]: {"sample": [text] * 3, "baseline": [text]}}
+            script.write_text(json.dumps({"answers": answers}))
+            assert main([*args, "--mock-script", str(script)]) == EXIT_OK
+            assert capsys.readouterr().out.endswith(
+                f"; {sent} model call(s) sent, {4 - sent} replayed from the cache\n"
+            )
+            sample = json.loads((tmp_path / "out" / "samples" / "q-q00.json").read_text())
+            assert sample["baseline"][:5:4] == [text, "mock"]  # text, backend fingerprint
 
     def test_later_stages_read_the_copy_not_the_source(self, workdir, capsys):
         args = base_args(workdir)
@@ -1125,8 +1184,7 @@ class TestScheduler:
             finished.extend(results.values())
 
         jobs = [Job(f"q{q}", [f"q{q}"], call, finish) for q in range(4)]
-        done, failures = run_jobs(2, jobs)
-        assert done == 3
+        failures = run_jobs(2, jobs)
         assert [(qid, type(exc)) for qid, exc in failures] == [("q1", QuotaError)]
         assert sorted(finished) == ["q0", "q2", "q3"]
 
@@ -1156,7 +1214,7 @@ class TestScheduler:
         finally:
             sys.setswitchinterval(interval)
         assert not runner.is_alive()
-        assert outcome["value"] == (300, [])
+        assert outcome["value"] == []
         assert sorted(q for q, _, _ in finished) == list(range(300))
         want = {key: 2 * key for key in range(7)}
         assert all(results == want and not errors for _, results, errors in finished)
@@ -1180,9 +1238,7 @@ class TestScheduler:
         runner.start()
         runner.join(timeout=30)
         assert not runner.is_alive()
-        done, failures = outcome["value"]
-        assert done == 20 - 7
-        assert [(qid, str(exc)) for qid, exc in failures] == [
+        assert [(qid, str(exc)) for qid, exc in outcome["value"]] == [
             (f"q{q:02d}", f"call {q} failed") for q in range(0, 20, 3)
         ]
 
@@ -1195,7 +1251,7 @@ class TestScheduler:
                 with scheduler.waiting():
                     return key
 
-        assert run_jobs(1, [Job("q00", [0], call, lambda results, errors: None)]) == (1, [])
+        assert run_jobs(1, [Job("q00", [0], call, lambda results, errors: None)]) == []
 
     def test_warm_replay_costs_no_more_cpu_at_more_workers(self, tmp_path):
         corpus_path = tmp_path / "corpus.jsonl"

@@ -74,7 +74,7 @@ def judged(samples: list[str], judge, policy: str = POLICY_COMPONENTS):
     as the cluster stage gets them."""
     outcome = []
     job = judging_job("q", samples, judge, "q", policy, lambda *result: outcome.extend(result))
-    assert run_jobs(1, [job]) == (1, [])
+    assert run_jobs(1, [job]) == []
     return tuple(outcome)
 
 

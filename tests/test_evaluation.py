@@ -10,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from entropygate import evaluation
 from entropygate.errors import EmptyRetainedSetError
 from entropygate.evaluation import (
     TARGET_ACCEPTED_FALSE,
@@ -174,13 +175,14 @@ class TestBootstrap:
         boot = bootstrap_delta(table1_results, 0.3, iterations=1000, seed=0)
         assert boot.p_value >= 1 / 1000
 
-    def test_redraw_budget_exhaustion(self):
+    def test_redraw_budget_exhaustion(self, monkeypatch):
         # One retained question among twenty: a resample misses it with
         # probability (19/20)^20, so a single-redraw budget fails quickly.
         results = [result(qid="kept", entropy=0.1, correct=True)]
         results += [result(qid=f"r{i}", entropy=0.9, correct=False) for i in range(19)]
+        monkeypatch.setattr(evaluation, "_MAX_REDRAWS", 1)
         with pytest.raises(EmptyRetainedSetError):
-            bootstrap_delta(results, 0.3, iterations=10_000, seed=0, max_redraws=1)
+            bootstrap_delta(results, 0.3, iterations=10_000, seed=0)
 
     def test_validation(self, table1_results):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from dataclasses import asdict, replace
 import pytest
 from conftest import store_rows
 
+from entropygate import gateway
 from entropygate.clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS
 from entropygate.corpus import ImageQuestion
 from entropygate.errors import BackendError, SamplingIncompleteError, UsageError
@@ -181,8 +182,9 @@ class TestMockBackend:
         assert backend.judge_rule("a", "b") is True
         assert backend.judge_rule("a", "c") is False
         assert backend.grade_replies == {"q1": "no"}
+        path.write_text(json.dumps({"judge": {"rule": "psychic"}}))
         with pytest.raises(ValueError, match="unknown mock judge rule"):
-            MockBackend.from_script({"judge": {"rule": "psychic"}})
+            MockBackend.from_script(path)
 
 
 class TestJudgeRules:
@@ -211,8 +213,8 @@ class FakeTransport:
         self.responses = list(responses)
         self.calls = []
 
-    def __call__(self, url, headers, body, timeout):
-        self.calls.append({"url": url, "headers": headers, "payload": json.loads(body)})
+    def __call__(self, headers, body):
+        self.calls.append({"headers": headers, "payload": json.loads(body)})
         response = self.responses.pop(0)
         if isinstance(response, Exception):
             raise response
@@ -258,8 +260,9 @@ class TestHttpBackend:
     def test_missing_api_key_env(self, monkeypatch):
         monkeypatch.delenv("TEST_GATEWAY_KEY", raising=False)
         transport = FakeTransport([(200, completion_body("x"))])
-        with pytest.raises(BackendError, match="TEST_GATEWAY_KEY"):
-            make_http(transport).invoke(make_request())
+        with pytest.raises(UsageError, match="TEST_GATEWAY_KEY"):
+            make_http(transport)
+        assert transport.calls == []
 
     def test_retries_on_retryable_statuses_then_succeeds(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
@@ -389,11 +392,30 @@ class CountingBackend(Backend):
 
 class TestCachingBackend:
     def test_close_reaches_the_http_session(self, tmp_path):
-        inner = HttpBackend(BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m"))
+        inner = HttpBackend(
+            BackendConfig(endpoint_url="http://127.0.0.1:9/v1", model_name="m", api_key_env="")
+        )
         closed = []
         inner._pool.close = lambda: closed.append(True)
         CachingBackend(inner, tmp_path / "cache").close()
         assert closed == [True]
+
+    def test_a_prompt_edit_misses_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        transport = FakeTransport([(200, completion_body("entailment"))] * 2)
+
+        def judge() -> str:
+            backend = CachingBackend(make_http(transport), tmp_path / "cache")
+            try:
+                return judge_entailment(backend, "Q?", "ct", "mri").label
+            finally:
+                backend.close()
+
+        assert judge() == judge() == LABEL_ENTAILS
+        assert len(transport.calls) == 1
+        monkeypatch.setattr(gateway, "_JUDGE_PROMPT", "{context} {premise} => {hypothesis}?")
+        assert judge() == LABEL_ENTAILS
+        assert len(transport.calls) == 2
 
     def test_hit_replays_without_inner_call(self, tmp_path):
         inner = CountingBackend()
@@ -543,13 +565,6 @@ class TestSampleAnswers:
         assert [s.ordinal for s in samples] == [0, 1, 2, 3, 4]
         assert [s.text for s in samples] == ["t0", "t1", "t2", "t3", "t4"]
         assert all(s.temperature == 1.0 for s in samples)
-
-    def test_baseline_role(self):
-        backend = MockBackend(answers={"q1": {"baseline": ["served"]}})
-        [sample] = sample_answers(
-            backend, make_item(), k=1, temperature=0.1, role=ROLE_BASELINE
-        )
-        assert sample.text == "served"
 
     def test_invalid_k(self):
         with pytest.raises(ValueError, match="invalid sample count"):
