@@ -46,7 +46,6 @@ import operator
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -692,20 +691,10 @@ def _bootstrap_dict(boot: evaluation.BootstrapResult) -> dict:
 
 
 def _bootstraps(config: RunConfig, results) -> list[evaluation.BootstrapResult]:
-    """``bootstrap_delta`` at each threshold, in ``--thresholds`` order.
-
-    Every threshold is checked first, so the first one in ``--thresholds``
-    order that retains nothing is raised before any test runs.  The tests
-    alternate between this thread and one helper thread, which numpy's
-    binomial draws let run at once; the main thread takes a share so that
-    only one new thread's memory arena holds test arrays.  Each test seeds
-    its own stream, so the results do not depend on timing.
-    """
-    for threshold in config.thresholds:
-        evaluation.selective_accuracy(results, threshold)
-
-    def test(threshold: float) -> evaluation.BootstrapResult:
-        return evaluation.bootstrap_delta(
+    """``bootstrap_delta`` at each threshold, in ``--thresholds`` order, so
+    the first threshold that retains nothing is the one raised."""
+    return [
+        evaluation.bootstrap_delta(
             results,
             threshold,
             iterations=config.iterations,
@@ -713,13 +702,8 @@ def _bootstraps(config: RunConfig, results) -> list[evaluation.BootstrapResult]:
             alpha=config.alpha,
             comparisons=config.comparisons,
         )
-
-    outcomes: list = [None] * len(config.thresholds)
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        helped = [helper.submit(test, t) for t in config.thresholds[1::2]]
-        outcomes[::2] = map(test, config.thresholds[::2])
-        outcomes[1::2] = [outcome.result() for outcome in helped]
-    return outcomes
+        for threshold in config.thresholds
+    ]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -9,9 +9,10 @@ difficulty cancels.  The paired delta depends only on how many resampled
 questions fall in each retained/rejected x correct/incorrect cell, and
 resampling n questions makes those four counts Multinomial(n, observed
 cell shares); the bootstrap draws the counts directly, so each resample
-costs O(1) instead of O(n).  Resamples that happen to retain nothing are
-redrawn from a keyed substream (the delta is undefined there), which keeps
-results byte-reproducible for a given seed.
+costs O(1) instead of O(n).  Resamples that would retain nothing are
+excluded exactly, by conditioning the retained count on being at least
+one (the delta is undefined there), and results are byte-reproducible for
+a given seed.
 
 Reports cover accuracy/coverage at fixed thresholds, a threshold sweep
 (the coverage curve), per-subgroup breakdowns, and a flow table mapping
@@ -32,9 +33,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyRetainedSetError, write_text_atomic
-
-_REDRAW_KEY = 7901  # fixed tag keeping redraw substreams disjoint from the main draw
-_MAX_REDRAWS = 100  # rounds of redraws for resamples that retained nothing
 
 
 @dataclass(frozen=True)
@@ -200,13 +198,17 @@ def bootstrap_delta(
         C | K ~ Bin(n - K, rejected_correct / rejected)
         delta = 100 * (A / K - (A + C) / n)
 
-    which has the same distribution as resampling question indices.
-    Resamples with K = 0 are redrawn, in at most ``_MAX_REDRAWS`` rounds,
-    from a substream keyed by ``seed``; ``EmptyRetainedSetError`` is
-    raised if any is still empty.  The p-value is twice the smaller tail
-    fraction of the delta distribution around zero, floored at
-    1/iterations and capped at 1.  Significance applies a
-    Bonferroni-corrected strict cutoff ``p < alpha / comparisons``.
+    which has the same distribution as resampling question indices,
+    conditioned on K >= 1.  The draws come as counts: one multinomial over
+    the pmf of K (its K = 0 cell removed) gives the number m of resamples
+    at each K, and A's and C's m values at that K come from one
+    multinomial over their own pmf when its support is no larger than m,
+    else from m binomial variates.  A and C are independent given K and
+    every output depends only on the multiset of deltas, so this is the
+    distribution above.  The p-value is twice the smaller tail fraction of
+    the delta distribution around zero, floored at 1/iterations and capped
+    at 1.  Significance applies a Bonferroni-corrected strict cutoff
+    ``p < alpha / comparisons``.
 
     Identical inputs and seed reproduce the result bit-for-bit within
     one ``generator`` version.
@@ -220,34 +222,7 @@ def bootstrap_delta(
     if comparisons < 1:
         raise ValueError("comparisons must be >= 1")
     outcome = selective_accuracy(results, threshold)
-
-    n = outcome.total
-    retained = outcome.retained
-    # Correct share among rejected questions; 0/1 when nothing is rejected.
-    rejected_share = (outcome.baseline_correct - outcome.retained_correct) / max(n - retained, 1)
-    rng = np.random.default_rng(seed)
-    kept = rng.binomial(n, retained / n, size=iterations)
-    # Substream keyed by (seed, tag): disjoint from the main stream.
-    redraw = np.random.default_rng(np.random.SeedSequence([seed, _REDRAW_KEY]))
-    empty = np.flatnonzero(kept == 0)
-    for _ in range(_MAX_REDRAWS):
-        if not empty.size:
-            break
-        kept[empty] = redraw.binomial(n, retained / n, size=empty.size)
-        empty = empty[kept[empty] == 0]
-    if empty.size:
-        raise EmptyRetainedSetError(
-            f"empty retained set: {empty.size} resample(s) still retained nothing "
-            f"after {_MAX_REDRAWS} redraw(s)"
-        )
-    kept_correct = rng.binomial(kept, outcome.retained_correct / retained)
-    all_correct = rng.binomial(n - kept, rejected_share)
-    all_correct += kept_correct
-    deltas = kept_correct / kept
-    del kept, kept_correct  # caps the peak at four iteration-length arrays
-    deltas -= all_correct / n
-    deltas *= 100.0
-
+    deltas = _paired_deltas(outcome, iterations, seed)
     ci_low, ci_high = np.percentile(deltas, [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)])
     frac_low = float(np.mean(deltas <= 0.0))
     frac_high = float(np.mean(deltas >= 0.0))
@@ -263,8 +238,71 @@ def bootstrap_delta(
         alpha=alpha,
         comparisons=comparisons,
         significant=bonferroni_significant(p_value, alpha, comparisons),
-        generator="numpy-pcg64-binomial-cells",
+        generator="numpy-pcg64-binomial-cell-counts",
     )
+
+
+def _paired_deltas(outcome: FilterOutcome, iterations: int, seed: int):
+    """``iterations`` resampled deltas, in percentage points, grouped by K
+    (their order carries no information)."""
+    import numpy as np
+
+    n = outcome.total
+    retained = outcome.retained
+    kept_share = outcome.retained_correct / retained
+    # Correct share among rejected questions; 0/1 when nothing is rejected.
+    rejected_share = (outcome.baseline_correct - outcome.retained_correct) / max(n - retained, 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, n + 1)))))
+    kept_pmf = _binomial_pmf(n, retained / n, log_factorial)[1:]
+    rng = np.random.default_rng(seed)
+    resamples = rng.multinomial(iterations, kept_pmf / kept_pmf.sum())
+    deltas = np.empty(iterations)
+    start = 0
+    for kept in (np.flatnonzero(resamples) + 1).tolist():
+        size = int(resamples[kept - 1])
+        kept_correct, kept_sorted = _binomial_draws(rng, kept, kept_share, size, log_factorial)
+        other_correct, other_sorted = _binomial_draws(
+            rng, n - kept, rejected_share, size, log_factorial
+        )
+        if kept_sorted and other_sorted:
+            rng.shuffle(other_correct)  # pairs two sorted runs at random
+        block = deltas[start : start + size]
+        np.divide(kept_correct, kept, out=block)
+        block -= (kept_correct + other_correct) / n
+        start += size
+    deltas *= 100.0
+    return deltas
+
+
+def _binomial_pmf(trials: int, share: float, log_factorial):
+    """Bin(trials, share) probabilities of 0..trials, computed in log space
+    from ``log_factorial[i] = log(i!)``; a share of 0 or 1 is a point mass."""
+    import numpy as np
+
+    if share in (0.0, 1.0):
+        pmf = np.zeros(trials + 1)
+        pmf[trials if share else 0] = 1.0
+        return pmf
+    values = np.arange(trials + 1)
+    log_pmf = log_factorial[trials] - log_factorial[: trials + 1] - log_factorial[trials::-1]
+    log_pmf += values * math.log(share) + (trials - values) * math.log1p(-share)
+    return np.exp(log_pmf)
+
+
+def _binomial_draws(rng, trials: int, share: float, size: int, log_factorial):
+    """``size`` Bin(trials, share) values, and whether they are sorted.
+
+    When the support fits in ``size``, one multinomial over the pmf counts
+    the draws at each value, which come out sorted; otherwise the draws
+    are ``size`` binomial variates in random order.
+    """
+    import numpy as np
+
+    if trials >= size:
+        return rng.binomial(trials, share, size=size), False
+    pmf = _binomial_pmf(trials, share, log_factorial)
+    counts = rng.multinomial(size, pmf / pmf.sum())
+    return np.repeat(np.arange(trials + 1), counts), True
 
 
 def bonferroni_significant(p_value: float, alpha: float = 0.05, comparisons: int = 12) -> bool:

@@ -3,12 +3,14 @@
 The oracles deliberately avoid the package's own code paths: entropy is
 recomputed with 50-digit arbitrary-precision arithmetic, components
 are recovered by breadth-first search over the edge set, the paired
-bootstrap resamples question indices, and threshold sweeps rescan every
-result at every threshold.
+bootstrap resamples question indices (or, for a few questions, its exact
+distribution is enumerated), and threshold sweeps rescan every result at
+every threshold.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
@@ -126,6 +128,37 @@ def bootstrap_oracle(results, threshold, iterations, seed, chunk=1000):
     ci_low, ci_high = np.percentile(deltas, [2.5, 97.5])
     tail = min(np.mean(deltas <= 0.0), np.mean(deltas >= 0.0))
     return float(ci_low), float(ci_high), min(1.0, max(2.0 * tail, 1.0 / iterations))
+
+
+def exact_deltas(results, threshold):
+    """The paired bootstrap's exact delta distribution, {delta: probability}.
+
+    Enumerates every way n resampled questions fall into the four
+    retained/rejected x correct/incorrect cells, with its multinomial
+    probability, drops the ways that retain nothing and renormalises.  The
+    delta is computed as ``bootstrap_delta`` computes it, so equal counts
+    give equal floats.  Meant for a few questions: the ways number
+    C(n + 3, 3).
+    """
+    n = len(results)
+    cells = [0, 0, 0, 0]  # retained correct, retained wrong, rejected correct, rejected wrong
+    for r in results:
+        cells[2 * (r.entropy > threshold) + (not r.correct)] += 1
+    dist = {}
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for c in range(n + 1 - a - b):
+                counts = (a, b, c, n - a - b - c)
+                if a + b == 0:
+                    continue
+                probability = math.factorial(n)
+                for count, members in zip(counts, cells):
+                    probability *= (members / n) ** count / math.factorial(count)
+                if probability:
+                    delta = (a / (a + b) - (a + c) / n) * 100.0
+                    dist[delta] = dist.get(delta, 0.0) + probability
+    total = sum(dist.values())
+    return {delta: probability / total for delta, probability in dist.items()}
 
 
 def threshold_scan(results, thresholds):

@@ -17,7 +17,7 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -365,28 +365,6 @@ class TestAdapters:
         assert len(list((out / "samples").glob("*.json"))) == len(items) == 2
 
 
-class InSeries:
-    """Stands in for ``report``'s helper thread: runs each test as it is
-    submitted, on the calling thread, so the tests run one after another."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 def out_files(out: Path) -> dict[str, bytes]:
     return {str(path.relative_to(out)): path.read_bytes()
             for path in sorted(out.rglob("*")) if path.is_file()}
@@ -407,33 +385,32 @@ class TestReportTests:
         for stage in ("cluster", "grade"):
             assert main([stage, *args]) == EXIT_OK
         test = cli.evaluation.bootstrap_delta
-        threads = {}
+        calls = []
 
         def traced(results, threshold, **kwargs):
-            threads[threshold] = threading.get_ident()
+            calls.append((threshold, threading.get_ident(), results))
             return test(results, threshold, **kwargs)
 
+        def no_thread(thread):
+            raise AssertionError(f"report started thread {thread.name}")
+
         monkeypatch.setattr(cli.evaluation, "bootstrap_delta", traced)
-        outputs, runs = [], []
-        for executor in (ThreadPoolExecutor, InSeries):
-            monkeypatch.setattr(cli, "ThreadPoolExecutor", executor)
-            shutil.rmtree(out / "reports", ignore_errors=True)
-            threads.clear()
-            assert main(["report", *args]) == EXIT_OK
-            outputs.append(out_files(out))
-            runs.append([threads[float(t)] for t in thresholds])
-        assert outputs[0] == outputs[1]
-        assert len(outputs[0]) == 1 + 1 + 40 + 40 + 1 + 1 + 5 + len(thresholds)
-        # overlapped, this thread runs the 1st, 3rd, ... test and one helper the others
-        main_thread = threading.get_ident()
-        overlapped, in_series = runs
-        assert overlapped[::2] == [main_thread] * len(overlapped[::2])
-        assert len(set(overlapped[1::2])) == 1 and main_thread not in overlapped[1::2]
-        assert in_series == [main_thread] * len(thresholds)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert main(["report", *args]) == EXIT_OK
+        assert [(t, ident) for t, ident, _ in calls] == [
+            (float(t), threading.get_ident()) for t in thresholds
+        ]
+        report = json.loads((out / "reports" / "report.json").read_text())
+        direct = [
+            cli._bootstrap_dict(test(results, t, iterations=20000, seed=0, alpha=0.05,
+                                     comparisons=12))
+            for t, _, results in calls
+        ]
+        assert report["outcomes"] == json.loads(json.dumps(direct))
 
     @pytest.mark.parametrize("thresholds, named", [
-        (["0.1", "0.2"], "0.1"),  # the main thread's test
-        (["1.2", "0.2", "0.1"], "0.2"),  # the helper's, before the main thread's
+        (["0.1", "0.2"], "0.1"),  # the first test
+        (["1.2", "0.2", "0.1"], "0.2"),  # after one test that ran, before another that would fail
     ])
     def test_the_first_empty_threshold_in_order_is_named(self, tmp_path, capsys, thresholds, named):
         corpus_path = tmp_path / "corpus.jsonl"

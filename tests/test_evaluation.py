@@ -7,7 +7,9 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from entropygate import evaluation
@@ -31,7 +33,7 @@ from entropygate.evaluation import (
     write_outcomes_jsonl,
     write_sankey_csv,
 )
-from helpers import bootstrap_oracle, threshold_scan
+from helpers import bootstrap_oracle, exact_deltas, threshold_scan
 
 
 def result(qid="q", entropy=0.1, correct=True, dataset="d", subgroup="s"):
@@ -116,8 +118,8 @@ class TestBootstrap:
         assert (first.ci_low, first.ci_high) != (second.ci_low, second.ci_high)
 
     def test_same_seed_reproduces_with_redraws(self):
-        # One retained question among twenty: about 36% of resamples
-        # retain nothing and go through the redraw substream.
+        # One retained question among twenty: about 36% of index resamples
+        # would retain nothing, which the draw of K excludes.
         results = [result(qid="kept", entropy=0.1, correct=True)]
         results += [result(qid=f"r{i}", entropy=0.9, correct=i % 2 == 0) for i in range(19)]
         first = bootstrap_delta(results, 0.3, iterations=10_000, seed=5)
@@ -158,7 +160,7 @@ class TestBootstrap:
 
     def test_two_point_enumeration(self):
         # Resamples of {good, bad}: (g,g) -> delta 0, (g,b)/(b,g) -> +50,
-        # (b,b) is empty after filtering and gets redrawn.  Conditioned on a
+        # (b,b) is empty after filtering and is excluded.  Conditioned on a
         # non-empty draw the delta distribution is {0: 1/3, +50: 2/3}.
         boot = bootstrap_delta(self.two_point_results(), 0.3, iterations=100_000, seed=0)
         assert boot.ci_low == 0.0
@@ -175,14 +177,61 @@ class TestBootstrap:
         boot = bootstrap_delta(table1_results, 0.3, iterations=1000, seed=0)
         assert boot.p_value >= 1 / 1000
 
-    def test_redraw_budget_exhaustion(self, monkeypatch):
-        # One retained question among twenty: a resample misses it with
-        # probability (19/20)^20, so a single-redraw budget fails quickly.
+    def test_one_retained_of_twenty_matches_the_oracle(self):
+        # Index resampling misses the one retained question in about 36% of
+        # resamples; conditioning K >= 1 must never fail on it.
         results = [result(qid="kept", entropy=0.1, correct=True)]
-        results += [result(qid=f"r{i}", entropy=0.9, correct=False) for i in range(19)]
-        monkeypatch.setattr(evaluation, "_MAX_REDRAWS", 1)
-        with pytest.raises(EmptyRetainedSetError):
-            bootstrap_delta(results, 0.3, iterations=10_000, seed=0)
+        results += [result(qid=f"r{i}", entropy=0.9, correct=i % 2 == 0) for i in range(19)]
+        for seed in range(20):
+            assert bootstrap_delta(results, 0.3, iterations=1000, seed=seed).outcome.retained == 1
+        boot = bootstrap_delta(results, 0.3, iterations=20_000, seed=0)
+        ci_low, ci_high, p_value = bootstrap_oracle(results, 0.3, iterations=20_000, seed=0)
+        assert boot.ci_low == pytest.approx(ci_low, abs=0.5)
+        assert boot.ci_high == pytest.approx(ci_high, abs=0.5)
+        assert boot.p_value == pytest.approx(p_value, abs=1e-3)
+
+    @pytest.mark.parametrize("kept, rejected", [
+        ((True, False), (True,)),  # n = 3
+        ((True, False), (True, False)),  # both conditional draws vary, so pairing shows
+        ((False, False), (True, False)),  # retained share 0
+        ((True, True), (True, False)),  # retained share 1
+        ((True, False), (False, False)),  # rejected share 0
+        ((True, False), (True, True)),  # rejected share 1
+        ((True, False, True), ()),  # every question retained: n - K = 0
+    ])
+    def test_deltas_follow_the_enumerated_distribution(self, kept, rejected):
+        results = [result(qid=f"k{i}", entropy=0.1, correct=c) for i, c in enumerate(kept)]
+        results += [result(qid=f"r{i}", entropy=0.9, correct=c) for i, c in enumerate(rejected)]
+        iterations = 100_000
+        deltas = evaluation._paired_deltas(selective_accuracy(results, 0.3), iterations, seed=0)
+        drawn = Counter(deltas.tolist())
+        exact = exact_deltas(results, 0.3)
+        assert set(drawn) <= set(exact)
+        for delta, probability in exact.items():
+            error = math.sqrt(probability * (1.0 - probability) / iterations)
+            assert abs(drawn[delta] / iterations - probability) <= 4.0 * error
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+    def test_both_draw_branches_follow_the_binomial(self, share):
+        # Support 41: 41 or more draws come as counts, sorted; 40 or fewer
+        # as variates.  Each branch yields 20,000 draws.
+        trials, draws = 40, 20_000
+        log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, trials + 1)))))
+        rng = np.random.default_rng(0)
+        counted, is_sorted = evaluation._binomial_draws(rng, trials, share, draws, log_factorial)
+        assert is_sorted and (np.diff(counted) >= 0).all()
+        varied = []
+        for _ in range(draws // trials):
+            values, is_sorted = evaluation._binomial_draws(rng, trials, share, trials, log_factorial)
+            assert not is_sorted
+            varied.extend(values.tolist())
+        for values in (counted.tolist(), varied):
+            frequency = Counter(values)
+            assert len(values) == draws and set(frequency) <= set(range(trials + 1))
+            for k in range(trials + 1):
+                probability = math.comb(trials, k) * share**k * (1.0 - share) ** (trials - k)
+                error = math.sqrt(probability * (1.0 - probability) / draws)
+                assert abs(frequency[k] / draws - probability) <= 4.0 * error
 
     def test_validation(self, table1_results):
         with pytest.raises(ValueError):
