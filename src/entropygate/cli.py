@@ -5,7 +5,8 @@ Stages persist everything under one output directory::
     out/
       config.json     resolved settings, merged across invocations
       corpus.jsonl    the questions, copied by sample; later stages read it
-      cache/          record/replay store for model calls (replies.sqlite)
+      cache/          record/replay store, replies.sqlite: a row per model
+                      call, keyed by the request and its image's bytes
       samples/        per-question sampled + baseline answers
       clusters/       per-question entailment audit records with entropy
       grades/         grades.jsonl, one verdict per question
@@ -332,12 +333,13 @@ def _by_id(items) -> list:
 
 
 def _run_stage(
-    args: argparse.Namespace, config: RunConfig, failed: str, jobs, backend, summary: str
+    args: argparse.Namespace, config: RunConfig, failed: str, jobs, backend,
+    summary: Callable[[], str],
 ) -> int:
     """Run ``jobs`` on one pool of ``--concurrency`` calls and close
     ``backend``; then exit 3 naming the questions whose ``failed`` (say,
-    "sampling") failed, or print ``summary`` with the cache's counts, or a
-    note that ``config.json`` keeps the cache off, and any HTTP retries."""
+    "sampling") failed, or print ``summary()`` with the cache's counts, or
+    a note that ``config.json`` keeps the cache off, and any HTTP retries."""
     try:
         failures = scheduler.run_jobs(config.concurrency, jobs)
     finally:
@@ -358,7 +360,7 @@ def _run_stage(
     if isinstance(http, gateway.HttpBackend) and http.retries:
         retries = "retry" if http.retries == 1 else "retries"
         calls += f"; {http.retries} HTTP {retries}, {http.backoff_s:.1f} s of backoff"
-    print(summary + calls)
+    print(summary() + calls)
     return EXIT_OK
 
 
@@ -469,7 +471,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return gateway.sampling_job(backend, item, draws, done)
 
     summary = f"sampled {len(items)} question(s) into {config.samples_dir}"
-    return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend, summary)
+    return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend, lambda: summary)
 
 
 # ---------------------------------------------------------------------------
@@ -506,19 +508,29 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     stems = _stems(items)
     sample_records = _sample_records(config, stems)
     backend = _build_backend(config)
+    unparseable = 0  # verdicts whose reply did not parse: recorded as does-not-entail
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
         texts = _texts(sample_records[item.id])
 
         def done(partition, calls):
+            nonlocal unparseable
             dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
             record = clustering.audit_record(item.id, texts, calls, partition, dse.value)
             clustering.write_audit_record(_clusters_path(config, stems[item.id]), record)
+            unparseable += sum(
+                gateway.parse_entailment_reply(call.raw_judge_output) is None for call in calls
+            )
 
         judge = gateway.entailment_judge(backend, question_id=item.id)
         return clustering.judging_job(item.id, texts, judge, item.question, config.policy, done)
 
-    summary = f"clustered {len(items)} question(s) into {config.clusters_dir}"
+    def summary() -> str:
+        line = f"clustered {len(items)} question(s) into {config.clusters_dir}"
+        if unparseable:
+            line += f"; {unparseable} judge repl(ies) unparseable, recorded as does-not-entail"
+        return line
+
     return _run_stage(args, config, "clustering", map(job, _by_id(items)), backend, summary)
 
 
@@ -585,7 +597,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     summary = (f"graded {len(items)} question(s) ({len(items) - len(todo)} imported) "
                f"into {config.grades_path}")
     try:
-        return _run_stage(args, config, "grading", map(job, todo), backend, summary)
+        return _run_stage(args, config, "grading", map(job, todo), backend, lambda: summary)
     finally:  # also on Ctrl-C, so every finished grade is kept
         lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
         write_text_atomic(config.grades_path, "\n".join(lines) + "\n")

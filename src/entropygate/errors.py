@@ -176,7 +176,7 @@ _COMPACT = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",",
 
 def compact_json(value) -> str:
     """``value`` as one line of JSON with sorted keys: the layout of records
-    and cache entries, and the canonical request a cache key hashes."""
+    and of the request a cache row keeps."""
     return _COMPACT.encode(value)
 
 

@@ -13,14 +13,14 @@ Three interchangeable backends sit behind one ``invoke`` interface:
 * ``CachingBackend``: content-addressed record/replay store wrapped
   around any backend: one SQLite file, ``<cache>/replies.sqlite`` (its
   ``-wal``/``-shm`` side files exist only while a stage runs), with one
-  row per call (``SELECT entry FROM replies WHERE key = ?``).  A hit
-  returns the recorded reply byte-identically; a miss delegates and
-  records the reply in one committed insert.  Files of the older
-  one-file-per-call layout are neither read nor removed.
+  row per call whose reply fields are columns.  A hit is one indexed read
+  that returns the recorded reply; a miss delegates and records the reply
+  in one committed insert.
 
 Requests are semantic (question text + image reference, or an entailment
 pair), so each backend renders its own wire format and the cache key is a
-digest over the canonical request rather than over transport bytes.
+digest over the request's fields rather than over transport bytes, with
+an image file named by the digest of its bytes, not by its path.
 """
 
 from __future__ import annotations
@@ -159,10 +159,24 @@ class AnswerSample:
     estimated_tokens: bool = False
 
 
-def cache_key(model_name: str, request: ModelRequest) -> str:
-    """Content digest (sha256 hex) identifying one logical model call."""
-    canonical = compact_json({"model": model_name, "request": vars(request)})
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def cache_key(model_name: str, request: ModelRequest, image: str | None = None) -> str:
+    """Content digest (sha256 hex) identifying one logical model call.
+
+    It hashes the UTF-8 encoding of ``model_name`` and the request's fields
+    in declaration order, each as its length in characters, a colon and its
+    text (``ordinal`` and ``temperature`` as their ``repr``), and None as
+    ``~``: no two field lists share an encoding.  ``image``, when given,
+    stands in the key for ``image_ref``; ``CachingBackend`` passes the
+    digest of the file's bytes.
+    """
+    fields = (
+        model_name, request.question_id, request.role, repr(request.ordinal),
+        repr(request.temperature), request.question,
+        request.image_ref if image is None else image,
+        request.context, request.premise, request.hypothesis,
+    )
+    text = "".join(["~" if field is None else f"{len(field)}:{field}" for field in fields])
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Backend:
@@ -769,30 +783,34 @@ class MockBackend(Backend):
 # Record/replay cache
 # ---------------------------------------------------------------------------
 
+# A recorded reply's columns in the store, in ``ModelReply``'s field order.
+_reply_row = operator.attrgetter(
+    "text", "tokens_in", "tokens_out", "latency_ms", "fingerprint", "estimated_tokens"
+)
+
+
 class CachingBackend(Backend):
     """Content-addressed record/replay cache around another backend.
 
     One SQLite file, ``store_path/replies.sqlite``, with a row per call in
-    the ``WITHOUT ROWID`` table ``replies (key, entry)``: the ``cache_key``
-    digest and the compact JSON of the canonicalized request and verbatim
-    reply (``SELECT entry FROM replies WHERE key = ?``).  A hit is that one
-    indexed read; a miss asks ``inner`` and records the reply in one
-    autocommitted ``INSERT OR REPLACE``, which outlives a killed process.
-    A corrupt entry (unparseable, or a reply without text) is a miss and is
-    replaced.  ``forget`` deletes an entry whose reply its caller rejected,
-    so that a rerun asks again.  ``hits`` and ``misses`` count the replies
-    replayed and the replies fetched from ``inner`` and recorded.  In WAL
-    mode, threads and processes share the store (a writer waits up to
-    ``_CACHE_BUSY_TIMEOUT_S``), and the ``-wal``/``-shm`` files exist only
-    while it is open.  ``close`` runs ``VACUUM`` after any change, so the
-    bytes do not depend on the order calls finished in; only the header's
-    change counter follows the store's history.  The store reads only its
-    rows: files of the older one-file-per-call layout, ``<2-hex>/<key>.json``,
-    are left as they are, and their calls are made again.
-
-    Note: cache keys cover ``inner.model_name`` and the logical request
-    (the image *reference*, not its bytes); editing an image in place
-    under the same path will not invalidate recorded replies.
+    the ``WITHOUT ROWID`` table ``calls``: the ``cache_key`` digest, the
+    reply's fields, and the request's compact JSON, kept for audit and
+    never read back.  The key covers ``inner.model_name``, the request and,
+    for a local image file, the sha256 of its bytes, read once per image
+    and store; a URL, or a file that cannot be read, is keyed by its
+    reference.  A hit is one indexed read of the reply columns; a miss
+    asks ``inner`` and records the reply in one autocommitted ``INSERT OR
+    REPLACE``, which outlives a killed process.  A row whose ``text`` is
+    not a string is a miss and is replaced.  ``forget`` deletes a row whose
+    reply its caller rejected, so that a rerun asks again.  ``hits`` and
+    ``misses`` count the replies replayed and the replies fetched from
+    ``inner`` and recorded.  In WAL mode, threads and processes share the
+    store (a writer waits up to ``_CACHE_BUSY_TIMEOUT_S``), and the
+    ``-wal``/``-shm`` files exist only while it is open.  ``close`` runs
+    ``VACUUM`` after any change, so the bytes do not depend on the order
+    calls finished in; only the header's change counter follows the
+    store's history.  Opening a store drops the table of an older layout,
+    ``replies (key, entry)``, whose keys no request matches any more.
     """
 
     def __init__(self, inner: Backend, store_path: str | Path):
@@ -803,6 +821,7 @@ class CachingBackend(Backend):
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._images: dict[str | None, str | None] = {}  # image_ref -> its part of the key
         os.makedirs(store_path, exist_ok=True)
         path = os.path.join(store_path, "replies.sqlite")
         try:
@@ -812,43 +831,60 @@ class CachingBackend(Backend):
             # waiting, only while another connection makes the same switch
             with contextlib.suppress(sqlite3.OperationalError):
                 self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.executescript("PRAGMA synchronous=NORMAL; CREATE TABLE IF NOT EXISTS replies"
-                                   " (key TEXT PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
+            self._dropped = self._db.execute(
+                "SELECT count(*) FROM sqlite_master WHERE name = 'replies'").fetchone()[0]
+            self._db.executescript(
+                "PRAGMA synchronous=NORMAL; DROP TABLE IF EXISTS replies;"
+                " CREATE TABLE IF NOT EXISTS calls (key TEXT PRIMARY KEY, text TEXT,"
+                " tokens_in INTEGER, tokens_out INTEGER, latency_ms REAL, fingerprint TEXT,"
+                " estimated_tokens INTEGER, request TEXT NOT NULL) WITHOUT ROWID"
+            )
         except sqlite3.DatabaseError as exc:
             raise UsageError(f"cannot open the cache {path}: {exc}") from exc
         self._cursor = self._db.cursor()  # one for all: a new one per call doubles a read's cost
 
     def close(self) -> None:
         with self._lock:
-            if self._db.total_changes:  # rows written or deleted
+            if self._db.total_changes or self._dropped:  # rows changed, or the old table
                 self._db.execute("VACUUM")
             self._db.close()
         self.inner.close()
 
+    def _key(self, request: ModelRequest) -> str:
+        ref = request.image_ref
+        try:
+            image = self._images[ref]
+        except KeyError:
+            image = ref
+            if ref and not ref.startswith(IMAGE_URLS):
+                with contextlib.suppress(OSError):
+                    image = "sha256:" + hashlib.sha256(Path(ref).read_bytes()).hexdigest()
+            self._images[ref] = image
+        return cache_key(self.inner.model_name, request, image)
+
     def forget(self, request: ModelRequest) -> None:
-        key = cache_key(self.inner.model_name, request)
+        key = self._key(request)
         with self._lock:
-            self._cursor.execute("DELETE FROM replies WHERE key = ?", (key,))
+            self._cursor.execute("DELETE FROM calls WHERE key = ?", (key,))
 
     def invoke(self, request: ModelRequest) -> ModelReply:
-        key = cache_key(self.inner.model_name, request)
+        key = self._key(request)
         with self._lock:
-            row = self._cursor.execute("SELECT entry FROM replies WHERE key = ?", (key,)).fetchone()
+            row = self._cursor.execute(
+                "SELECT text, tokens_in, tokens_out, latency_ms, fingerprint, estimated_tokens"
+                " FROM calls WHERE key = ?", (key,)
+            ).fetchone()
             if row is not None:
-                try:
-                    reply = ModelReply(**json.loads(row[0])["reply"])
-                    if not isinstance(reply.text, str):
-                        raise TypeError(f"reply text is {reply.text!r}")
-                except (ValueError, KeyError, TypeError) as exc:
-                    log.warning("corrupt cache entry %s (%s); re-fetching", key, exc)
-                else:
+                text, tokens_in, tokens_out, latency_ms, fingerprint, estimated = row
+                if isinstance(text, str):
                     self.hits += 1
-                    return reply
+                    return ModelReply(text, tokens_in, tokens_out, latency_ms, fingerprint,
+                                      estimated == 1)
+                log.warning("cache row %s holds no reply text; re-fetching", key)
         reply = self.inner.invoke(request)
-        entry = compact_json({"key": key, "model": self.inner.model_name,
-                              "request": vars(request), "reply": vars(reply)})
+        row = (key, *_reply_row(reply), compact_json(vars(request)))
         with self._lock:
-            self._cursor.execute("INSERT OR REPLACE INTO replies VALUES (?, ?)", (key, entry))
+            self._cursor.execute("INSERT OR REPLACE INTO calls VALUES (?,?,?,?,?,?,?,?)", row)
             self.misses += 1
         return reply
 

@@ -124,7 +124,9 @@ def make_mock_script(path: Path, records, k: int = 15) -> dict:
     return script
 
 
-def store_rows(cache: Path) -> dict[str, str]:
-    """Every entry of the record/replay store in ``cache``, by key."""
+def store_rows(cache: Path) -> dict[str, dict]:
+    """Every row of the record/replay store in ``cache``, by key: its reply
+    columns and request by column name."""
     with contextlib.closing(sqlite3.connect(cache / "replies.sqlite")) as db:
-        return dict(db.execute("SELECT key, entry FROM replies"))
+        db.row_factory = sqlite3.Row
+        return {row["key"]: dict(row) for row in db.execute("SELECT * FROM calls")}

@@ -697,6 +697,18 @@ class TestGradeImport:
         ]
 
 
+def image_run(folder: Path) -> Path:
+    """A 3-question mock corpus in ``folder`` whose questions name image
+    files there (``images/<n>.png``, each its own bytes), and a k=5 mock
+    script, ``mock.json``; returns the corpus path."""
+    (folder / "images").mkdir(parents=True)
+    records = make_mock_corpus(folder / "corpus.jsonl", count=3)
+    for index in range(3):
+        (folder / "images" / f"{index}.png").write_bytes(b"\x89PNG\r\n\x1a\n" + bytes([index]))
+    make_mock_script(folder / "mock.json", records, k=5)
+    return folder / "corpus.jsonl"
+
+
 class TestResumability:
     def test_rerun_is_idempotent_and_makes_no_new_calls(self, workdir, capsys):
         run_pipeline(workdir)
@@ -736,6 +748,29 @@ class TestResumability:
         # 9 distinct text pairs, each asked at ordinals 0 and 1
         assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 18 replayed from the cache\n")
         assert record.read_bytes() == clusters
+
+    def test_unparseable_judge_replies_are_counted_in_the_summary(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        args = three_text_question(tmp_path)
+        invoke = gateway.MockBackend.invoke
+
+        def garbled(backend, request):
+            reply = invoke(backend, request)
+            if (request.premise, request.hypothesis) in {("ct", "mri"), ("xray", "ct")}:
+                return dataclasses.replace(reply, text="perhaps")
+            return reply
+
+        monkeypatch.setattr(gateway.MockBackend, "invoke", garbled)
+        out = tmp_path / "out" / "clusters"
+        note = "; 2 judge repl(ies) unparseable, recorded as does-not-entail"
+        for sent, replayed in ((13, 0), (0, 13)):  # 7 parsed pairs, 2 asked 3 times
+            capsys.readouterr()
+            assert main(["cluster", *args]) == EXIT_OK
+            assert capsys.readouterr().out == (
+                f"clustered 1 question(s) into {out}{note}; "
+                f"{sent} model call(s) sent, {replayed} replayed from the cache\n"
+            )
 
     def test_grade_redoes_only_missing_grades(self, tmp_path, mock_calls, capsys):
         args = graded_run(tmp_path, 10, "--grader", "model-judge")
@@ -899,7 +934,7 @@ class TestResumability:
         here = tmp_path / "A"
         here.mkdir()
         records = make_mock_corpus(here / "corpus.jsonl", count=3)
-        # an image URL, unlike a relative image path, is the same request from any directory
+        # an image URL is keyed by its text, the same from any directory
         rows = [{**record, "image": "data:image/png;base64,AAAA"} for record in records]
         (here / "corpus.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
         make_mock_script(here / "mock.json", records, k=5)
@@ -912,6 +947,42 @@ class TestResumability:
         assert capsys.readouterr().out.endswith(
             "; 0 model call(s) sent, 18 replayed from the cache\n"
         )
+
+    def test_an_image_edited_in_place_is_sampled_again(self, tmp_path, mock_calls, capsys):
+        args = ["sample", "--corpus", str(image_run(tmp_path)), "--out", str(tmp_path / "run"),
+                "--mock-script", str(tmp_path / "mock.json"), "--k", "5"]
+        assert main(args) == EXIT_OK
+        (tmp_path / "images" / "1.png").write_bytes(b"\x89PNG\r\n\x1a\nedited")
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 6 model call(s) sent, 12 replayed from the cache\n")
+        assert mock_calls["questions"] == {"q00": 6, "q01": 12, "q02": 6}
+
+    def test_a_rerun_from_the_parent_folder_replays_every_call(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        image_run(tmp_path / "A")
+        monkeypatch.chdir(tmp_path / "A")
+        assert main(["sample", "--corpus", "corpus.jsonl", "--out", "run", "--k", "5",
+                     "--mock-script", "mock.json"]) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert main(["sample", "--out", "A/run"]) == EXIT_OK, capsys.readouterr().err
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 18 replayed from the cache\n")
+
+    def test_a_copy_of_the_image_folder_replays(self, tmp_path, capsys):
+        corpus_path = image_run(tmp_path / "A")
+        args = ["--mock-script", str(tmp_path / "A" / "mock.json"), "--k", "5",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(["sample", "--corpus", str(corpus_path), "--out", str(tmp_path / "A" / "run"),
+                     *args]) == EXIT_OK
+        shutil.copytree(tmp_path / "A" / "images", tmp_path / "B" / "images")
+        shutil.copy(corpus_path, tmp_path / "B")
+        capsys.readouterr()
+        assert main(["sample", "--corpus", str(tmp_path / "B" / "corpus.jsonl"),
+                     "--out", str(tmp_path / "B" / "run"), *args]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("; 0 model call(s) sent, 18 replayed from the cache\n")
+        assert stage_files(tmp_path / "B" / "run") == stage_files(tmp_path / "A" / "run")
 
     def test_another_mock_script_is_another_backend_to_the_cache(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -1096,11 +1167,11 @@ class TestCacheStore:
 
 @pytest.fixture
 def mock_calls(monkeypatch):
-    """Counts MockBackend calls by role and the most in flight at once;
-    set ``delay_s`` to hold each call open, as a backend that waits on the
-    network would (inside ``scheduler.waiting()``)."""
+    """Counts MockBackend calls by role and by question, and the most in
+    flight at once; set ``delay_s`` to hold each call open, as a backend
+    that waits on the network would (inside ``scheduler.waiting()``)."""
     lock = threading.Lock()
-    stats = {"delay_s": 0.0, "in_flight": 0, "peak": 0, "roles": {}}
+    stats = {"delay_s": 0.0, "in_flight": 0, "peak": 0, "roles": {}, "questions": {}}
     original = gateway.MockBackend.invoke
 
     def invoke(backend, request):
@@ -1108,6 +1179,8 @@ def mock_calls(monkeypatch):
             stats["in_flight"] += 1
             stats["peak"] = max(stats["peak"], stats["in_flight"])
             stats["roles"][request.role] = stats["roles"].get(request.role, 0) + 1
+            questions = stats["questions"]
+            questions[request.question_id] = questions.get(request.question_id, 0) + 1
         try:
             with scheduler.waiting():
                 time.sleep(stats["delay_s"])

@@ -184,11 +184,26 @@ class TestBootstrap:
         results += [result(qid=f"r{i}", entropy=0.9, correct=i % 2 == 0) for i in range(19)]
         for seed in range(20):
             assert bootstrap_delta(results, 0.3, iterations=1000, seed=seed).outcome.retained == 1
-        boot = bootstrap_delta(results, 0.3, iterations=20_000, seed=0)
-        ci_low, ci_high, p_value = bootstrap_oracle(results, 0.3, iterations=20_000, seed=0)
-        assert boot.ci_low == pytest.approx(ci_low, abs=0.5)
-        assert boot.ci_high == pytest.approx(ci_high, abs=0.5)
-        assert boot.p_value == pytest.approx(p_value, abs=1e-3)
+        # Against the exact distribution (C(23, 3) ways), at any seed: p within
+        # 4 Monte Carlo standard errors, and each CI bound between the exact
+        # quantiles 4 standard errors of its level away on either side.
+        iterations = 20_000
+        exact = sorted(exact_deltas(results, 0.3).items())
+        deltas = [delta for delta, _ in exact]
+        cdf = np.cumsum([probability for _, probability in exact])
+
+        def quantile(level: float) -> float:
+            return deltas[min(int(np.searchsorted(cdf, level - 1e-12)), len(deltas) - 1)]
+
+        tail = min(sum(pr for d, pr in exact if d <= 0.0), sum(pr for d, pr in exact if d >= 0.0))
+        for seed in range(5):
+            boot = bootstrap_delta(results, 0.3, iterations=iterations, seed=seed)
+            assert abs(boot.p_value - 2.0 * tail) <= 4.0 * 2.0 * math.sqrt(
+                tail * (1.0 - tail) / iterations
+            )
+            for bound, level in ((boot.ci_low, 0.025), (boot.ci_high, 0.975)):
+                spread = 4.0 * math.sqrt(level * (1.0 - level) / iterations)
+                assert quantile(level - spread) <= bound <= quantile(level + spread)
 
     @pytest.mark.parametrize("kept, rejected", [
         ((True, False), (True,)),  # n = 3

@@ -11,6 +11,7 @@ from dataclasses import asdict, replace
 
 import pytest
 from conftest import store_rows
+from hypothesis import assume, example, given, strategies as st
 
 from entropygate import gateway
 from entropygate.clustering import LABEL_ENTAILS, LABEL_NOT_ENTAILS
@@ -434,17 +435,29 @@ class TestCachingBackend:
 
     def test_entry_layout_and_content(self, tmp_path):
         backend = CachingBackend(CountingBackend(), tmp_path / "cache")
-        request = make_request()
-        backend.invoke(request)
+        request = make_request(image_ref="data:image/png;base64,AAAA", context="")
+        reply = backend.invoke(request)
         backend.close()
         key = cache_key("counting", request)
         assert [path.name for path in (tmp_path / "cache").iterdir()] == ["replies.sqlite"]
-        text = store_rows(tmp_path / "cache")[key]
-        entry = json.loads(text)
-        assert entry["key"] == key
-        assert entry["reply"]["text"] == "hello"
-        # one compact JSON object with sorted keys, on one line
-        assert text == json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        row = store_rows(tmp_path / "cache")[key]
+        assert row == {"key": key, **asdict(reply), "estimated_tokens": 0,
+                       "request": json.dumps(asdict(request), sort_keys=True, separators=(",", ":"))}
+        # the request column round-trips
+        assert ModelRequest(**json.loads(row["request"])) == request
+
+    def test_a_replayed_reply_equals_the_recorded_one(self, tmp_path):
+        for estimated in (False, True):
+            inner = CountingBackend()
+            inner.invoke = lambda request: ModelReply("ct", None, 7, 12.5, "m@fp", estimated)
+            replies = []
+            for backend in (inner, CountingBackend()):
+                cached = CachingBackend(backend, tmp_path / f"cache{estimated}")
+                replies.append(cached.invoke(make_request()))
+                cached.close()
+            recorded, replayed = replies
+            assert replayed == recorded
+            assert type(replayed.estimated_tokens) is bool
 
     def test_files_of_the_one_file_per_call_layout_are_not_read(self, tmp_path):
         # the layout the store held before it became one SQLite file
@@ -473,18 +486,42 @@ class TestCachingBackend:
         request = make_request()
         backend.invoke(request)
         key = cache_key("counting", request)
-        entry = json.loads(store_rows(tmp_path / "cache")[key])
-        # as cached before a null completion became a failed call
-        null_text = {**entry, "reply": {**entry["reply"], "text": None}}
-        for corrupt in ("{not json", json.dumps(null_text)):
+        # NULL as cached before a null completion became a failed call
+        for corrupt in (None, b"hello"):
             with contextlib.closing(sqlite3.connect(tmp_path / "cache" / "replies.sqlite")) as db:
                 with db:
-                    db.execute("UPDATE replies SET entry = ? WHERE key = ?", (corrupt, key))
+                    db.execute("UPDATE calls SET text = ? WHERE key = ?", (corrupt, key))
             reply = backend.invoke(request)
             assert reply.text == "hello"
-            assert json.loads(store_rows(tmp_path / "cache")[key])["reply"]["text"] == "hello"
+            assert store_rows(tmp_path / "cache")[key]["text"] == "hello"
         assert inner.calls == 3
         assert (backend.misses, backend.hits) == (3, 0)
+
+    def test_an_old_layout_store_misses_once_then_replays(self, tmp_path):
+        # the layout of the store before the reply had its own columns
+        (tmp_path / "cache").mkdir()
+        request = make_request()
+        with contextlib.closing(sqlite3.connect(tmp_path / "cache" / "replies.sqlite")) as db:
+            with db:
+                db.execute("CREATE TABLE replies (key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
+                           " WITHOUT ROWID")
+                db.executemany("INSERT INTO replies VALUES (?, ?)", [
+                    (f"{ordinal:064x}", json.dumps({"reply": {"text": "old"}}) + " " * 4000)
+                    for ordinal in range(50)
+                ])
+        size = (tmp_path / "cache" / "replies.sqlite").stat().st_size
+        inner = CountingBackend()
+        CachingBackend(inner, tmp_path / "cache").close()  # no call, but the old table goes
+        with contextlib.closing(sqlite3.connect(tmp_path / "cache" / "replies.sqlite")) as db:
+            tables = [name for (name,) in db.execute("SELECT name FROM sqlite_master")]
+        assert tables == ["calls"]
+        assert (tmp_path / "cache" / "replies.sqlite").stat().st_size < size / 10  # vacuumed
+        for sent in (1, 0):
+            backend = CachingBackend(inner, tmp_path / "cache")
+            assert backend.invoke(request).text == "hello"
+            backend.close()
+            assert (backend.misses, backend.hits) == (sent, 1 - sent)
+        assert inner.calls == 1
 
     def test_a_store_that_is_not_a_database_is_a_usage_error(self, tmp_path):
         (tmp_path / "cache").mkdir()
@@ -513,38 +550,73 @@ class TestCachingBackend:
         assert backend.misses == inner.call_count
 
 
+PNG_BYTES = b"\x89PNG\r\n\x1a\n"
+PNG_DIGEST = "sha256:4c4b6a3be1314ab86138bef4314dde022e600960d8689a2c8f8631802d20dab6"
+
+# The keyed values in the order the key encodes them; ordinal and
+# temperature are generated apart.
+KEY_TEXTS = ("model", "question_id", "role", None, None, "question", "image_ref", "context",
+             "premise", "hypothesis")
+_key_text = st.none() | st.text(alphabet="a1:~é", max_size=4)
+
+
+@st.composite
+def keyed_calls(draw) -> tuple[str, ModelRequest]:
+    texts = {name: draw(_key_text) for name in KEY_TEXTS if name}
+    model = texts.pop("model") or ""
+    ordinal = draw(st.integers(0, 20))
+    temperature = draw(st.sampled_from([0.0, 0.1, 1.0, 1e-7]))
+    return model, ModelRequest(ordinal=ordinal, temperature=temperature, **texts)
+
+
+def with_text(call: tuple[str, ModelRequest], name: str, value) -> tuple[str, ModelRequest]:
+    model, request = call
+    if name == "model":
+        return value, request
+    return model, replace(request, **{name: value})
+
+
+def text_of(call: tuple[str, ModelRequest], name: str):
+    model, request = call
+    return model if name == "model" else getattr(request, name)
+
+
 class TestCacheKey:
-    # sha256 digests of the canonical requests, pinned so that every
-    # existing cache keeps replaying: a change here makes each entry miss.
+    # sha256 digests of the encoded calls, pinned so that every existing
+    # cache keeps replaying: a change here makes each entry miss.
     @pytest.mark.parametrize(
-        "request_fields,digest",
+        "request_fields,image,digest",
         [
             (
                 dict(question_id="q-ü 7", role=ROLE_SAMPLE, ordinal=14, temperature=1.0,
                      question="What imaging modality is shown? «CT»",
                      image_ref="images/synpic 100.png"),
-                "736a6a8a9c596bfc7bd3a3a44d6c41b6a8b18198a7dc3d87adca9730b69d23bc",
+                PNG_DIGEST,
+                "9224e9392eb8c203970d09f31aa72f3dd20220c5c6605bdd6842d8e26e0c2c17",
             ),
             (
                 dict(question_id="q07", role=ROLE_BASELINE, ordinal=0, temperature=0.1,
                      question="Which plane is this image taken in?"),
-                "bacc6f30a0eccb3e871e5c915cac5861d77c7109f783b42fb422c8daf19793d4",
+                None,
+                "cf1e344049594dfeb6330cb1426470f0e7ee20eb3a6144f57a3bb4ff3c87e248",
             ),
             (
                 dict(question_id="q07", role=ROLE_JUDGE, ordinal=2, temperature=0.0,
                      context="Which plane?", premise="axial CT with contrast", hypothesis="CT"),
-                "d1215038d18705ab5b73ecf17709c915e1a567d1e09ff173f986a776da7d40c8",
+                None,
+                "c5d5f978f472496c3996ad8dfa8e1848f46cb22940e94b17070e5c60f2b82151",
             ),
             (
                 dict(question_id="q07", role=ROLE_GRADE, ordinal=0, temperature=0.0,
                      question="Which plane?", premise="axial", hypothesis="Axial plane."),
-                "302f80f9a47df8aa2d34dcb4337492a2f36c44c10da73c0ee611fe92a2cf154c",
+                None,
+                "18c58936a8303698bae4bd0c56c0926e2ec9a35491bba626f186fd7b39b06bb8",
             ),
         ],
         ids=[ROLE_SAMPLE, ROLE_BASELINE, ROLE_JUDGE, ROLE_GRADE],
     )
-    def test_digest_is_pinned(self, request_fields, digest):
-        assert cache_key("gpt-4o", ModelRequest(**request_fields)) == digest
+    def test_digest_is_pinned(self, request_fields, image, digest):
+        assert cache_key("gpt-4o", ModelRequest(**request_fields), image) == digest
 
     def test_stable_and_sensitive(self):
         a = cache_key("m", make_request())
@@ -553,6 +625,72 @@ class TestCacheKey:
         assert cache_key("m2", make_request()) != a
         assert cache_key("m", make_request(ordinal=1)) != a
         assert cache_key("m", make_request(temperature=0.5)) != a
+
+    @given(call=keyed_calls(), name=st.sampled_from([n for n in KEY_TEXTS if n]), value=_key_text)
+    @example(call=("m", make_request(context="")), name="context", value=None)
+    @example(call=("m", make_request(context=None)), name="context", value="")
+    def test_one_text_apart_is_another_key(self, call, name, value):
+        assume(text_of(call, name) != value and (name != "model" or value is not None))
+        assert cache_key(*with_text(call, name, value)) != cache_key(*call)
+
+    @given(call=keyed_calls(), ordinal=st.integers(0, 20),
+           temperature=st.sampled_from([0.0, 0.1, 1.0, 1e-7]))
+    def test_another_ordinal_or_temperature_is_another_key(self, call, ordinal, temperature):
+        model, request = call
+        for changed in (replace(request, ordinal=ordinal),
+                        replace(request, temperature=temperature)):
+            assert (cache_key(model, changed) == cache_key(model, request)) == (changed == request)
+
+    @given(call=keyed_calls(), pair=st.sampled_from([
+               ("model", "question_id"), ("question_id", "role"), ("question", "image_ref"),
+               ("image_ref", "context"), ("context", "premise"), ("premise", "hypothesis"),
+           ]), joined=st.text(alphabet="a1:~é", max_size=6), cuts=st.tuples(
+               st.integers(0, 6), st.integers(0, 6)))
+    @example(call=("m", make_request()), pair=("premise", "hypothesis"), joined="abc",
+             cuts=(2, 1))
+    def test_text_moved_across_a_field_boundary_is_another_key(self, call, pair, joined, cuts):
+        first, second = pair
+        keys = []
+        for cut in cuts:
+            moved = with_text(call, first, joined[:cut])
+            keys.append(cache_key(*with_text(moved, second, joined[cut:])))
+        assert (keys[0] == keys[1]) == (min(cuts[0], len(joined)) == min(cuts[1], len(joined)))
+
+    def test_an_image_file_is_keyed_by_its_bytes(self, tmp_path, monkeypatch):
+        (tmp_path / "a.png").write_bytes(PNG_BYTES)
+        (tmp_path / "b.png").write_bytes(PNG_BYTES)  # a copy at another path
+        reads = []
+        read_bytes = gateway.Path.read_bytes
+        monkeypatch.setattr(gateway.Path, "read_bytes",
+                            lambda path: reads.append(path) or read_bytes(path))
+        inner = CountingBackend()
+        backend = CachingBackend(inner, tmp_path / "cache")
+        request = make_request(image_ref=str(tmp_path / "a.png"))
+        for ref in ("a.png", "b.png", "a.png"):
+            backend.invoke(replace(request, image_ref=str(tmp_path / ref)))
+        assert (inner.calls, len(reads)) == (1, 2)  # each distinct image read once per store
+        # a URL, or a file that cannot be read, is keyed by its reference
+        others = [replace(request, image_ref=ref) for ref in (
+            "data:image/png;base64,AAAA", "https://x/a.png", str(tmp_path / "gone.png"))]
+        for other in others:
+            backend.invoke(other)
+        backend.close()
+        assert set(store_rows(tmp_path / "cache")) == {
+            cache_key("counting", request, PNG_DIGEST),
+            *(cache_key("counting", other) for other in others),
+        }
+
+    def test_an_image_edited_in_place_is_another_call(self, tmp_path):
+        image = tmp_path / "a.png"
+        image.write_bytes(PNG_BYTES)
+        request = make_request(image_ref=str(image))
+        inner = CountingBackend()
+        for contents, sent in ((PNG_BYTES, 1), (PNG_BYTES, 1), (PNG_BYTES + b"x", 2)):
+            image.write_bytes(contents)
+            backend = CachingBackend(inner, tmp_path / "cache")
+            backend.invoke(request)
+            backend.close()
+            assert inner.calls == sent
 
 
 class TestSampleAnswers:
