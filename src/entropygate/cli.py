@@ -7,7 +7,8 @@ Stages persist everything under one output directory::
       corpus.jsonl    the questions, copied by sample; later stages read it
       cache/          record/replay store, replies.sqlite: a row per model
                       call, keyed by the request and its image's bytes
-      samples/        per-question sampled + baseline answers
+      samples.jsonl   a header line (backend, k, temperatures), then each
+                      question's sampled + baseline answers, one line each
       clusters/       per-question entailment audit records with entropy
       grades/         grades.jsonl, one verdict per question
       reports/        report.json, summary.txt, outcomes.jsonl,
@@ -18,19 +19,21 @@ read the run's ``corpus.jsonl``, so a run continues from any directory.
 The record/replay cache is the one resume mechanism.  Every run of the
 sample, cluster and grade stages rebuilds every question's record from
 its model calls on one bounded pool (``--concurrency`` calls in flight);
-the cache replays each call it holds, and a record is rewritten only
-when its bytes change.  So rerunning a finished stage sends no call and
+the cache replays each call it holds, and a file is rewritten only when
+its bytes change.  So rerunning a finished stage sends no call and
 rewrites nothing, and a record made from other inputs (edited, torn, or
-in an older layout) does not outlive a run of its stage.  ``sample`` and
-``cluster`` write each question's record as soon as its calls are done;
-``grade`` writes ``grades.jsonl`` when it ends, finished or interrupted.
+in an older layout) does not outlive a run of its stage.  ``cluster``
+writes each question's record as soon as its calls are done; ``sample``
+and ``grade`` write the lines that run built when they end, also on
+failure or Ctrl-C.
 An ``--import`` line is an input: its question's grade, with no call,
 for as long as its answer is the current baseline answer (remove the
-line to regrade).  ``report``, ``curve`` and ``cost`` read the records
-and exit 2 naming the questions whose records are missing or stale: a
-sample or cluster record in an older layout (rows as objects, or a
-verdict row per index pair), a cluster record made from other sample
-texts, a grade of another baseline answer or by another grader.
+line to regrade).  Later stages exit 2 naming ``sample`` if the header
+of ``samples.jsonl`` holds other settings or another backend than the
+config gives, and ``report``, ``curve`` and ``cost`` exit 2 naming the
+questions whose records are missing or stale: a cluster record in an
+older layout or made from other sample texts, a grade of another
+baseline answer, grader or (``model-judge``) backend.
 Exit codes: 0 success, else the ``exit_code`` of the error that stopped
 the stage (``errors.EXIT_*``).
 """
@@ -60,8 +63,7 @@ from .errors import (  # the EXIT_* names are the CLI's public exit statuses
     EntropyGateError,
     IncompleteRecordsError,
     UsageError,
-    read_record,
-    write_record,
+    read_bytes,
     write_text_atomic,
 )
 
@@ -155,11 +157,11 @@ class RunConfig:
     def corpus_path(self) -> Path:
         return self.out_dir / "corpus.jsonl"
 
-    # Cached: a stage joins one record path per question onto these.
-    @functools.cached_property
-    def samples_dir(self) -> str:
-        return str(self.out_dir / "samples")
+    @property
+    def samples_path(self) -> Path:
+        return self.out_dir / "samples.jsonl"
 
+    # Cached: a stage joins one record path per question onto it.
     @functools.cached_property
     def clusters_dir(self) -> str:
         return str(self.out_dir / "clusters")
@@ -268,6 +270,12 @@ def _write_json(path: Path, payload) -> None:
     write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
 
 
+def _write_jsonl(path: Path, rows) -> None:
+    """Replace ``path`` with one JSON line per row, keys sorted."""
+    lines = [json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows]
+    write_text_atomic(path, "".join(lines))
+
+
 def _read_input(what: str, path: str, read: Callable):
     """``read(path)`` for a file named on the command line; an unreadable or
     malformed file is a usage error naming it."""
@@ -293,6 +301,9 @@ def _load_items(config: RunConfig) -> list[corpus.ImageQuestion]:
     return _read_corpus(config.corpus_path, corpus.load_corpus)
 
 
+_NO_BACKEND = "no backend configured: pass --mock-script, or --endpoint plus --model"
+
+
 def _build_backend(config: RunConfig) -> gateway.Backend:
     if config.mock_script:
         backend: gateway.Backend = _read_input(
@@ -307,10 +318,22 @@ def _build_backend(config: RunConfig) -> gateway.Backend:
             ),
         )
     else:
-        raise UsageError("no backend configured: pass --mock-script, or --endpoint plus --model")
+        raise UsageError(_NO_BACKEND)
     if config.use_cache:
         backend = gateway.CachingBackend(backend, config.resolved_cache_dir())
     return backend
+
+
+def _backend_name(config: RunConfig) -> str:
+    """The configured backend's ``model_name`` (``gateway.backend_name``),
+    without building the backend, so a stage that makes no call needs no
+    API key."""
+    if config.mock_script:
+        script = _read_input("mock script", config.path(config.mock_script), read_bytes)
+        return gateway.backend_name(script=script)
+    if config.endpoint_url and config.model:
+        return gateway.backend_name(model=config.model)
+    raise UsageError(_NO_BACKEND)
 
 
 def _current(record: dict, **inputs) -> bool:
@@ -380,9 +403,9 @@ def _require(records: dict[str, dict | None], stage: str) -> dict[str, dict]:
 # sample
 # ---------------------------------------------------------------------------
 
-# The fields of one row of a sample record's ``samples``, and of its
+# The fields of one row of a sample line's ``samples``, and of its
 # ``baseline``: the answer's, in this order.  The row's index is the
-# ordinal, and its temperature the record's ``sample_temperature`` or
+# ordinal, and its temperature the header's ``sample_temperature`` or
 # ``baseline_temperature``.
 SAMPLE_FIELDS = ("text", "tokens_in", "tokens_out", "latency_ms", "backend_fingerprint",
                  "estimated_tokens")
@@ -390,34 +413,42 @@ _sample_row = operator.attrgetter(*SAMPLE_FIELDS)
 _TEXT = SAMPLE_FIELDS.index("text")
 
 
-def _samples_path(config: RunConfig, stem: str) -> str:
-    return f"{config.samples_dir}/{stem}.json"
+def _samples_header(config: RunConfig) -> dict:
+    """The first line of ``samples.jsonl``: what its answers were drawn with."""
+    return {
+        "backend": _backend_name(config),
+        "baseline_temperature": config.baseline_temperature,
+        "k": config.k,
+        "sample_temperature": config.sample_temperature,
+    }
 
 
-def _load_samples(config: RunConfig, stem: str) -> dict | None:
-    """The sample record at ``stem`` if it is complete for ``config``, else None."""
+def _sample_records(config: RunConfig, items) -> dict[str, dict]:
+    """The line of ``samples.jsonl`` for each of ``items``, by id.
+    ``IncompleteRecordsError`` if there is no such file, naming each setting
+    its header holds other than ``_samples_header(config)``, or naming the
+    ids whose line is missing or malformed."""
+    path = config.samples_path
     try:
-        record = read_record(_samples_path(config, stem))
-        samples = record["samples"]
-        complete = (
-            _current(
-                record,
-                k=config.k,
-                sample_temperature=config.sample_temperature,
-                baseline_temperature=config.baseline_temperature,
-            )
-            and len(samples) == config.k
-            and _rows([*samples, record["baseline"]], len(SAMPLE_FIELDS))
+        header, *lines = read_bytes(path).splitlines()
+        stored = json.loads(header)
+        changed = [f"{name} {stored.get(name)!r} where the config gives {value!r}"
+                   for name, value in _samples_header(config).items() if stored.get(name) != value]
+    except (OSError, ValueError, AttributeError):
+        raise IncompleteRecordsError(f"no samples {path}; run the sample stage first")
+    if changed:
+        raise IncompleteRecordsError(
+            f"{path} was sampled with {', '.join(changed)}; run the sample stage first"
         )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return record if complete else None
-
-
-def _sample_records(config: RunConfig, stems: dict[str, str]) -> dict[str, dict]:
-    """Each question's sample record by id, for the record file stems by id;
-    ``IncompleteRecordsError`` naming the ids whose record is not complete."""
-    return _require({qid: _load_samples(config, stem) for qid, stem in stems.items()}, "sample")
+    records = dict.fromkeys(item.id for item in items)
+    for line in lines:
+        try:
+            record = json.loads(line)
+            if record["id"] in records and len(record["samples"]) == config.k and "baseline" in record:
+                records[record["id"]] = record
+        except (ValueError, KeyError, TypeError):
+            continue
+    return _require(records, "sample")
 
 
 def _baseline_text(sample_record: dict) -> str:
@@ -452,26 +483,23 @@ def cmd_sample(args: argparse.Namespace) -> int:
         gateway.ROLE_SAMPLE: (config.k, config.sample_temperature),
         gateway.ROLE_BASELINE: (1, config.baseline_temperature),
     }
+    lines = {}  # by id, for the questions sampled in this run
 
     def job(item: corpus.ImageQuestion) -> scheduler.Job:
         def done(drawn):
             [baseline] = drawn[gateway.ROLE_BASELINE]
-            write_record(
-                _samples_path(config, question_file_name(item.id)),
-                {
-                    "id": item.id,
-                    "k": config.k,
-                    "sample_temperature": config.sample_temperature,
-                    "baseline_temperature": config.baseline_temperature,
-                    "samples": list(map(_sample_row, drawn[gateway.ROLE_SAMPLE])),
-                    "baseline": _sample_row(baseline),
-                },
-            )
+            samples = list(map(_sample_row, drawn[gateway.ROLE_SAMPLE]))
+            lines[item.id] = {"baseline": _sample_row(baseline), "id": item.id, "samples": samples}
 
         return gateway.sampling_job(backend, item, draws, done)
 
-    summary = f"sampled {len(items)} question(s) into {config.samples_dir}"
-    return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend, lambda: summary)
+    header = _samples_header(config)
+    summary = f"sampled {len(items)} question(s) into {config.samples_path}"
+    try:
+        return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend,
+                          lambda: summary)
+    finally:  # also on failure or Ctrl-C, so no line outlives a run that did not rebuild it
+        _write_jsonl(config.samples_path, [header, *(lines[qid] for qid in sorted(lines))])
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +534,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
     stems = _stems(items)
-    sample_records = _sample_records(config, stems)
+    sample_records = _sample_records(config, items)
     backend = _build_backend(config)
     unparseable = 0  # verdicts whose reply did not parse: recorded as does-not-entail
 
@@ -539,9 +567,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
-    """The current grades on disk by question id: made by the configured
-    grader or imported, and of the question's current baseline answer."""
+    """The current grades on disk by question id: of the question's current
+    baseline answer, and imported or made by the configured grader, with a
+    ``model-judge`` grade's ``backend`` the configured backend's name."""
     graders = {config.grader, corpus.GRADER_IMPORTED}
+    backend = _backend_name(config) if config.grader == corpus.GRADER_MODEL else None
     try:
         with open(config.grades_path, encoding="utf-8") as handle:
             grades = {
@@ -553,6 +583,7 @@ def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
             for qid, record in grades.items()
             if qid in sample_records
             and _current(record, grader=graders, answer=_baseline_text(sample_records[qid]))
+            and record.get("backend") == (backend if record["grader"] == config.grader else None)
         }
     except (OSError, ValueError, KeyError, TypeError):
         return {}
@@ -561,7 +592,7 @@ def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
 def cmd_grade(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    sample_records = _sample_records(config, _stems(items))
+    sample_records = _sample_records(config, items)
     imported = {}
     if args.import_file:  # read before any grading call, so a bad file costs nothing
         read = functools.partial(corpus.import_grades, known_ids=[item.id for item in items])
@@ -590,6 +621,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
             if errors:
                 raise errors[answer]
             grades[item.id] = asdict(results[answer])
+            if backend is not None:
+                grades[item.id]["backend"] = backend.model_name
 
         answer = _baseline_text(sample_records[item.id])
         return scheduler.Job(item.id, [answer], call, finish)
@@ -599,8 +632,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     try:
         return _run_stage(args, config, "grading", map(job, todo), backend, lambda: summary)
     finally:  # also on Ctrl-C, so every finished grade is kept
-        lines = [json.dumps(grades[q], ensure_ascii=False, sort_keys=True) for q in sorted(grades)]
-        write_text_atomic(config.grades_path, "\n".join(lines) + "\n")
+        _write_jsonl(config.grades_path, [grades[qid] for qid in sorted(grades)])
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +645,7 @@ def _judged_run(config: RunConfig):
     are missing, incomplete or stale."""
     items = _load_items(config)
     stems = _stems(items)
-    sample_records = _sample_records(config, stems)
+    sample_records = _sample_records(config, items)
     cluster_records = {
         qid: _load_cluster(config, _texts(sample_records[qid]), stem) for qid, stem in stems.items()
     }

@@ -101,6 +101,18 @@ _GRADE_PROMPT = (
 )
 
 
+def backend_name(model: str | None = None, script: bytes | None = None) -> str:
+    """The ``model_name`` a backend's replies are cached by, worked out
+    from its settings alone: ``mock@`` and 12 hex digits of the sha256 of a
+    mock ``script``'s bytes, so an edited script misses the cache, or else
+    ``model`` and 12 hex digits of the sha256 of the HTTP backend's
+    prompts, so a prompt edit misses it."""
+    if script is not None:
+        return f"mock@{hashlib.sha256(script).hexdigest()[:12]}"
+    prompts = "\x1f".join((_SYSTEM_PROMPT, _ANSWER_PROMPT, _JUDGE_PROMPT, _GRADE_PROMPT))
+    return f"{model}@{hashlib.sha256(prompts.encode()).hexdigest()[:12]}"
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     """Connection settings for a live chat-completions endpoint."""
@@ -453,10 +465,10 @@ class HttpBackend(Backend):
 
     The API key (none if ``api_key_env`` is empty; a ``UsageError`` if it
     is unset) and the headers are settled when it is built.  ``model_name``
-    adds a digest of the prompts to ``config.model_name``, so a prompt edit
-    misses the cache.  Without an injected ``transport`` it sends through
-    a ``_ConnectionPool``.  ``retries`` counts the requests sent after a
-    call's first, and ``backoff_s`` the seconds slept before them.
+    is ``backend_name(model=config.model_name)``.  Without an injected
+    ``transport`` it sends through a ``_ConnectionPool``.  ``retries``
+    counts the requests sent after a call's first, and ``backoff_s`` the
+    seconds slept before them.
     """
 
     def __init__(
@@ -471,8 +483,7 @@ class HttpBackend(Backend):
         self._headers = {"Content-Type": "application/json", "User-Agent": _USER_AGENT}
         if key:
             self._headers["Authorization"] = f"Bearer {key}"
-        prompts = "\x1f".join((_SYSTEM_PROMPT, _ANSWER_PROMPT, _JUDGE_PROMPT, _GRADE_PROMPT))
-        self.model_name = f"{config.model_name}@{hashlib.sha256(prompts.encode()).hexdigest()[:12]}"
+        self.model_name = backend_name(model=config.model_name)
         self.config = config
         self._pool = None
         if transport is None:
@@ -710,8 +721,8 @@ class MockBackend(Backend):
 
     @classmethod
     def from_script(cls, path: str | Path) -> "MockBackend":
-        """Build from a JSON script file, with ``model_name`` ``mock@`` and a
-        digest of its bytes, so an edited script misses the cache.
+        """Build from a JSON script file, with ``model_name``
+        ``backend_name(script=<its bytes>)``.
 
         Schema::
 
@@ -740,7 +751,7 @@ class MockBackend(Backend):
             tokens_in=int(script.get("tokens_in", 0)),
             tokens_out=int(script.get("tokens_out", 0)),
         )
-        backend.model_name = f"mock@{hashlib.sha256(raw).hexdigest()[:12]}"
+        backend.model_name = backend_name(script=raw)
         return backend
 
     def invoke(self, request: ModelRequest) -> ModelReply:

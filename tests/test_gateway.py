@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import re
 import sqlite3
 import sys
 import threading
@@ -239,6 +241,17 @@ def make_http(transport) -> HttpBackend:
 
 
 class TestHttpBackend:
+    def test_backends_are_named_by_backend_name(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TEST_GATEWAY_KEY", "k")
+        name = make_http(FakeTransport([])).model_name
+        assert name == gateway.backend_name(model="m-1") != gateway.backend_name(model="m-2")
+        assert re.fullmatch(r"m-1@[0-9a-f]{12}", name)
+        script = tmp_path / "mock.json"
+        script.write_text('{"answers": {}}')
+        digest = hashlib.sha256(script.read_bytes()).hexdigest()[:12]
+        assert MockBackend.from_script(script).model_name == f"mock@{digest}"
+        assert gateway.backend_name(script=script.read_bytes()) == f"mock@{digest}"
+
     def test_success_with_usage(self, monkeypatch):
         monkeypatch.setenv("TEST_GATEWAY_KEY", "sk-test")
         transport = FakeTransport([(200, completion_body("an answer"))])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from conftest import make_mock_corpus, make_mock_script
 from entropygate import cli, clustering
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -24,3 +25,18 @@ def test_row_fields_are_the_constants():
     text = " ".join(README.read_text(encoding="utf-8").split())
     for fields in (cli.SAMPLE_FIELDS, clustering.CALL_FIELDS):
         assert f"`[{', '.join(fields)}]`" in text
+
+
+def test_output_layout_names_every_entry_of_a_finished_run(tmp_path):
+    records = make_mock_corpus(tmp_path / "corpus.jsonl", count=3)
+    make_mock_script(tmp_path / "mock.json", records, k=3)
+    out = tmp_path / "run"
+    args = ["--out", str(out), "--mock-script", str(tmp_path / "mock.json"), "--k", "3",
+            "--iterations", "200"]
+    assert cli.main(["sample", "--corpus", str(tmp_path / "corpus.jsonl"), *args]) == 0
+    for stage in ("cluster", "grade", "report", "curve", "cost"):
+        assert cli.main([stage, *args]) == 0
+    [layout] = re.findall(r"```\nrun/\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    # an entry's line starts with two spaces, then its name, or its folder and a file in it
+    named = {entry.split("/")[0] for entry in re.findall(r"^  (\S+)", layout, re.M)}
+    assert named == {path.name for path in out.iterdir()}
