@@ -28,12 +28,17 @@ and ``grade`` write the lines that run built when they end, also on
 failure or Ctrl-C.
 An ``--import`` line is an input: its question's grade, with no call,
 for as long as its answer is the current baseline answer (remove the
-line to regrade).  Later stages exit 2 naming ``sample`` if the header
+line to regrade).  Every ``.jsonl`` file is written by
+``errors.write_jsonl``, and a line of ``samples.jsonl`` or
+``grades.jsonl`` that does not parse is missing for its own question
+only.  Later stages exit 2 naming ``sample`` if the header
 of ``samples.jsonl`` holds other settings or another backend than the
 config gives, and ``report``, ``curve`` and ``cost`` exit 2 naming the
 questions whose records are missing or stale: a cluster record in an
 older layout or made from other sample texts, a grade of another
-baseline answer, grader or (``model-judge``) backend.
+baseline answer, grader or (``model-judge``) backend, or a record
+holding a value later stages cannot compute with (an entropy, token
+count, latency or flag of the wrong type or range).
 Exit codes: 0 success, else the ``exit_code`` of the error that stopped
 the stage (``errors.EXIT_*``).
 """
@@ -64,6 +69,8 @@ from .errors import (  # the EXIT_* names are the CLI's public exit statuses
     IncompleteRecordsError,
     UsageError,
     read_bytes,
+    read_jsonl,
+    write_jsonl,
     write_text_atomic,
 )
 
@@ -261,19 +268,8 @@ def question_file_name(question_id: str) -> str:
     return "h-" + hashlib.sha256(question_id.encode("utf-8")).hexdigest()[:24]
 
 
-def _stems(items) -> dict[str, str]:
-    """Each item's record file stem by id, worked out once per stage."""
-    return {item.id: question_file_name(item.id) for item in items}
-
-
 def _write_json(path: Path, payload) -> None:
     write_text_atomic(path, json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n")
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    """Replace ``path`` with one JSON line per row, keys sorted."""
-    lines = [json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows]
-    write_text_atomic(path, "".join(lines))
 
 
 def _read_input(what: str, path: str, read: Callable):
@@ -334,15 +330,6 @@ def _backend_name(config: RunConfig) -> str:
     if config.endpoint_url and config.model:
         return gateway.backend_name(model=config.model)
     raise UsageError(_NO_BACKEND)
-
-
-def _current(record: dict, **inputs) -> bool:
-    """Whether ``record`` was made from the current inputs: each named field
-    it stores equals the given value, or is a member of a given set."""
-    return all(
-        record[name] in value if isinstance(value, set) else record[name] == value
-        for name, value in inputs.items()
-    )
 
 
 def _rows(rows, width: int) -> bool:
@@ -412,6 +399,22 @@ SAMPLE_FIELDS = ("text", "tokens_in", "tokens_out", "latency_ms", "backend_finge
 _sample_row = operator.attrgetter(*SAMPLE_FIELDS)
 _TEXT = SAMPLE_FIELDS.index("text")
 
+# A stored row's ``gateway.USAGE_FIELDS``, read by position.
+_sample_usage = operator.itemgetter(*map(SAMPLE_FIELDS.index, gateway.USAGE_FIELDS))
+_call_usage = operator.itemgetter(*map(clustering.CALL_FIELDS.index, gateway.USAGE_FIELDS))
+_COUNT = (int, type(None))
+
+
+def _usable(usages) -> bool:
+    """Whether each ``gateway.USAGE_FIELDS`` tuple holds what ``cost`` adds
+    up: token counts that are ints or null, a number for the latency and a
+    bool for the estimated flag."""
+    return all(
+        isinstance(tokens_in, _COUNT) and isinstance(tokens_out, _COUNT)
+        and isinstance(latency_ms, (int, float)) and isinstance(estimated, bool)
+        for tokens_in, tokens_out, latency_ms, estimated in usages
+    )
+
 
 def _samples_header(config: RunConfig) -> dict:
     """The first line of ``samples.jsonl``: what its answers were drawn with."""
@@ -427,13 +430,13 @@ def _sample_records(config: RunConfig, items) -> dict[str, dict]:
     """The line of ``samples.jsonl`` for each of ``items``, by id.
     ``IncompleteRecordsError`` if there is no such file, naming each setting
     its header holds other than ``_samples_header(config)``, or naming the
-    ids whose line is missing or malformed."""
+    ids whose line is missing, malformed or holds a value ``cost`` cannot
+    add up."""
     path = config.samples_path
     try:
-        header, *lines = read_bytes(path).splitlines()
-        stored = json.loads(header)
-        changed = [f"{name} {stored.get(name)!r} where the config gives {value!r}"
-                   for name, value in _samples_header(config).items() if stored.get(name) != value]
+        header, *lines = read_jsonl(path)
+        changed = [f"{name} {header.get(name)!r} where the config gives {value!r}"
+                   for name, value in _samples_header(config).items() if header.get(name) != value]
     except (OSError, ValueError, AttributeError):
         raise IncompleteRecordsError(f"no samples {path}; run the sample stage first")
     if changed:
@@ -441,12 +444,13 @@ def _sample_records(config: RunConfig, items) -> dict[str, dict]:
             f"{path} was sampled with {', '.join(changed)}; run the sample stage first"
         )
     records = dict.fromkeys(item.id for item in items)
-    for line in lines:
+    for record in lines:
         try:
-            record = json.loads(line)
-            if record["id"] in records and len(record["samples"]) == config.k and "baseline" in record:
+            rows = [*record["samples"], record["baseline"]]
+            if (record["id"] in records and len(rows) == config.k + 1
+                    and _usable(map(_sample_usage, rows))):
                 records[record["id"]] = record
-        except (ValueError, KeyError, TypeError):
+        except (LookupError, TypeError):
             continue
     return _require(records, "sample")
 
@@ -499,41 +503,44 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return _run_stage(args, config, "sampling", map(job, _by_id(items)), backend,
                           lambda: summary)
     finally:  # also on failure or Ctrl-C, so no line outlives a run that did not rebuild it
-        _write_jsonl(config.samples_path, [header, *(lines[qid] for qid in sorted(lines))])
+        write_jsonl(config.samples_path, [header, *(lines[qid] for qid in sorted(lines))])
 
 
 # ---------------------------------------------------------------------------
 # cluster
 # ---------------------------------------------------------------------------
 
-def _clusters_path(config: RunConfig, stem: str) -> str:
-    return f"{config.clusters_dir}/{stem}.json"
+def _clusters_path(config: RunConfig, question_id: str) -> str:
+    return f"{config.clusters_dir}/{question_file_name(question_id)}.json"
 
 
 def _texts(sample_record: dict) -> list[str]:
     return [row[_TEXT] for row in sample_record["samples"]]
 
 
-def _load_cluster(config: RunConfig, texts: list[str], stem: str) -> dict | None:
-    """The audit record at ``stem`` if it is complete for ``config`` and was
-    computed from the sample ``texts``, else None.  A record in an older
-    layout, with a ``verdicts`` row per index pair or with ``calls`` rows
-    as objects, is stale: ``cluster`` rebuilds it, through the cache with
-    no call."""
+def _load_cluster(config: RunConfig, texts: list[str], question_id: str) -> dict | None:
+    """The question's audit record if it is complete for ``config``, was
+    computed from the sample ``texts`` and holds values later stages can
+    use (a finite entropy >= 0, usage ``cost`` can add up), else None.  A
+    record in an older layout, with a ``verdicts`` row per index pair or
+    with ``calls`` rows as objects, is stale: ``cluster`` rebuilds it,
+    through the cache with no call."""
     try:
-        record = clustering.read_audit_record(_clusters_path(config, stem))
-        complete = _current(
-            record, k=config.k, policy=config.policy, samples=texts
-        ) and _rows(record["calls"], len(clustering.CALL_FIELDS))
+        record = clustering.read_audit_record(_clusters_path(config, question_id))
+        calls = record["calls"]
+        current = (
+            record["k"] == config.k and record["policy"] == config.policy
+            and record["samples"] == texts and _finite_nonnegative(record["dse"])
+            and _rows(calls, len(clustering.CALL_FIELDS)) and _usable(map(_call_usage, calls))
+        )
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    return record if complete else None
+    return record if current else None
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     items = _load_items(config)
-    stems = _stems(items)
     sample_records = _sample_records(config, items)
     backend = _build_backend(config)
     unparseable = 0  # verdicts whose reply did not parse: recorded as does-not-entail
@@ -545,7 +552,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             nonlocal unparseable
             dse = discrete_semantic_entropy(cluster_distribution(partition.sizes))
             record = clustering.audit_record(item.id, texts, calls, partition, dse.value)
-            clustering.write_audit_record(_clusters_path(config, stems[item.id]), record)
+            clustering.write_audit_record(_clusters_path(config, item.id), record)
             unparseable += sum(
                 gateway.parse_entailment_reply(call.raw_judge_output) is None for call in calls
             )
@@ -567,26 +574,29 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_grades(config: RunConfig, sample_records) -> dict[str, dict]:
-    """The current grades on disk by question id: of the question's current
-    baseline answer, and imported or made by the configured grader, with a
-    ``model-judge`` grade's ``backend`` the configured backend's name."""
+    """The current grades on disk by question id: a bool verdict on the
+    question's current baseline answer, imported or made by the configured
+    grader, with a ``model-judge`` grade's ``backend`` the configured
+    backend's name.  A line that does not parse or is not current is
+    skipped alone; an unreadable file holds no grades."""
     graders = {config.grader, corpus.GRADER_IMPORTED}
     backend = _backend_name(config) if config.grader == corpus.GRADER_MODEL else None
     try:
-        with open(config.grades_path, encoding="utf-8") as handle:
-            grades = {
-                record["question_id"]: record
-                for record in map(json.loads, filter(str.strip, handle))
-            }
-        return {
-            qid: record
-            for qid, record in grades.items()
-            if qid in sample_records
-            and _current(record, grader=graders, answer=_baseline_text(sample_records[qid]))
-            and record.get("backend") == (backend if record["grader"] == config.grader else None)
-        }
-    except (OSError, ValueError, KeyError, TypeError):
+        lines = read_jsonl(config.grades_path)
+    except OSError:
         return {}
+    grades = {}
+    for record in lines:
+        try:
+            qid, grader, answer = record["question_id"], record["grader"], record["answer"]
+            if (qid in sample_records and grader in graders and isinstance(answer, str)
+                    and answer == _baseline_text(sample_records[qid])
+                    and isinstance(record["correct"], bool)
+                    and record.get("backend") == (backend if grader == config.grader else None)):
+                grades[qid] = record
+        except (KeyError, TypeError):
+            continue
+    return grades
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
@@ -632,7 +642,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     try:
         return _run_stage(args, config, "grading", map(job, todo), backend, lambda: summary)
     finally:  # also on Ctrl-C, so every finished grade is kept
-        _write_jsonl(config.grades_path, [grades[qid] for qid in sorted(grades)])
+        write_jsonl(config.grades_path, [grades[qid] for qid in sorted(grades)])
 
 
 # ---------------------------------------------------------------------------
@@ -644,10 +654,9 @@ def _judged_run(config: RunConfig):
     records by id; ``IncompleteRecordsError`` naming the ids whose records
     are missing, incomplete or stale."""
     items = _load_items(config)
-    stems = _stems(items)
     sample_records = _sample_records(config, items)
     cluster_records = {
-        qid: _load_cluster(config, _texts(sample_records[qid]), stem) for qid, stem in stems.items()
+        item.id: _load_cluster(config, _texts(sample_records[item.id]), item.id) for item in items
     }
     return items, sample_records, _require(cluster_records, "cluster")
 
@@ -665,16 +674,11 @@ def _collect_results(
                 dataset=item.dataset,
                 subgroup=item.subgroup,
                 entropy=float(cluster_records[item.id]["dse"]),
-                correct=bool(grades[item.id]["correct"]),
-                answer=str(grades[item.id]["answer"]),
+                correct=grades[item.id]["correct"],
+                answer=grades[item.id]["answer"],
             )
         )
     return results
-
-
-# A stored row's ``gateway.USAGE_FIELDS``, read by position.
-_sample_usage = operator.itemgetter(*map(SAMPLE_FIELDS.index, gateway.USAGE_FIELDS))
-_call_usage = operator.itemgetter(*map(clustering.CALL_FIELDS.index, gateway.USAGE_FIELDS))
 
 
 def _cost_inputs(items, sample_records, cluster_records):

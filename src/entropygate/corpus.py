@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_text_atomic
+from .errors import CorpusFormatError, GradingError, UnknownQuestionIdsError, write_jsonl
 from .gateway import (
     IMAGE_URLS, ROLE_GRADE, Backend, BackendError, ask, forget_asked, parse_yes_no_reply,
 )
@@ -150,19 +150,18 @@ def write_corpus(items: Iterable[ImageQuestion], path: str | Path):
     """Write questions as canonical JSONL (UTF-8, one object per line), with
     relative image paths taken from the file's folder."""
     folder = Path(path).parent
-    lines = []
+    records = []
     for item in items:
         image = item.image_ref
-        record = {
+        records.append({
             "id": item.id,
             "image": os.path.relpath(image, folder) if _relative_file(image) else image,
             "question": item.question,
             "reference": item.reference,
             "dataset": item.dataset,
             "subgroup": item.subgroup,
-        }
-        lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    write_text_atomic(path, "".join(lines))
+        })
+    write_jsonl(path, records)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def read_bytes(path: str | Path) -> bytes:
     return b"".join(chunks)
 
 
-def _holds(path: str, data: bytes) -> bool:
+def holds(path: str | Path, data: bytes) -> bool:
     """Whether the file at ``path`` holds exactly ``data``."""
     try:
         return read_bytes(path) == data
@@ -135,7 +135,7 @@ def _holds(path: str, data: bytes) -> bool:
         return False
 
 
-def _write_bytes(path: str, data: bytes) -> None:
+def write_bytes(path: str | Path, data: bytes) -> None:
     """Create or truncate ``path``, making its folder if missing, and write
     ``data`` to it."""
     try:
@@ -158,12 +158,12 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     step fails, the temp file is removed and the error raised."""
     path = os.fspath(path)
     data = text.encode("utf-8")
-    if _holds(path, data):
+    if holds(path, data):
         return
     folder, name = os.path.split(path)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
     try:
-        _write_bytes(tmp, data)
+        write_bytes(tmp, data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -180,19 +180,24 @@ def compact_json(value) -> str:
     return _COMPACT.encode(value)
 
 
-def read_record(path: str | Path) -> dict:
-    """A record as ``write_record`` stores it, or in an older indented layout."""
-    return json.loads(read_bytes(path))
+_JSONL = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # one for every line
 
 
-def write_record(path: str | Path, record: dict) -> None:
-    """Write ``record`` to ``path`` as one compact JSON object, in place.
+def write_jsonl(path: str | Path, rows) -> None:
+    """Replace ``path`` with one JSON line per row, keys sorted, through
+    ``write_text_atomic``: the layout of every ``.jsonl`` file a run holds."""
+    write_text_atomic(path, "".join([_JSONL.encode(row) + "\n" for row in rows]))
 
-    Not through ``write_text_atomic``: a torn record does not parse, so the
-    CLI redoes it, and a temp file per record slowed a 706-question stage
-    30%.  A file that already holds these bytes is left as it is.
-    """
-    path = os.fspath(path)
-    data = (compact_json(record) + "\n").encode("utf-8")
-    if not _holds(path, data):
-        _write_bytes(path, data)
+
+def _value(line: bytes):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+def read_jsonl(path: str | Path) -> list:
+    """The value of each line of the file at ``path``, None for a line that
+    does not parse (a blank or torn one included), so a bad line costs only
+    its own record.  ``OSError`` if the file cannot be read."""
+    return [_value(line) for line in read_bytes(path).splitlines()]

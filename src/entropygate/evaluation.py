@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import EmptyRetainedSetError, write_text_atomic
+from .errors import EmptyRetainedSetError, write_jsonl, write_text_atomic
 
 
 @dataclass(frozen=True)
@@ -424,7 +423,7 @@ def write_outcomes_jsonl(
     results: Sequence[QuestionResult], thresholds: Sequence[float], path: str | Path
 ):
     """One JSON line per question: entropy, correctness, and gate decisions."""
-    records = (
+    write_jsonl(path, (
         {
             "id": result.question_id,
             "dataset": result.dataset,
@@ -435,10 +434,7 @@ def write_outcomes_jsonl(
             "retained": {f"{t:g}": result.retained_at(t) for t in thresholds},
         }
         for result in sorted(results, key=lambda r: r.question_id)
-    )
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # one for all lines
-    lines = [encode(record) + "\n" for record in records]
-    write_text_atomic(path, "".join(lines))
+    ))
 
 
 def _write_csv(path: str | Path, header: list[str], rows: Iterable[list]):

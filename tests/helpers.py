@@ -4,15 +4,17 @@ The oracles deliberately avoid the package's own code paths: entropy is
 recomputed with 50-digit arbitrary-precision arithmetic, components
 are recovered by breadth-first search over the edge set, the paired
 bootstrap resamples question indices (or, for a few questions, its exact
-distribution is enumerated), and threshold sweeps rescan every result at
-every threshold.
+distribution is enumerated), threshold sweeps rescan every result at
+every threshold, and a mock run's numbers are derived from its script.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp, mpf
@@ -174,3 +176,116 @@ def threshold_scan(results, thresholds):
         delta = None if accuracy is None else accuracy - baseline
         rows.append((threshold, len(kept), total, len(kept) / total, accuracy, delta))
     return rows
+
+
+def _mock_judge(spec: dict):
+    """The mock judge's rule.  ``random``: the premise entails the hypothesis
+    when the first 8 bytes of sha256("<seed>\\x1f<premise>\\x1f<hypothesis>"),
+    read as a fraction of 2**64, fall below ``p_entail``; neither symmetric
+    nor transitive.  Otherwise texts in listed classes entail each other
+    when their classes agree (a text listed twice takes its last class),
+    and any other text entails only itself."""
+    if spec.get("rule") == "random":
+        def drawn(premise: str, hypothesis: str) -> bool:
+            digest = hashlib.sha256(f"{spec['seed']}\x1f{premise}\x1f{hypothesis}".encode())
+            return int(digest.hexdigest()[:16], 16) < spec["p_entail"] * 2**64
+
+        return drawn
+    classes = {}
+    if spec.get("rule") == "equivalence-classes":
+        for number, members in enumerate(spec["classes"]):
+            for member in members:
+                classes[member] = number
+
+    def entails(premise: str, hypothesis: str) -> bool:
+        if premise in classes and hypothesis in classes:
+            return classes[premise] == classes[hypothesis]
+        return premise == hypothesis
+
+    return entails
+
+
+def greedy_scan(k: int, edges) -> list[list[int]]:
+    """Scan 0..k-1; each joins the first cluster whose lowest member it
+    shares an edge with, else opens a cluster."""
+    linked = set(edges) | {(b, a) for a, b in edges}
+    clusters: list[list[int]] = []
+    for index in range(k):
+        for cluster in clusters:
+            if (index, cluster[0]) in linked:
+                cluster.append(index)
+                break
+        else:
+            clusters.append([index])
+    return clusters
+
+
+def pipeline_oracle(corpus, script, k: int, policy: str, thresholds=(0.6, 0.3),
+                    price: float = 10.0) -> dict:
+    """What ``sample``, ``cluster --policy <policy>``, ``grade``
+    (normalized-exact) and ``report`` give for the mock ``script`` over
+    ``corpus`` (its records as dicts), derived from the script alone.  The
+    answers and references must be drawn already normalised, so a grade is
+    plain equality.
+
+    Returns ``questions`` by id, each with its ``partition`` (sorted index
+    lists: connected components, or a greedy scan), ``dse``, ``correct``
+    and ``pairs`` (the distinct ordered text pairs judged); ``calls`` by
+    role; ``outcomes`` and ``subgroups`` as ``threshold_scan`` rows
+    (``subgroups`` by (dataset, subgroup), each with its baseline
+    accuracy); and ``cost``.
+    """
+    entails = _mock_judge(script.get("judge", {"rule": "equality"}))
+    questions = {}
+    for record in corpus:
+        answers = script["answers"][record["id"]]
+        texts = answers["sample"][:k]
+        pairs = {(texts[i], texts[j]) for i in range(k) for j in range(k) if i != j}
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k)
+                 if entails(texts[i], texts[j]) and entails(texts[j], texts[i])]
+        partition = (components_by_bfs(k, edges) if policy == "connected-components"
+                     else greedy_scan(k, edges))
+        questions[record["id"]] = {
+            "partition": sorted(partition),
+            "dse": entropy_oracle([len(block) for block in partition]),
+            "correct": answers["baseline"][0] == record["reference"],
+            "pairs": len(pairs),
+            "dataset": record["dataset"],
+            "subgroup": record["subgroup"],
+        }
+    results = []
+    groups: dict = {}
+    for question in questions.values():
+        result = SimpleNamespace(entropy=question["dse"], correct=question["correct"])
+        results.append(result)
+        groups.setdefault((question["dataset"], question["subgroup"]), []).append(result)
+    n = len(questions)
+    judged = sum(q["pairs"] for q in questions.values())
+    per_call = script["tokens_in"] + script["tokens_out"]
+    latency = script["latency_ms"]
+    sampling, entailment = n * (k + 1) * per_call, judged * per_call
+    total = (sampling + entailment) * price / 1e6
+    return {
+        "questions": questions,
+        "calls": {"sample": n * (k + 1), "judge": judged},
+        "outcomes": threshold_scan(results, thresholds),
+        "subgroups": {
+            name: (100.0 * sum(r.correct for r in members) / len(members),
+                   threshold_scan(members, thresholds))
+            for name, members in sorted(groups.items())
+        },
+        "cost": {
+            "sampling_tokens": sampling,
+            "entailment_tokens": entailment,
+            "sampling_cost": sampling * price / 1e6,
+            "entailment_cost": entailment * price / 1e6,
+            "total_cost": total,
+            "mean_call_latency_ms": latency,
+            "pipeline_latency_ms": 2 * latency,
+            "incomplete_records": 0,
+            "estimated_records": 0,
+            "questions": n,
+            "mean_cost_per_question": total / n,
+            "price_per_million_tokens": price,
+        },
+    }

@@ -46,6 +46,7 @@ from entropygate.clustering import (
     cluster_answers,
     load_audit_record,
     mutual_entailment_graph,
+    write_audit_record,
 )
 from entropygate.errors import (
     BackendError,
@@ -58,7 +59,6 @@ from entropygate.errors import (
     SamplingIncompleteError,
     UnknownQuestionIdsError,
     UsageError,
-    write_record,
 )
 from entropygate.scheduler import Job, run_jobs
 
@@ -475,10 +475,9 @@ def object_rows_layout(record: dict) -> dict:
     return {**record, "calls": calls}
 
 
-def edit_sample_line(out: Path, index: int, edit) -> None:
-    """Replace the ``index``-th line of ``out/samples.jsonl`` (0: the header)
-    with ``edit(line)``."""
-    path = out / "samples.jsonl"
+def edit_line(path: Path, index: int, edit) -> None:
+    """Replace the ``index``-th line of ``path`` (of ``samples.jsonl``, 0 is
+    the header) with ``edit(line)``."""
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[index] = edit(lines[index])
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -531,7 +530,7 @@ class TestStaleRecords:
             record["samples"][0][SAMPLE_FIELDS.index("text")] = "edited"
             return json.dumps(record)
 
-        edit_sample_line(workdir["out"], 2, edit)
+        edit_line(path, 2, edit)
         sent = dict(mock_calls["roles"])
         capsys.readouterr()
         assert main(["sample", *base_args(workdir)]) == EXIT_OK
@@ -618,8 +617,8 @@ class TestStaleRecords:
         out = workdir["out"]
         (out / "samples").mkdir()
         for qid, record in read_samples(out).items():  # the layout before samples.jsonl
-            write_record(out / "samples" / f"q-{qid}.json",
-                         {**record, "k": 15, "sample_temperature": 1.0, "baseline_temperature": 0.1})
+            write_audit_record(out / "samples" / f"q-{qid}.json", {
+                **record, "k": 15, "sample_temperature": 1.0, "baseline_temperature": 0.1})
         (out / "samples.jsonl").unlink()
         capsys.readouterr()
         for stage in ("cluster", "grade", "report", "curve", "cost"):
@@ -667,7 +666,7 @@ class TestStaleRecords:
         current = {path.name: path.read_bytes() for path in clusters.iterdir()}
         for qid in ("q01", "q03"):
             path = clusters / f"q-{qid}.json"
-            write_record(path, per_pair_layout(json.loads(path.read_text())))
+            write_audit_record(path, per_pair_layout(json.loads(path.read_text())))
         capsys.readouterr()
 
         for stage in ("report", "curve", "cost"):
@@ -692,7 +691,7 @@ class TestStaleRecords:
         current = {path: path.read_bytes() for path in clusters.iterdir()}
         for qid in ("q02", "q03"):
             path = clusters / f"q-{qid}.json"
-            write_record(path, object_rows_layout(json.loads(path.read_text())))
+            write_audit_record(path, object_rows_layout(json.loads(path.read_text())))
         capsys.readouterr()
 
         calls = dict(mock_calls["roles"])
@@ -704,6 +703,41 @@ class TestStaleRecords:
         assert mock_calls["roles"] == calls
         assert {path: path.read_bytes() for path in current} == current
         assert main(["report", *base_args(workdir)]) == EXIT_OK
+
+    @pytest.mark.parametrize("path, line, edit, stage", [
+        ("clusters/q-q01.json", 0, lambda record: record.update(dse="abc"), "cluster"),
+        ("grades/grades.jsonl", 1, lambda record: record.pop("correct"), "grade"),
+        ("clusters/q-q01.json", 0,
+         lambda record: record["calls"][0].__setitem__(CALL_FIELDS.index("tokens_in"), "12"),
+         "cluster"),
+        ("samples.jsonl", 2,
+         lambda record: record["samples"][0].__setitem__(SAMPLE_FIELDS.index("tokens_in"), "690"),
+         "sample"),
+    ], ids=["dse", "correct", "call-tokens", "sample-tokens"])
+    def test_a_malformed_value_is_named_and_rebuilt(self, tmp_path, capsys, path, line, edit,
+                                                    stage):
+        args = graded_run(tmp_path, 4, "--grader", "model-judge")
+        path = tmp_path / "out" / path
+        whole = path.read_bytes()
+
+        def change(text: str) -> str:
+            record = json.loads(text)
+            edit(record)
+            return json.dumps(record)
+
+        edit_line(path, line, change)
+        capsys.readouterr()
+        later_stages = ("report", "curve") if stage == "grade" else ("report", "curve", "cost")
+        for later in later_stages:  # cost reads no grades
+            assert main([later, *args]) == EXIT_INCOMPLETE
+            assert capsys.readouterr().err == (
+                f"error: missing, incomplete or stale {stage}s for 1 question(s): q01; "
+                f"run the {stage} stage first\n"
+            )
+        assert main([stage, *args]) == EXIT_OK
+        assert "; 0 model call(s) sent, " in capsys.readouterr().out
+        assert path.read_bytes() == whole
+        assert main(["report", *args]) == EXIT_OK
 
 
 class TestGradeImport:
@@ -740,6 +774,28 @@ class TestGradeImport:
         assert [(g["answer"], g["correct"], g["grader"]) for g in read_grades(tmp_path)] == [
             ("zzz", False, "normalized-exact")
         ] * 3
+
+    def test_a_torn_grade_line_costs_only_its_question(self, tmp_path, capsys):
+        args = graded_run(tmp_path, 4)
+        imports = tmp_path / "imports.txt"
+        imports.write_text("q00 no\nq02 yes\n")  # each the other verdict than normalized-exact's
+        assert main(["grade", "--import", str(imports), *args]) == EXIT_OK
+        path = tmp_path / "out" / "grades" / "grades.jsonl"
+        whole = path.read_bytes()
+        *kept, torn = whole.splitlines(keepends=True)
+        path.write_bytes(b"".join(kept) + torn[: len(torn) // 2])  # q03's line
+        capsys.readouterr()
+        assert main(["report", *args]) == EXIT_INCOMPLETE
+        assert capsys.readouterr().err == (
+            "error: missing, incomplete or stale grades for 1 question(s): q03; "
+            "run the grade stage first\n"
+        )
+        assert main(["grade", *args]) == EXIT_OK
+        assert "graded 4 question(s) (2 imported) into " in capsys.readouterr().out
+        assert path.read_bytes() == whole
+        assert [(g["grader"], g["correct"]) for g in read_grades(tmp_path)[::2]] == [
+            ("imported", False), ("imported", True)
+        ]
 
     def test_import_settles_a_grade_the_model_cannot_give(self, tmp_path, capsys):
         args = sampled_run(tmp_path, 3, "--grader", "model-judge")
@@ -972,7 +1028,7 @@ class TestResumability:
         run_pipeline(workdir)
         path = workdir["out"] / "samples.jsonl"
         whole = path.read_bytes()
-        edit_sample_line(workdir["out"], 4, lambda line: line[: len(line) // 2])  # q03's
+        edit_line(path, 4, lambda line: line[: len(line) // 2])  # q03's
         capsys.readouterr()
         assert main(["report", *base_args(workdir)]) == EXIT_INCOMPLETE
         assert "stale samples for 1 question(s): q03;" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import os
 
 import pytest
 
+from entropygate.clustering import read_audit_record, write_audit_record
 from entropygate.corpus import (
     GRADER_CONTAINMENT,
     GRADER_EXACT,
@@ -26,8 +27,6 @@ from entropygate.errors import (
     GradingError,
     UnknownQuestionIdsError,
     read_bytes,
-    read_record,
-    write_record,
     write_text_atomic,
 )
 from entropygate.gateway import ROLE_GRADE, Backend, MockBackend, ModelReply
@@ -166,22 +165,22 @@ class TestWriteTextAtomic:
 
 class TestRecords:
     def test_compact_in_place_and_unchanged_not_rewritten(self, tmp_path):
-        path = tmp_path / "samples" / "q-1.json"
+        path = tmp_path / "clusters" / "q-1.json"
         record = {"text": "é", "b": [1.5, None], "a": 1}
-        write_record(path, record)
+        write_audit_record(path, record)
         assert path.read_text(encoding="utf-8") == '{"a":1,"b":[1.5,null],"text":"é"}\n'
-        assert read_record(path) == record
+        assert read_audit_record(path) == record
         os.utime(path, ns=(10**18, 10**18))
-        write_record(path, record)
+        write_audit_record(path, record)
         assert path.stat().st_mtime_ns == 10**18
-        write_record(path, {**record, "a": 2})
-        assert read_record(path)["a"] == 2
+        write_audit_record(path, {**record, "a": 2})
+        assert read_audit_record(path)["a"] == 2
         assert [p.name for p in path.parent.iterdir()] == ["q-1.json"]
 
     def test_indented_record_still_reads(self, tmp_path):
         path = tmp_path / "q-1.json"
         path.write_text(json.dumps({"k": 15, "samples": ["ct"]}, indent=2) + "\n")
-        assert read_record(path) == {"k": 15, "samples": ["ct"]}
+        assert read_audit_record(path) == {"k": 15, "samples": ["ct"]}
 
     @pytest.mark.parametrize("size", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16])
     def test_read_bytes_reads_the_whole_file(self, tmp_path, size):

@@ -11,6 +11,15 @@ from entropygate import cli, clustering
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def layout_entries(text: str, root: str) -> set[str]:
+    """The top-level entries named by the layout block under ``root/`` in
+    ``text``: a line indented two spaces past ``root/`` starts with an
+    entry's name, or its folder and a file in it; the block ends at a blank
+    line or a fence."""
+    [(indent, block)] = re.findall(rf"^( *){root}/\n(.*?)(?:\n\n|```)", text, re.S | re.M)
+    return {entry.split("/")[0] for entry in re.findall(rf"^{indent}  (\S+)", block, re.M)}
+
+
 def test_library_example_runs(capsys):
     [block] = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     namespace: dict = {}
@@ -36,7 +45,11 @@ def test_output_layout_names_every_entry_of_a_finished_run(tmp_path):
     assert cli.main(["sample", "--corpus", str(tmp_path / "corpus.jsonl"), *args]) == 0
     for stage in ("cluster", "grade", "report", "curve", "cost"):
         assert cli.main([stage, *args]) == 0
-    [layout] = re.findall(r"```\nrun/\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    # an entry's line starts with two spaces, then its name, or its folder and a file in it
-    named = {entry.split("/")[0] for entry in re.findall(r"^  (\S+)", layout, re.M)}
-    assert named == {path.name for path in out.iterdir()}
+    assert layout_entries(README.read_text(encoding="utf-8"), "run") == {
+        path.name for path in out.iterdir()
+    }
+
+
+def test_the_cli_docstring_names_the_same_entries_as_the_readme():
+    readme = layout_entries(README.read_text(encoding="utf-8"), "run")
+    assert layout_entries(cli.__doc__, "out") == readme
